@@ -127,7 +127,7 @@ def _align_bifunctor(B, J):
                 on_mor[m.name] = B.on_mor[B.dom.id_of(m.dom)]
             else:
                 on_mor[m.name] = B.on_mor[m.name]
-        return SetFunctor(B.name, P, dict(B.on_obj), on_mor)
+        return SetFunctor(B.name, P, B.on_obj, on_mor)
     mor_map = {}
     for m in P.morphisms:
         if P.is_identity(m.name):
@@ -135,7 +135,7 @@ def _align_bifunctor(B, J):
         else:
             mor_map[m.name] = B.mor_map[m.name]
     from .core import Functor
-    return Functor(B.name, P, B.cod, dict(B.obj_map), mor_map)
+    return Functor(B.name, P, B.cod, B.obj_map, mor_map)
 
 
 def _shape_of_bifunctor(ws: Workspace, B):
@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="finite category theory toolkit")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    common.add_argument("--seed", type=int, default=0,
+                        help="echoed into --json output; no command reads it")
     common.add_argument("--guard", type=int, default=None, help="enumeration budget")
     sub = ap.add_subparsers(dest="command", required=True)
 

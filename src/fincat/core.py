@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
 DEFAULT_GUARD = 10**6
@@ -43,7 +43,8 @@ class Report:
     partial: bool = False
 
     def __post_init__(self):
-        assert self.ok == (self.counterexample is None)
+        if self.ok != (self.counterexample is None):
+            raise ValueError("a report carries a counterexample exactly when it is not ok")
 
     def to_json(self) -> dict:
         out = {"ok": self.ok, "checked": self.checked}
@@ -69,8 +70,72 @@ class Mor:
     cod: str
 
 
+class cached:
+    """A lock-free functools.cached_property.
+
+    Before Python 3.12 cached_property takes a lock on every first access,
+    which costs as much as computing a small key.  The cached values here are
+    pure functions of frozen fields, so two threads racing on a first access
+    at worst compute the same value twice.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class Keyed:
+    """Structural identity for the frozen value classes, computed once.
+
+    A subclass is a frozen dataclass declared with ``eq=False`` whose
+    ``_structure()`` returns a nested tuple of ids that determines the value.
+    ``key()`` returns that tuple; ``==`` and ``hash`` compare by it.  Both the
+    key and its hash are cached, which is sound because ``__post_init__``
+    replaces every table by a read-only private copy (``_freeze``).
+    """
+
+    def _structure(self) -> tuple:
+        raise NotImplementedError
+
+    def _freeze(self, *names: str) -> None:
+        """Replace each named mapping field by a read-only copy of itself."""
+        fields = self.__dict__  # frozen: bypass __setattr__
+        for f in names:
+            fields[f] = MappingProxyType(dict(fields[f]))
+
+    @cached
+    def _key(self) -> tuple:
+        return self._structure()
+
+    @cached
+    def _hash(self) -> int:
+        return hash(self._key)
+
+    def key(self) -> tuple:
+        return self._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return False
+        # unequal hashes settle it, but a value is not hashed just to be compared
+        if "_hash" in self.__dict__ and "_hash" in other.__dict__ and self._hash != other._hash:
+            return False
+        return self._key == other._key
+
+
 @dataclass(frozen=True, eq=False)
-class FinCat:
+class FinCat(Keyed):
     """A finite category: objects, morphism records, identity and composition tables."""
 
     name: str
@@ -79,11 +144,17 @@ class FinCat:
     identity: Mapping[str, str]
     compose: Mapping[tuple[str, str], str]
 
-    @cached_property
+    def __post_init__(self):
+        fields = self.__dict__  # frozen: bypass __setattr__
+        fields["objects"] = tuple(self.objects)
+        fields["morphisms"] = tuple(self.morphisms)
+        self._freeze("identity", "compose")
+
+    @cached
     def mor(self) -> dict[str, Mor]:
         return {m.name: m for m in self.morphisms}
 
-    @cached_property
+    @cached
     def _homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
         table: dict[tuple[str, str], list[str]] = {}
         for m in self.morphisms:
@@ -101,7 +172,10 @@ class FinCat:
         return self.mor[m].cod
 
     def id_of(self, a: str) -> str:
-        return self.identity[a]
+        try:
+            return self.identity[a]
+        except KeyError:
+            raise StructuralError(f"{self.name}: unknown object {a}") from None
 
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.mor[m].dom) == m
@@ -121,14 +195,26 @@ class FinCat:
             out = self.comp(m, out)
         return out
 
-    def sorted_objects(self) -> tuple[str, ...]:
+    @cached
+    def _sorted_objects(self) -> tuple[str, ...]:
         return tuple(sorted(self.objects))
 
-    def sorted_mor_names(self) -> tuple[str, ...]:
+    @cached
+    def _sorted_mor_names(self) -> tuple[str, ...]:
         return tuple(sorted(m.name for m in self.morphisms))
 
+    @cached
+    def _nonidentity_mor_names(self) -> tuple[str, ...]:
+        return tuple(m for m in self._sorted_mor_names if not self.is_identity(m))
+
+    def sorted_objects(self) -> tuple[str, ...]:
+        return self._sorted_objects
+
+    def sorted_mor_names(self) -> tuple[str, ...]:
+        return self._sorted_mor_names
+
     def nonidentity_mor_names(self) -> tuple[str, ...]:
-        return tuple(m for m in self.sorted_mor_names() if not self.is_identity(m))
+        return self._nonidentity_mor_names
 
     def is_iso(self, f: str) -> bool:
         m = self.mor[f]
@@ -144,19 +230,13 @@ class FinCat:
                 return g
         raise StructuralError(f"{self.name}: {f} is not invertible")
 
-    def key(self):
+    def _structure(self):
         return (
-            tuple(sorted(self.objects)),
+            self._sorted_objects,
             tuple(sorted((m.name, m.dom, m.cod) for m in self.morphisms)),
             tuple(sorted(self.identity.items())),
             tuple(sorted(self.compose.items())),
         )
-
-    def __eq__(self, other):
-        return isinstance(other, FinCat) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"FinCat({self.name!r}, {len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -176,12 +256,15 @@ def renamed_functor(F: Functor, name: str) -> Functor:
 
 
 @dataclass(frozen=True, eq=False)
-class Functor:
+class Functor(Keyed):
     name: str
     dom: FinCat
     cod: FinCat
     obj_map: Mapping[str, str]
     mor_map: Mapping[str, str]
+
+    def __post_init__(self):
+        self._freeze("obj_map", "mor_map")
 
     def on_obj(self, a: str) -> str:
         return self.obj_map[a]
@@ -189,38 +272,29 @@ class Functor:
     def on_mor(self, f: str) -> str:
         return self.mor_map[f]
 
-    def key(self):
+    def _structure(self):
         return (self.dom.key(), self.cod.key(),
                 tuple(sorted(self.obj_map.items())), tuple(sorted(self.mor_map.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, Functor) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"Functor({self.name!r}: {self.dom.name} -> {self.cod.name})"
 
 
 @dataclass(frozen=True, eq=False)
-class NatTrans:
+class NatTrans(Keyed):
     name: str
     src: Functor
     tgt: Functor
     components: Mapping[str, str]
 
+    def __post_init__(self):
+        self._freeze("components")
+
     def at(self, a: str) -> str:
         return self.components[a]
 
-    def key(self):
+    def _structure(self):
         return (self.src.key(), self.tgt.key(), tuple(sorted(self.components.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, NatTrans) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"NatTrans({self.name!r}: {self.src.name} => {self.tgt.name})"
@@ -243,6 +317,8 @@ def make_category(name, objects, arrows, compose, identity_prefix="id_") -> FinC
         m = Mor(*spec)
         if m.name in seen:
             raise StructuralError(f"{name}: duplicate morphism id {m.name}")
+        if m.dom not in identity or m.cod not in identity:
+            raise StructuralError(f"{name}: morphism {m.name} has unresolved endpoints")
         seen.add(m.name)
         mors.append(m)
     table: dict[tuple[str, str], str] = dict(compose)
@@ -462,12 +538,12 @@ def opposite(C: FinCat) -> FinCat:
     name = C.name[3:-1] if C.name.startswith("op(") and C.name.endswith(")") else f"op({C.name})"
     return FinCat(name, C.objects,
                   tuple(Mor(m.name, m.cod, m.dom) for m in C.morphisms),
-                  dict(C.identity),
+                  C.identity,
                   {(f, g): h for (g, f), h in C.compose.items()})
 
 
 def opposite_functor(F: Functor) -> Functor:
-    return Functor(F.name, opposite(F.dom), opposite(F.cod), dict(F.obj_map), dict(F.mor_map))
+    return Functor(F.name, opposite(F.dom), opposite(F.cod), F.obj_map, F.mor_map)
 
 
 def product(C: FinCat, D: FinCat) -> FinCat:
@@ -499,7 +575,8 @@ def pair_id(x: str, y: str) -> str:
 
 def split_pair(p: str) -> tuple[str, str]:
     """Inverse of pair_id; splits at the comma with balanced parentheses."""
-    assert p.startswith("(") and p.endswith(")")
+    if not (p.startswith("(") and p.endswith(")")):
+        raise StructuralError(f"not a pair id: {p}")
     body = p[1:-1]
     depth = 0
     for i, ch in enumerate(body):
@@ -550,7 +627,7 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
                     gf = C.comp(g, f)
                     if D.comp(mor_map[g], mor_map[f]) != mor_map[gf]:
                         return
-                out.append(Functor("F", C, D, dict(obj_map), dict(mor_map)))
+                out.append(Functor("F", C, D, obj_map, mor_map))
                 return
             f = gens[i]
             m = C.mor[f]
@@ -583,7 +660,7 @@ def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
 
     def extend(i: int):
         if i == len(objs):
-            out.append(NatTrans("t", F, G, dict(comps)))
+            out.append(NatTrans("t", F, G, comps))
             return
         a = objs[i]
         for u in D.hom(F.obj_map[a], G.obj_map[a]):

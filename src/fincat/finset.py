@@ -15,6 +15,7 @@ from .core import (
     FinCat,
     Functor,
     GuardExceeded,
+    Keyed,
     Mor,
     NatTrans,
     Report,
@@ -28,30 +29,28 @@ from .core import (
 
 
 @dataclass(frozen=True, eq=False)
-class FinSetObj:
+class FinSetObj(Keyed):
     elements: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise StructuralError(f"duplicate element ids: {self.elements}")
+        fields = self.__dict__  # frozen: bypass __setattr__
+        fields["elements"] = elements = tuple(self.elements)
+        fields["_members"] = members = frozenset(elements)
+        fields["_sorted"] = tuple(sorted(elements))
+        if len(members) != len(elements):
+            raise StructuralError(f"duplicate element ids: {elements}")
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, x: str) -> bool:
-        return x in self.elements
+        return x in self._members
 
     def sorted(self) -> tuple[str, ...]:
-        return tuple(sorted(self.elements))
+        return self._sorted
 
-    def key(self):
-        return tuple(sorted(self.elements))
-
-    def __eq__(self, other):
-        return isinstance(other, FinSetObj) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    def _structure(self):
+        return self._sorted
 
     def __repr__(self):
         return f"FinSetObj({sorted(self.elements)})"
@@ -61,12 +60,17 @@ SINGLETON = FinSetObj(("*",))
 
 
 @dataclass(frozen=True, eq=False)
-class FinSetMap:
+class FinSetMap(Keyed):
     dom: FinSetObj
     cod: FinSetObj
     table: Mapping[str, str]
 
     def __post_init__(self):
+        self._freeze("table")
+        if self.table.keys() == self.dom._members and \
+                self.cod._members.issuperset(self.table.values()):
+            return
+        # invalid: locate the first offending entry
         for x in self.dom.elements:
             if x not in self.table:
                 raise StructuralError(f"map not total at {x}")
@@ -93,14 +97,8 @@ class FinSetMap:
             raise StructuralError("map is not invertible")
         return FinSetMap(self.cod, self.dom, {y: x for x, y in self.table.items()})
 
-    def key(self):
+    def _structure(self):
         return (self.dom.key(), self.cod.key(), tuple(sorted(self.table.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, FinSetMap) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 def identity_map(X: FinSetObj) -> FinSetMap:
@@ -115,7 +113,7 @@ def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
 
 
 @dataclass(frozen=True, eq=False)
-class SetFunctor:
+class SetFunctor(Keyed):
     """A functor dom -> Set given by per-object element lists and per-morphism tables.
 
     Contravariance is encoded by taking dom = op(C).
@@ -126,22 +124,19 @@ class SetFunctor:
     on_obj: Mapping[str, FinSetObj]
     on_mor: Mapping[str, FinSetMap]
 
+    def __post_init__(self):
+        self._freeze("on_obj", "on_mor")
+
     def obj(self, a: str) -> FinSetObj:
         return self.on_obj[a]
 
     def mor(self, f: str) -> FinSetMap:
         return self.on_mor[f]
 
-    def key(self):
+    def _structure(self):
         return (self.dom.key(),
                 tuple(sorted((a, X.key()) for a, X in self.on_obj.items())),
                 tuple(sorted((f, m.key()) for f, m in self.on_mor.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, SetFunctor) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         sizes = {a: len(X) for a, X in sorted(self.on_obj.items())}
@@ -172,7 +167,7 @@ def validate_set_functor(X: SetFunctor) -> Report:
 
 
 @dataclass(frozen=True, eq=False)
-class SetNatTrans:
+class SetNatTrans(Keyed):
     """A natural family of maps between two Set-valued functors on the same category."""
 
     name: str
@@ -180,18 +175,15 @@ class SetNatTrans:
     tgt: SetFunctor
     components: Mapping[str, FinSetMap]
 
+    def __post_init__(self):
+        self._freeze("components")
+
     def at(self, a: str) -> FinSetMap:
         return self.components[a]
 
-    def key(self):
+    def _structure(self):
         return (self.src.key(), self.tgt.key(),
                 tuple(sorted((a, m.key()) for a, m in self.components.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, SetNatTrans) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def is_iso(self) -> bool:
         return all(m.is_bijection() for m in self.components.values())
@@ -287,7 +279,7 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor,
 
     def extend(i: int):
         if i == len(objs):
-            out.append(SetNatTrans("t", X, Y, dict(comps)))
+            out.append(SetNatTrans("t", X, Y, comps))
             return
         a = objs[i]
         for cand in all_maps(X.on_obj[a], Y.on_obj[a]):
@@ -637,6 +629,7 @@ def exponential_adjunction_check(F: SetFunctor, G: SetFunctor,
         if len(lhs) != len(rhs):
             return fail_report(checked, "exponential-adjunction", probe=H.name,
                                lhs=len(lhs), rhs=len(rhs))
+        rhs_set = set(rhs)
         seen = set()
         for s in lhs:
             # transpose: (h, u) |-> decode(s_a(h)) evaluated at (id_a, u)
@@ -651,7 +644,7 @@ def exponential_adjunction_check(F: SetFunctor, G: SetFunctor,
                 comps[a] = FinSetMap(HF.on_obj[a], G.on_obj[a], tbl)
             cand = SetNatTrans("transposed", HF, G, comps)
             checked += 1
-            if not validate_set_natural(cand).ok or cand not in rhs:
+            if not validate_set_natural(cand).ok or cand not in rhs_set:
                 return fail_report(checked, "exponential-adjunction", probe=H.name,
                                    failure="transpose not natural")
             seen.add(cand.key())

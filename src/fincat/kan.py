@@ -643,6 +643,7 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     # the end elements are exactly the natural families: certify against the
     # independent enumeration, elementwise
     nats = enumerate_set_naturals(W, F)
+    nat_set = set(nats)
     checked = 0
     seen = set()
     for e in res.object.elements:
@@ -650,7 +651,7 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
                  for c in C.objects}
         cand = SetNatTrans("decoded", W, F, comps)
         checked += 1
-        if not validate_set_natural(cand).ok or cand not in nats:
+        if not validate_set_natural(cand).ok or cand not in nat_set:
             return WeightedResult(res.object, fail_report(
                 checked, "weighted-limit-naturals", element=e))
         seen.add(cand.key())
@@ -672,6 +673,7 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
                                for t in all_maps(probe, F.on_obj[m.dom])})
                            for m in C.morphisms})
         target = enumerate_set_naturals(W, homF)
+        target_set = set(target)
         images = set()
         for h in all_maps(probe, res.object):
             comps = {}
@@ -686,7 +688,7 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
                 comps[c] = FinSetMap(W.on_obj[c], homF.on_obj[c], tbl)
             cand = SetNatTrans("transposed", W, homF, comps)
             checked += 1
-            if not validate_set_natural(cand).ok or cand not in target:
+            if not validate_set_natural(cand).ok or cand not in target_set:
                 return WeightedResult(res.object, fail_report(
                     checked, "weighted-limit-defining-bijection",
                     probe=str(probe.sorted())))
@@ -736,6 +738,7 @@ def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
                  for t in all_maps(F.on_obj[m.dom], probe)})
              for m in opC.morphisms})
         target = enumerate_set_naturals(W, homF)
+        target_set = set(target)
         images = set()
         for h in all_maps(res.object, probe):
             comps = {}
@@ -749,7 +752,7 @@ def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
                 comps[c] = FinSetMap(W.on_obj[c], homF.on_obj[c], tbl)
             cand = SetNatTrans("transposed", W, homF, comps)
             checked += 1
-            if not validate_set_natural(cand).ok or cand not in target:
+            if not validate_set_natural(cand).ok or cand not in target_set:
                 return WeightedResult(res.object, fail_report(
                     checked, "weighted-colimit-defining-bijection",
                     probe=str(probe.sorted())))
@@ -1035,14 +1038,13 @@ def codensity_monad(K: Functor) -> Optional[Monad]:
     eps = kr.unit_or_counit
     TT = compose_functors(T, T)
     sigma_mu = vcompose(eps, whisker_functor_nat(T, eps))
-    sigma_mu = NatTrans("Teps-eps", compose_functors(TT, K), K,
-                        dict(sigma_mu.components))
+    sigma_mu = NatTrans("Teps-eps", compose_functors(TT, K), K, sigma_mu.components)
     mu = ran_factor(kr, TT, sigma_mu)
     idK = NatTrans("idK", compose_functors(identity_functor(D), K), K,
                    {c: D.id_of(K.obj_map[c]) for c in K.dom.objects})
     eta = ran_factor(kr, identity_functor(D), idK)
-    mu = NatTrans("mult", TT, T, dict(mu.components))
-    eta = NatTrans("unit", identity_functor(D), T, dict(eta.components))
+    mu = NatTrans("mult", TT, T, mu.components)
+    eta = NatTrans("unit", identity_functor(D), T, eta.components)
     rep = monad_laws(T, mu, eta)
     return Monad(T, mu, eta, rep)
 

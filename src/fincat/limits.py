@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .core import (
     FinCat,
@@ -206,28 +206,28 @@ def _probe_sets(sizes: tuple[int, ...]):
 
 
 def _factor_count_limit(signature: dict[tuple, int], order: tuple[str, ...],
-                        P: FinSetObj, fam: dict[str, FinSetMap]) -> int:
+                        P: FinSetObj, fam: dict[str, Mapping[str, str]]) -> int:
     """Number of maps h: P -> obj with legs_j . h = fam_j, counted pointwise.
 
-    signature counts obj elements by their tuple of leg values.
+    signature counts obj elements by their tuple of leg values; fam holds the
+    tables of the probe cone.
     """
     count = 1
     for p in P.elements:
-        count *= signature.get(tuple(fam[j](p) for j in order), 0)
+        count *= signature.get(tuple(fam[j][p] for j in order), 0)
         if count == 0:
             return 0
     return count
 
 
 def _factor_count_colimit(obj: FinSetObj, legs: dict[str, FinSetMap],
-                          P: FinSetObj, fam: dict[str, FinSetMap]) -> int:
-    """Number of maps h: obj -> P with h . legs_j = fam_j."""
+                          P: FinSetObj, fam: dict[str, Mapping[str, str]]) -> int:
+    """Number of maps h: obj -> P with h . legs_j = fam_j, fam given by tables."""
     forced: dict[str, str] = {}
     for j, leg in legs.items():
-        for x in leg.dom.elements:
-            cls = leg(x)
-            want = fam[j](x)
-            if forced.setdefault(cls, want) != want:
+        want = fam[j]
+        for x, cls in leg.table.items():
+            if forced.setdefault(cls, want[x]) != want[x]:
                 return 0
     free = sum(1 for e in obj.elements if e not in forced)
     return len(P) ** free
@@ -235,8 +235,19 @@ def _factor_count_colimit(obj: FinSetObj, legs: dict[str, FinSetMap],
 
 def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
                     legs: dict[str, FinSetMap], probe_sizes) -> Report:
+    """Unique factorization of every probe (co)cone, on raw tables.
+
+    Candidate families run in all_maps order, so `checked` and the first
+    counterexample do not depend on how the tables are represented.
+    """
     J = D.dom
     objs = J.sorted_objects()
+    arrows = []
+    for m in J.morphisms:
+        t = D.on_mor[m.name]
+        if t.dom != D.on_obj[m.dom] or t.cod != D.on_obj[m.cod]:
+            raise StructuralError(f"{D.name}: table at {m.name} has wrong endpoints")
+        arrows.append((m.dom, m.cod, t.table))
     checked = 0
     signature: dict[tuple, int] = {}
     if direction == LIMIT:
@@ -245,16 +256,19 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
             signature[k] = signature.get(k, 0) + 1
     for P in _probe_sets(probe_sizes):
         if direction == LIMIT:
-            choices = [all_maps(P, D.on_obj[j]) for j in objs]
+            choices = [[t.table for t in all_maps(P, D.on_obj[j])] for j in objs]
         else:
-            choices = [all_maps(D.on_obj[j], P) for j in objs]
+            choices = [[t.table for t in all_maps(D.on_obj[j], P)] for j in objs]
         for combo in itertools.product(*choices):
             fam = dict(zip(objs, combo))
-            natural = all(
-                (fam[m.dom].then(D.on_mor[m.name]) == fam[m.cod])
-                if direction == LIMIT else
-                (D.on_mor[m.name].then(fam[m.cod]) == fam[m.dom])
-                for m in J.morphisms)
+            if direction == LIMIT:
+                # D(m) . fam_dom = fam_cod, pointwise on the probe
+                natural = all(all(t[fam[a][p]] == fam[b][p] for p in P.elements)
+                              for a, b, t in arrows)
+            else:
+                # fam_cod . D(m) = fam_dom, pointwise on D(dom m)
+                natural = all(all(fam[b][y] == fam[a][x] for x, y in t.items())
+                              for a, b, t in arrows)
             if not natural:
                 continue
             checked += 1

@@ -1,9 +1,13 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 
+import fincat
 from fincat.catfile import (
     load_workspace,
     parse_workspace,
@@ -210,3 +214,29 @@ def test_declared_unit_violation_is_flagged(tmp_path):
     assert code == 1
     doc = json.loads(out)
     assert doc["report"]["counterexample"]["law"] == "unit"
+
+
+def _run_cli_process(tmp_path, text: str) -> subprocess.CompletedProcess:
+    f = tmp_path / "input.cat"
+    f.write_text(text)
+    src = str(pathlib.Path(fincat.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "fincat.cli", "validate", str(f)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_arrow_to_undeclared_object_is_structural(tmp_path):
+    proc = _run_cli_process(tmp_path, "category C { objects: a; mor f: a -> b; }\n")
+    assert proc.returncode == 2
+    assert "f has unresolved endpoints" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_functor_image_outside_codomain_is_structural(tmp_path):
+    proc = _run_cli_process(tmp_path, """category C { objects: a, b; }
+category D { objects: a, b; }
+functor F: C -> D { obj a |-> a; obj b |-> c; }
+""")
+    assert proc.returncode == 2
+    assert "unknown object c" in proc.stdout
+    assert "Traceback" not in proc.stderr

@@ -1,15 +1,18 @@
 import itertools
+import random
 
 
 from fincat.core import (
     Functor,
+    fail_report,
     functor_category,
     identity_functor,
+    ok_report,
     pair_id,
     product,
     validate_natural,
 )
-from fincat.finset import FinSetMap, FinSetObj, SetFunctor, validate_set_functor
+from fincat.finset import FinSetMap, FinSetObj, SetFunctor, all_maps, validate_set_functor
 from fincat.fixtures import (
     chain,
     discrete,
@@ -23,6 +26,7 @@ from fincat.limits import (
     COLIMIT,
     LIMIT,
     UnionFind,
+    _certify_finset,
     interchange_check,
     interchange_check_finset,
     limit,
@@ -30,6 +34,7 @@ from fincat.limits import (
     limit_functor,
     preservation_check,
 )
+from fincat.randgen import random_set_diagram
 
 
 def make_set_diagram(J, sizes, maps):
@@ -358,3 +363,79 @@ def test_interchange_finset_colimit_path():
     w = interchange_check_finset(D, d2, pp, COLIMIT)
     assert w.report.ok
     assert len(w.joint) == len(w.outer_first) == len(w.inner_first) == 4
+
+
+def _reference_certify_finset(D, direction, obj, legs, probe_sizes):
+    """The Set (co)limit certificate with naturality tested on composed FinSetMaps."""
+    objs = D.dom.sorted_objects()
+    checked = 0
+    signature = {}
+    if direction == LIMIT:
+        for e in obj.elements:
+            k = tuple(legs[j](e) for j in objs)
+            signature[k] = signature.get(k, 0) + 1
+    for size in probe_sizes:
+        P = FinSetObj(tuple(f"p{i}" for i in range(size)))
+        if direction == LIMIT:
+            choices = [all_maps(P, D.on_obj[j]) for j in objs]
+        else:
+            choices = [all_maps(D.on_obj[j], P) for j in objs]
+        for combo in itertools.product(*choices):
+            fam = dict(zip(objs, combo))
+            if not all((fam[m.dom].then(D.on_mor[m.name]) == fam[m.cod])
+                       if direction == LIMIT else
+                       (D.on_mor[m.name].then(fam[m.cod]) == fam[m.dom])
+                       for m in D.dom.morphisms):
+                continue
+            checked += 1
+            if direction == LIMIT:
+                n = 1
+                for p in P.elements:
+                    n *= signature.get(tuple(fam[j](p) for j in objs), 0)
+            else:
+                forced = {}
+                clash = any(forced.setdefault(leg(x), fam[j](x)) != fam[j](x)
+                            for j, leg in legs.items() for x in leg.dom.elements)
+                n = 0 if clash else len(P) ** sum(1 for e in obj.elements if e not in forced)
+            if n != 1:
+                return fail_report(checked, "limit-factorization", probe=str(P.sorted()), count=n)
+    return ok_report(checked)
+
+
+def _wrong_cone(direction, obj, legs):
+    """The (co)limit cone with one extra apex element.
+
+    A limit gains a duplicate of its first element, so a probe cone through it
+    factors twice; a colimit gains a class no leg reaches, so factorization
+    into a two-element probe is not unique.
+    """
+    bigger = FinSetObj(obj.elements + ("extra",))
+    if direction == LIMIT:
+        first = obj.elements[0]
+        return bigger, {j: FinSetMap(bigger, leg.cod, {**leg.table, "extra": leg(first)})
+                        for j, leg in legs.items()}
+    return bigger, {j: FinSetMap(leg.dom, bigger, leg.table) for j, leg in legs.items()}
+
+
+def test_raw_table_certificate_matches_composed_maps():
+    # the first 30 seeds whose limit is not empty, so that every limit
+    # certificate has probe cones to check
+    samples = (random_set_diagram(random.Random(seed), max_shape_objects=3, max_size=3)
+               for seed in range(300))
+    diagrams = list(itertools.islice(
+        (D for D in samples if len(limit_finset(D, LIMIT).object)), 30))
+    assert len(diagrams) == 30
+    failures = 0
+    for i, D in enumerate(diagrams):
+        for direction in (LIMIT, COLIMIT):
+            res = limit_finset(D, direction)
+            legs = dict(res.cone.legs.components)
+            want = _reference_certify_finset(D, direction, res.object, legs, (1, 2))
+            assert want.ok and want.checked > 0
+            assert res.certificate == want, (i, direction)
+            assert _certify_finset(D, direction, res.object, legs, (1, 2)) == want
+            wrong = _wrong_cone(direction, res.object, legs)
+            want = _reference_certify_finset(D, direction, *wrong, (1, 2))
+            assert _certify_finset(D, direction, *wrong, (1, 2)) == want, (i, direction)
+            failures += not want.ok
+    assert failures == 60
