@@ -14,9 +14,11 @@ from .core import (
     fail_report,
     identity_functor,
     ok_report,
+    opposite_functor,
+    unique_factor,
 )
 from .finset import FinSetMap, FinSetObj
-from .universal import FROM_OBJECT, TO_OBJECT, universal_morphism
+from .universal import FROM_OBJECT, universal_morphism
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,68 +172,46 @@ def adjoint_from_universals(G: Functor, side: str = "left") -> Optional[Adjuncti
 
     side "left": G: D -> C, one universal morphism from each object of C into
     G; the functor action is the unique factorization making the family
-    natural.  side "right": dual, G is read as F: C -> D and the witnesses are
-    terminal.  Returns None (with no record) when some object lacks a witness.
+    natural.  side "right": G is read as F: C -> D, and its right adjoint is
+    the opposite of the left adjoint of F^op (the witnesses are terminal, the
+    unit and counit trade places and each transposition table is inverted).
+    Returns None (with no record) when some object lacks a witness.
     """
-    if side == "left":
-        D, C = G.dom, G.cod
-        witnesses = {}
-        for c in C.sorted_objects():
-            w = universal_morphism(c, G, FROM_OBJECT)
-            if w is None:
-                return None
-            witnesses[c] = w
-        obj_map = {c: witnesses[c].vertex for c in C.objects}
-        mor_map = {}
-        for m in C.morphisms:
-            target = C.comp(witnesses[m.cod].arrow, m.name)
-            cands = [f for f in D.hom(obj_map[m.dom], obj_map[m.cod])
-                     if C.comp(G.mor_map[f], witnesses[m.dom].arrow) == target]
-            if len(cands) != 1:
-                raise StructuralError(f"functor action at {m.name} not unique")
-            mor_map[m.name] = cands[0]
-        F = Functor(f"ladj({G.name})", C, D, obj_map, mor_map)
-        eta = NatTrans("unit", identity_functor(C), compose_functors(G, F),
-                       {c: witnesses[c].arrow for c in C.objects})
-        return convert(F, G, "unit->phi", unit=eta)
-
     if side == "right":
         F = G
+        op = adjoint_from_universals(opposite_functor(F), "left")
+        if op is None:
+            return None
         C, D = F.dom, F.cod
-        witnesses = {}
-        for d in D.sorted_objects():
-            w = universal_morphism(d, F, TO_OBJECT)
-            if w is None:
-                return None
-            witnesses[d] = w
-        obj_map = {d: witnesses[d].vertex for d in D.objects}
-        mor_map = {}
-        for m in D.morphisms:
-            target = D.comp(m.name, witnesses[m.dom].arrow)
-            cands = [f for f in C.hom(obj_map[m.dom], obj_map[m.cod])
-                     if D.comp(witnesses[m.cod].arrow, F.mor_map[f]) == target]
-            if len(cands) != 1:
-                raise StructuralError(f"functor action at {m.name} not unique")
-            mor_map[m.name] = cands[0]
-        Gr = Functor(f"radj({F.name})", D, C, obj_map, mor_map)
-        eps = NatTrans("counit", compose_functors(F, Gr), identity_functor(D),
-                       {d: witnesses[d].arrow for d in D.objects})
-        # derive the unit by factorizing identities through the counit
-        eta_comps = {}
-        for c in C.objects:
-            d = F.obj_map[c]
-            cands = [f for f in C.hom(c, Gr.obj_map[d])
-                     if D.comp(eps.components[d], F.mor_map[f]) == D.id_of(d)]
-            if len(cands) != 1:
-                raise StructuralError(f"unit component at {c} not unique")
-            eta_comps[c] = cands[0]
-        eta = NatTrans("unit", identity_functor(C), compose_functors(Gr, F), eta_comps)
-        adj = convert(F, Gr, "unit->phi", unit=eta)
-        if dict(adj.counit.components) != dict(eps.components):
-            raise StructuralError("derived counit disagrees with the terminal witnesses")
-        return adj
-
-    raise StructuralError(f"unknown side {side!r}")
+        R = Functor(f"radj({F.name})", D, C, op.left.obj_map, op.left.mor_map)
+        eta = NatTrans("unit", identity_functor(C), compose_functors(R, F),
+                       op.counit.components)
+        eps = NatTrans("counit", compose_functors(F, R), identity_functor(D),
+                       op.unit.components)
+        return Adjunction(F, R, {(c, d): op.hom_iso[(d, c)].inverse()
+                                 for c in C.objects for d in D.objects}, eta, eps)
+    if side != "left":
+        raise StructuralError(f"unknown side {side!r}")
+    D, C = G.dom, G.cod
+    witnesses = {}
+    for c in C.sorted_objects():
+        w = universal_morphism(c, G, FROM_OBJECT)
+        if w is None:
+            return None
+        witnesses[c] = w
+    obj_map = {c: witnesses[c].vertex for c in C.objects}
+    mor_map = {}
+    for m in C.morphisms:
+        target = C.comp(witnesses[m.cod].arrow, m.name)
+        f, _ = unique_factor(D.hom(obj_map[m.dom], obj_map[m.cod]),
+                             lambda f: C.comp(G.mor_map[f], witnesses[m.dom].arrow) == target)
+        if f is None:
+            raise StructuralError(f"functor action at {m.name} not unique")
+        mor_map[m.name] = f
+    F = Functor(f"ladj({G.name})", C, D, obj_map, mor_map)
+    eta = NatTrans("unit", identity_functor(C), compose_functors(G, F),
+                   {c: witnesses[c].arrow for c in C.objects})
+    return convert(F, G, "unit->phi", unit=eta)
 
 
 def equivalence_to_adjunction(F: Functor, G: Functor,
@@ -276,11 +256,12 @@ def adjunction_uniqueness_iso(a1: Adjunction, a2: Adjunction) -> NatTrans:
     C, D = F1.dom, F1.cod
     comps = {}
     for c in C.objects:
-        cands = [f for f in D.hom(F1.obj_map[c], F2.obj_map[c])
-                 if C.comp(G.mor_map[f], a1.unit.components[c]) == a2.unit.components[c]]
-        if len(cands) != 1:
+        f, _ = unique_factor(D.hom(F1.obj_map[c], F2.obj_map[c]),
+                             lambda f: C.comp(G.mor_map[f], a1.unit.components[c])
+                             == a2.unit.components[c])
+        if f is None:
             raise StructuralError(f"mediating component at {c} not unique")
-        if not D.is_iso(cands[0]):
+        if not D.is_iso(f):
             raise StructuralError(f"mediating component at {c} not invertible")
-        comps[c] = cands[0]
+        comps[c] = f
     return NatTrans("mediator", F1, F2, comps)

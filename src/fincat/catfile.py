@@ -324,6 +324,10 @@ def parse_workspace(files: list[tuple[str, str]]) -> Workspace:
     for xname, src, on_obj_raw, on_mor_raw in merged["setfunctor"]:
         C = resolve_cat(src)
         on_obj = {a: FinSetObj(v) for a, v in on_obj_raw.items()}
+        for f in on_mor_raw:
+            if f not in C.mor:
+                raise StructuralError(
+                    f"setfunctor {xname}: table at {f}, which is not in {C.name}")
         for a in C.objects:
             if a not in on_obj:
                 raise StructuralError(f"setfunctor {xname}: no value at object {a}")

@@ -15,7 +15,6 @@ from .adjunction import adjoint_from_universals, snake_check
 from .catfile import LawViolation, Workspace, load_workspace
 from .core import (
     GuardExceeded,
-    Report,
     StructuralError,
     opposite,
     product,
@@ -48,10 +47,6 @@ def _sizes(X: SetFunctor) -> dict:
     return {a: len(v) for a, v in sorted(X.on_obj.items())}
 
 
-def _report_json(rep: Report) -> dict:
-    return rep.to_json()
-
-
 def cmd_validate(ws: Workspace, args) -> dict:
     return {
         "categories": sorted(ws.categories),
@@ -76,17 +71,17 @@ def cmd_limit(ws: Workspace, args) -> dict:
     if isinstance(D, SetFunctor):
         res = limit_finset(D, direction)
         if not res.certificate.ok:
-            raise Failure("certificate failed", {"report": _report_json(res.certificate)})
+            raise Failure("certificate failed", {"report": res.certificate.to_json()})
         return {"kind": "finset", "size": len(res.object),
                 "elements": list(res.object.sorted()),
-                "report": _report_json(res.certificate)}
+                "report": res.certificate.to_json()}
     res = limit(D, direction)
     if res is None:
         raise Failure(f"{args.command} of {args.diagram} verified absent",
                       {"diagram": args.diagram})
     return {"kind": "object", "object": res.object,
             "legs": dict(sorted(res.cone.legs.components.items())),
-            "report": _report_json(res.certificate)}
+            "report": res.certificate.to_json()}
 
 
 def _align_bifunctor(B, J):
@@ -157,9 +152,9 @@ def cmd_end(ws: Workspace, args) -> dict:
     if isinstance(B, SetFunctor):
         return {"kind": "finset", "size": len(res.object),
                 "elements": list(res.object.sorted()),
-                "report": _report_json(res.certificate)}
+                "report": res.certificate.to_json()}
     return {"kind": "object", "object": res.object,
-            "report": _report_json(res.certificate)}
+            "report": res.certificate.to_json()}
 
 
 def cmd_kan(ws: Workspace, args) -> dict:
@@ -177,10 +172,10 @@ def cmd_kan(ws: Workspace, args) -> dict:
         return {"kind": "finset",
                 "objects": objs,
                 "sizes": [len(kr.extension.on_obj[d]) for d in objs],
-                "report": _report_json(kr.certificate)}
+                "report": kr.certificate.to_json()}
     return {"kind": "functor",
             "on_objects": dict(sorted(kr.extension.obj_map.items())),
-            "report": _report_json(kr.certificate)}
+            "report": kr.certificate.to_json()}
 
 
 def cmd_adjoint_of(ws: Workspace, args) -> dict:
@@ -193,11 +188,11 @@ def cmd_adjoint_of(ws: Workspace, args) -> dict:
     side_functor = adj.left if args.side == "left" else adj.right
     snake = snake_check(adj.left, adj.right, adj.unit, adj.counit)
     if not snake.ok:
-        raise Failure("snake equations failed", {"report": _report_json(snake)})
+        raise Failure("snake equations failed", {"report": snake.to_json()})
     return {"adjoint_on_objects": dict(sorted(side_functor.obj_map.items())),
             "unit": dict(sorted(adj.unit.components.items())),
             "counit": dict(sorted(adj.counit.components.items())),
-            "snake": _report_json(snake)}
+            "snake": snake.to_json()}
 
 
 def cmd_snake(ws: Workspace, args) -> dict:
@@ -208,8 +203,8 @@ def cmd_snake(ws: Workspace, args) -> dict:
         raise StructuralError(f"unresolved name {missing}") from None
     rep = snake_check(F, G, eta, eps)
     if not rep.ok:
-        raise Failure("snake equations failed", {"report": _report_json(rep)})
-    return {"report": _report_json(rep)}
+        raise Failure("snake equations failed", {"report": rep.to_json()})
+    return {"report": rep.to_json()}
 
 
 def cmd_yoneda_check(ws: Workspace, args) -> dict:
@@ -246,8 +241,8 @@ def cmd_density(ws: Workspace, args) -> dict:
         raise StructuralError(f"no functor named {args.K}")
     rep = density_check(K)
     if not rep.ok:
-        raise Failure("not dense", {"report": _report_json(rep)})
-    return {"dense": True, "report": _report_json(rep)}
+        raise Failure("not dense", {"report": rep.to_json()})
+    return {"dense": True, "report": rep.to_json()}
 
 
 def cmd_codensity(ws: Workspace, args) -> dict:
@@ -258,11 +253,11 @@ def cmd_codensity(ws: Workspace, args) -> dict:
     if m is None:
         raise Failure("codensity monad absent (right extension missing)", {})
     if not m.report.ok:
-        raise Failure("monad laws failed", {"report": _report_json(m.report)})
+        raise Failure("monad laws failed", {"report": m.report.to_json()})
     return {"on_objects": dict(sorted(m.endofunctor.obj_map.items())),
             "mult": dict(sorted(m.mult.components.items())),
             "unit": dict(sorted(m.unit.components.items())),
-            "report": _report_json(m.report)}
+            "report": m.report.to_json()}
 
 
 def cmd_weighted_limit(ws: Workspace, args) -> dict:
@@ -274,11 +269,11 @@ def cmd_weighted_limit(ws: Workspace, args) -> dict:
     res = weighted_limit(W, F, side)
     if not res.certificate.ok:
         raise Failure("weighted limit certification failed",
-                      {"report": _report_json(res.certificate)})
+                      {"report": res.certificate.to_json()})
     if isinstance(res.object, str):
-        return {"object": res.object, "report": _report_json(res.certificate)}
+        return {"object": res.object, "report": res.certificate.to_json()}
     return {"size": len(res.object), "elements": list(res.object.sorted()),
-            "report": _report_json(res.certificate)}
+            "report": res.certificate.to_json()}
 
 
 def _term_of(ws: Workspace, text: str):

@@ -8,6 +8,7 @@ across runs.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
@@ -61,6 +62,13 @@ def ok_report(checked: int, partial: bool = False) -> Report:
 
 def fail_report(checked: int, law: str, **details) -> Report:
     return Report(False, checked, Counterexample(law, details))
+
+
+def unique_factor(candidates, holds):
+    """The one candidate satisfying holds (None unless exactly one does), and
+    how many do: the count a factorization counterexample reports."""
+    found = [x for x in candidates if holds(x)]
+    return (found[0] if len(found) == 1 else None), len(found)
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,14 @@ class FinCat(Keyed):
         return {m.name: m for m in self.morphisms}
 
     @cached
+    def _into(self) -> dict[str, tuple[Mor, ...]]:
+        """Morphisms by codomain, each group in declaration order."""
+        table: dict[str, list[Mor]] = {}
+        for m in self.morphisms:
+            table.setdefault(m.cod, []).append(m)
+        return {b: tuple(ms) for b, ms in table.items()}
+
+    @cached
     def _homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
         table: dict[tuple[str, str], list[str]] = {}
         for m in self.morphisms:
@@ -194,6 +210,19 @@ class FinCat(Keyed):
         for m in ms[1:]:
             out = self.comp(m, out)
         return out
+
+    @cached
+    def _opposite(self) -> FinCat:
+        name = self.name[3:-1] if self.name.startswith("op(") and self.name.endswith(")") \
+            else f"op({self.name})"
+        op = FinCat(name, self.objects,
+                    tuple(Mor(m.name, m.cod, m.dom) for m in self.morphisms),
+                    self.identity,
+                    {(f, g): h for (g, f), h in self.compose.items()})
+        # a weak way back: a strong one would make every category with an
+        # opposite a reference cycle, freed only by the cycle collector
+        op.__dict__["_opposite_of"] = weakref.ref(self)  # frozen: bypass __setattr__
+        return op
 
     @cached
     def _sorted_objects(self) -> tuple[str, ...]:
@@ -419,9 +448,8 @@ def compose(x, y, mode: str):
 
 def composable_pairs(C: FinCat) -> Iterator[tuple[Mor, Mor]]:
     for g in C.morphisms:
-        for f in C.morphisms:
-            if f.cod == g.dom:
-                yield g, f
+        for f in C._into.get(g.dom, ()):
+            yield g, f
 
 
 def validate_category(C: FinCat) -> Report:
@@ -461,12 +489,8 @@ def validate_category(C: FinCat) -> Report:
         if C.comp(C.identity[m.cod], m.name) != m.name:
             return fail_report(checked, "unit", morphism=m.name, side="left")
     for h in C.morphisms:
-        for g in C.morphisms:
-            if g.cod != h.dom:
-                continue
-            for f in C.morphisms:
-                if f.cod != g.dom:
-                    continue
+        for g in C._into.get(h.dom, ()):
+            for f in C._into.get(g.dom, ()):
                 checked += 1
                 if C.comp(h.name, C.comp(g.name, f.name)) != C.comp(C.comp(h.name, g.name), f.name):
                     return fail_report(checked, "associativity", h=h.name, g=g.name, f=f.name)
@@ -488,6 +512,8 @@ def validate_functor(F: Functor) -> Report:
             raise StructuralError(f"{F.name}: morphism map sends {m.name} outside {D.name}")
         if D.mor[u].dom != F.obj_map[m.dom] or D.mor[u].cod != F.obj_map[m.cod]:
             raise StructuralError(f"{F.name}: image of {m.name} has wrong endpoints")
+    reject_strays(F.name, "object map", F.obj_map, C.objects, C)
+    reject_strays(F.name, "morphism map", F.mor_map, C.mor, C)
     checked = 0
     for a in C.objects:
         checked += 1
@@ -499,6 +525,13 @@ def validate_functor(F: Functor) -> Report:
         if F.mor_map[C.comp(g.name, f.name)] != D.comp(F.mor_map[g.name], F.mor_map[f.name]):
             return fail_report(checked, "functor-composition", g=g.name, f=f.name)
     return ok_report(checked)
+
+
+def reject_strays(name: str, what: str, table: Mapping, domain, C: FinCat) -> None:
+    """Raise on a key of table that names nothing in domain, a part of C."""
+    stray = set(table).difference(domain)
+    if stray:
+        raise StructuralError(f"{name}: {what} names {min(stray)}, which is not in {C.name}")
 
 
 def validate_natural(alpha: NatTrans) -> Report:
@@ -515,6 +548,7 @@ def validate_natural(alpha: NatTrans) -> Report:
         if D.mor[u].dom != F.obj_map[a] or D.mor[u].cod != G.obj_map[a]:
             raise StructuralError(
                 f"{alpha.name}: component at {a} lies in the wrong hom-set")
+    reject_strays(alpha.name, "component family", alpha.components, C.objects, C)
     checked = 0
     for m in C.morphisms:
         checked += 1
@@ -532,14 +566,21 @@ def validate_natural(alpha: NatTrans) -> Report:
 def opposite(C: FinCat) -> FinCat:
     """Swap every dom/cod and transpose the composition table.
 
-    Applying it twice returns a category structurally equal to the input,
-    including the name (the "op(..)" wrapper is stripped rather than doubled).
+    Computed once per category; the opposite of the opposite is C itself, so
+    the name round-trips (the "op(..)" wrapper is stripped rather than doubled).
     """
-    name = C.name[3:-1] if C.name.startswith("op(") and C.name.endswith(")") else f"op({C.name})"
-    return FinCat(name, C.objects,
-                  tuple(Mor(m.name, m.cod, m.dom) for m in C.morphisms),
-                  C.identity,
-                  {(f, g): h for (g, f), h in C.compose.items()})
+    source = C.__dict__.get("_opposite_of")
+    back = source() if source is not None else None
+    return back if back is not None else C._opposite
+
+
+def arrows(J: FinCat, reverse: bool = False) -> list[tuple[str, str, str]]:
+    """(name, dom, cod) of J's morphisms, or with reverse of opposite(J)'s in
+    the same order, without building opposite(J): J is often a fresh comma or
+    index category whose opposite would be used once."""
+    if reverse:
+        return [(m.name, m.cod, m.dom) for m in J.morphisms]
+    return [(m.name, m.dom, m.cod) for m in J.morphisms]
 
 
 def opposite_functor(F: Functor) -> Functor:

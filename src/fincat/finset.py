@@ -17,7 +17,6 @@ from .core import (
     GuardExceeded,
     Keyed,
     Mor,
-    NatTrans,
     Report,
     StructuralError,
     DEFAULT_GUARD,
@@ -25,6 +24,7 @@ from .core import (
     fail_report,
     ok_report,
     opposite,
+    reject_strays,
 )
 
 
@@ -143,17 +143,30 @@ class SetFunctor(Keyed):
         return f"SetFunctor({self.name!r} on {self.dom.name}, sizes {sizes})"
 
 
-def validate_set_functor(X: SetFunctor) -> Report:
-    C = X.dom
-    for a in C.objects:
-        if a not in X.on_obj:
-            raise StructuralError(f"{X.name}: no value at object {a}")
-    for m in C.morphisms:
+def _tables(X: SetFunctor) -> dict[str, Mapping[str, str]]:
+    """X's raw table at each morphism, checked to run between X's values at its ends.
+
+    Laws are then tested on the tables directly, with no composite map built.
+    """
+    out = {}
+    for m in X.dom.morphisms:
         if m.name not in X.on_mor:
             raise StructuralError(f"{X.name}: no value at morphism {m.name}")
         t = X.on_mor[m.name]
         if t.dom != X.on_obj[m.dom] or t.cod != X.on_obj[m.cod]:
             raise StructuralError(f"{X.name}: table at {m.name} has wrong endpoints")
+        out[m.name] = t.table
+    return out
+
+
+def validate_set_functor(X: SetFunctor) -> Report:
+    C = X.dom
+    for a in C.objects:
+        if a not in X.on_obj:
+            raise StructuralError(f"{X.name}: no value at object {a}")
+    tables = _tables(X)
+    reject_strays(X.name, "object values", X.on_obj, C.objects, C)
+    reject_strays(X.name, "morphism tables", X.on_mor, C.mor, C)
     checked = 0
     for a in C.objects:
         checked += 1
@@ -161,7 +174,8 @@ def validate_set_functor(X: SetFunctor) -> Report:
             return fail_report(checked, "functor-identity", object=a)
     for g, f in composable_pairs(C):
         checked += 1
-        if X.on_mor[f.name].then(X.on_mor[g.name]) != X.on_mor[C.comp(g.name, f.name)]:
+        tg, tgf = tables[g.name], tables[C.comp(g.name, f.name)]
+        if any(tg[y] != tgf[x] for x, y in tables[f.name].items()):
             return fail_report(checked, "functor-composition", g=g.name, f=f.name)
     return ok_report(checked)
 
@@ -199,12 +213,12 @@ def validate_set_natural(t: SetNatTrans) -> Report:
         m = t.components[a]
         if m.dom != t.src.on_obj[a] or m.cod != t.tgt.on_obj[a]:
             raise StructuralError(f"{t.name}: component at {a} has wrong endpoints")
+    src, tgt = _tables(t.src), _tables(t.tgt)
     checked = 0
     for f in C.morphisms:
         checked += 1
-        lhs = t.components[f.dom].then(t.tgt.on_mor[f.name])
-        rhs = t.src.on_mor[f.name].then(t.components[f.cod])
-        if lhs != rhs:
+        a, b = t.components[f.dom].table, t.components[f.cod].table
+        if any(tgt[f.name][a[x]] != b[src[f.name][x]] for x in a):
             return fail_report(checked, "naturality", morphism=f.name)
     return ok_report(checked)
 
@@ -274,8 +288,13 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor,
         if budget > guard:
             raise GuardExceeded(f"natural-family enumeration exceeds guard {guard}")
     mors = [C.mor[m] for m in C.sorted_mor_names()]
+    Xt, Yt = _tables(X), _tables(Y)
     out: list[SetNatTrans] = []
     comps: dict[str, FinSetMap] = {}
+
+    def natural(m) -> bool:
+        a, b = comps[m.dom].table, comps[m.cod].table
+        return all(Yt[m.name][a[x]] == b[Xt[m.name][x]] for x in a)
 
     def extend(i: int):
         if i == len(objs):
@@ -284,14 +303,7 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor,
         a = objs[i]
         for cand in all_maps(X.on_obj[a], Y.on_obj[a]):
             comps[a] = cand
-            ok = True
-            for m in mors:
-                if m.dom in comps and m.cod in comps:
-                    if comps[m.dom].then(Y.on_mor[m.name]) != \
-                            X.on_mor[m.name].then(comps[m.cod]):
-                        ok = False
-                        break
-            if ok:
+            if all(natural(m) for m in mors if m.dom in comps and m.cod in comps):
                 extend(i + 1)
             del comps[a]
 
@@ -486,26 +498,30 @@ def tensor_cotensor(X: FinSetObj, c: FinSetObj, mode: str,
     return TensorWitness(obj, ok_report(checked))
 
 
-def tensor_in_category(X: FinSetObj, c: str, E: FinCat):
-    """X (x) c as a coproduct of |X| copies of c, via the limit engine."""
-    from . import limits as limits_mod
+def _copies(X: FinSetObj, c: str, E: FinCat) -> Functor:
+    """The discrete diagram of |X| copies of c in E."""
     from .fixtures import discrete
     J = discrete(len(X))
-    objs = sorted(J.objects)
-    D = Functor("copies", J, E, {j: c for j in objs},
-                {J.id_of(j): E.id_of(c) for j in objs})
-    return limits_mod.limit(D, "colimit")
+    return Functor("copies", J, E, {j: c for j in J.sorted_objects()},
+                   {J.id_of(j): E.id_of(c) for j in J.sorted_objects()})
+
+
+def tensor_in_category(X: FinSetObj, c: str, E: FinCat):
+    """X (x) c as a coproduct of |X| copies of c, via the limit engine."""
+    from .limits import COLIMIT, limit
+    return limit(_copies(X, c, E), COLIMIT)
 
 
 def cotensor_in_category(X: FinSetObj, c: str, E: FinCat):
     """X -|> c as a product of |X| copies of c, via the limit engine."""
-    from . import limits as limits_mod
-    from .fixtures import discrete
-    J = discrete(len(X))
-    objs = sorted(J.objects)
-    D = Functor("copies", J, E, {j: c for j in objs},
-                {J.id_of(j): E.id_of(c) for j in objs})
-    return limits_mod.limit(D, "limit")
+    from .limits import LIMIT, limit
+    return limit(_copies(X, c, E), LIMIT)
+
+
+def legs_by_element(X: FinSetObj, res) -> dict:
+    """The legs of a (co)product of copies, indexed by the elements of X."""
+    legs = res.cone.legs.components
+    return {x: legs[j] for x, j in zip(X.sorted(), sorted(legs))}
 
 
 def tensor_cotensor_in_category(X: FinSetObj, c: str, E: FinCat, mode: str):
@@ -513,45 +529,28 @@ def tensor_cotensor_in_category(X: FinSetObj, c: str, E: FinCat, mode: str):
 
     Raises when E lacks the needed (co)product; otherwise the defining hom
     bijection is certified against every object of E and returned alongside
-    the constructed object.
+    the constructed object.  The power in E is the copower in opposite(E),
+    so one certificate serves both.
     """
-    if mode == "tensor":
-        res = tensor_in_category(X, c, E)
-    elif mode == "cotensor":
-        res = cotensor_in_category(X, c, E)
-    else:
+    if mode not in ("tensor", "cotensor"):
         raise StructuralError(f"unknown mode {mode!r}")
+    Es = E if mode == "tensor" else opposite(E)
+    res = tensor_in_category(X, c, Es)
     if res is None:
         raise StructuralError(
             f"{E.name} lacks the {'coproduct' if mode == 'tensor' else 'product'} "
             f"of {len(X)} copies of {c}")
-    legs = {x: res.cone.legs.components[j]
-            for x, j in zip(X.sorted(), sorted(res.cone.legs.components))}
+    legs = legs_by_element(X, res)
     checked = 0
-    for cp in E.sorted_objects():
-        if mode == "tensor":
-            # E(X(x)c, c') -> Set(X, E(c,c')): h |-> (x |-> h . leg_x)
-            images = set()
-            homs = E.hom(res.object, cp)
-            for h in homs:
-                t = tuple((x, E.comp(h, legs[x])) for x in X.sorted())
-                images.add(t)
-                checked += 1
-            want = len(E.hom(c, cp)) ** len(X)
-            if len(images) != len(homs) or len(homs) != want:
-                return res.object, fail_report(checked, "copower-adjunction",
-                                               probe=cp)
-        else:
-            images = set()
-            homs = E.hom(cp, res.object)
-            for h in homs:
-                t = tuple((x, E.comp(legs[x], h)) for x in X.sorted())
-                images.add(t)
-                checked += 1
-            want = len(E.hom(cp, c)) ** len(X)
-            if len(images) != len(homs) or len(homs) != want:
-                return res.object, fail_report(checked, "power-adjunction",
-                                               probe=cp)
+    for cp in Es.sorted_objects():
+        # Es(X(x)c, c') -> Set(X, Es(c,c')): h |-> (x |-> h . leg_x)
+        homs = Es.hom(res.object, cp)
+        images = {tuple((x, Es.comp(h, legs[x])) for x in X.sorted()) for h in homs}
+        checked += len(homs)
+        if len(images) != len(homs) or len(homs) != len(Es.hom(c, cp)) ** len(X):
+            return res.object, fail_report(
+                checked, "copower-adjunction" if mode == "tensor" else "power-adjunction",
+                probe=cp)
     return res.object, ok_report(checked)
 
 

@@ -2,9 +2,14 @@
 formula, weighted (co)limits, density, codensity monads and finite-witness
 nerve-realization checks.
 
-Right-handed machinery (right Kan extensions, ends, cotensors) reuses the
-left-handed code on formally dualized inputs wherever the target category is
-tabulated; the Set backend computes limits and colimits directly.
+Where the target category is tabulated each dual pair is written once; the
+other side runs the same code in the opposite target, reading the arrows of
+the other categories involved backwards.  Right Kan extensions share the
+action, counit and universal-property code of left ones, coends are ends in
+the opposite target, and a weighted colimit is the weighted limit of the
+opposite functor, whose cotensors are tensors in the original target.  The
+Set backend computes both sides directly, since the opposite of finite Set is
+not finite Set.
 """
 from __future__ import annotations
 
@@ -19,15 +24,19 @@ from .core import (
     NatTrans,
     Report,
     StructuralError,
+    arrows,
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
     fail_report,
     identity_functor,
     ok_report,
+    opposite,
+    opposite_functor,
     pair_id,
     product,
-    opposite,
+    split_pair,
+    unique_factor,
     validate_natural,
     vcompose,
     whisker_functor_nat,
@@ -39,12 +48,23 @@ from .finset import (
     SetFunctor,
     SetNatTrans,
     all_maps,
+    cotensor_in_category,
     enumerate_set_naturals,
+    legs_by_element,
     set_precompose,
     table_id,
     validate_set_natural,
 )
-from .limits import COLIMIT, LIMIT, LimitResult, UnionFind, limit, limit_finset, tagged
+from .limits import (
+    COLIMIT,
+    LIMIT,
+    LimitResult,
+    UnionFind,
+    certify_terminal,
+    limit,
+    limit_finset,
+    tagged,
+)
 from .universal import CommaData, comma_from_object, comma_to_object, elements_category
 
 LEFT = "left"
@@ -60,10 +80,6 @@ class KanResult:
     side: str
     certificate: Report
     missing_at: Optional[str] = None
-
-
-def _comma_for(K: Functor, d: str, side: str) -> CommaData:
-    return comma_to_object(K, d) if side == LEFT else comma_from_object(d, K)
 
 
 def kan_pointwise(K: Functor, F: Union[Functor, SetFunctor],
@@ -88,7 +104,7 @@ def kan_pointwise(K: Functor, F: Union[Functor, SetFunctor],
     per: dict[str, LimitResult] = {}
     pair_index: dict[str, dict[tuple[str, str], str]] = {}
     for d in D.sorted_objects():
-        comma = _comma_for(K, d, side)
+        comma = comma_to_object(K, d) if side == LEFT else comma_from_object(d, K)
         commas[d] = comma
         pair_index[d] = {v: k for k, v in comma.pairs.items()}
         diagram = (set_precompose(F, comma.forgetful) if finset
@@ -99,6 +115,7 @@ def kan_pointwise(K: Functor, F: Union[Functor, SetFunctor],
                              fail_report(0, "kan-comma-limit", at=d), missing_at=d)
         per[d] = res
 
+    name = f"{'Lan' if side == LEFT else 'Ran'}[{K.name}]({F.name})"
     checked = 0
     if finset:
         on_obj = {d: per[d].object for d in D.objects}
@@ -117,7 +134,6 @@ def kan_pointwise(K: Functor, F: Union[Functor, SetFunctor],
                             return KanResult(None, None, per, commas, side,
                                              fail_report(checked, "kan-action",
                                                          morphism=m.name))
-                on_mor[m.name] = FinSetMap(per[d].object, per[dp].object, table)
             else:
                 objs_dp = commas[dp].cat.sorted_objects()
                 for e in per[d].object.elements:
@@ -126,73 +142,47 @@ def kan_pointwise(K: Functor, F: Union[Functor, SetFunctor],
                         c, p = commas[dp].pairs[o]
                         o_back = pair_index[d][(c, D.comp(p, m.name))]
                         values[o] = per[d].cone.legs.components[o_back](e)
-                    matches = [e2 for e2 in per[dp].object.elements
-                               if all(per[dp].cone.legs.components[o](e2) == values[o]
-                                      for o in objs_dp)]
+                    e2, _ = unique_factor(
+                        per[dp].object.elements,
+                        lambda e2: all(per[dp].cone.legs.components[o](e2) == values[o]
+                                       for o in objs_dp))
                     checked += 1
-                    if len(matches) != 1:
+                    if e2 is None:
                         return KanResult(None, None, per, commas, side,
                                          fail_report(checked, "kan-action",
                                                      morphism=m.name))
-                    table[e] = matches[0]
-                on_mor[m.name] = FinSetMap(per[d].object, per[dp].object, table)
-        ext = SetFunctor(f"{'Lan' if side == LEFT else 'Ran'}[{K.name}]({F.name})",
-                         D, on_obj, on_mor)
-        comps = {}
-        for c in C.objects:
-            d = K.obj_map[c]
-            o = pair_index[d][(c, D.id_of(d))]
-            leg = per[d].cone.legs.components[o]
-            comps[c] = leg
-        LK = set_precompose(ext, K)
-        if side == LEFT:
-            unit = SetNatTrans("unit", F, LK, comps)
-        else:
-            unit = SetNatTrans("counit", LK, F, comps)
-        rep = validate_set_natural(unit)
-        if not rep.ok:
-            return KanResult(ext, unit, per, commas, side,
-                             fail_report(checked, "kan-unit-naturality",
-                                         detail=str(rep.counterexample)))
-        return KanResult(ext, unit, per, commas, side,
-                         ok_report(checked + rep.checked))
-
-    E = F.cod
-    obj_map = {d: per[d].object for d in D.objects}
-    mor_map = {}
-    for m in D.morphisms:
-        d, dp = m.dom, m.cod
-        if side == LEFT:
-            cands = [g for g in E.hom(obj_map[d], obj_map[dp])
-                     if all(E.comp(g, per[d].cone.legs.components[o]) ==
-                            per[dp].cone.legs.components[
-                                pair_index[dp][(c, D.comp(m.name, p))]]
-                            for o, (c, p) in commas[d].pairs.items())]
-        else:
-            cands = [g for g in E.hom(obj_map[d], obj_map[dp])
-                     if all(E.comp(per[dp].cone.legs.components[o], g) ==
-                            per[d].cone.legs.components[
-                                pair_index[d][(c, D.comp(p, m.name))]]
-                            for o, (c, p) in commas[dp].pairs.items())]
-        checked += 1
-        if len(cands) != 1:
-            return KanResult(None, None, per, commas, side,
-                             fail_report(checked, "kan-action", morphism=m.name,
-                                         count=len(cands)))
-        mor_map[m.name] = cands[0]
-    ext = Functor(f"{'Lan' if side == LEFT else 'Ran'}[{K.name}]({F.name})",
-                  D, E, obj_map, mor_map)
+                    table[e] = e2
+            on_mor[m.name] = FinSetMap(per[d].object, per[dp].object, table)
+        ext = SetFunctor(name, D, on_obj, on_mor)
+        LK, Nat, validate = set_precompose(ext, K), SetNatTrans, validate_set_natural
+    else:
+        # Ran is Lan read in op(D) and op(E): the action on m: d -> d' is the
+        # arrow out of the value at d' that the shifted cone factors through
+        Es, Ds = (F.cod, D) if side == LEFT else (opposite(F.cod), opposite(D))
+        obj_map = {d: per[d].object for d in D.objects}
+        legs = {d: per[d].cone.legs.components for d in D.objects}
+        mor_map = {}
+        for m in D.morphisms:
+            d, dp = (m.dom, m.cod) if side == LEFT else (m.cod, m.dom)
+            g, count = unique_factor(
+                Es.hom(obj_map[d], obj_map[dp]),
+                lambda g: all(Es.comp(g, legs[d][o]) ==
+                              legs[dp][pair_index[dp][(c, Ds.comp(m.name, p))]]
+                              for o, (c, p) in commas[d].pairs.items()))
+            checked += 1
+            if g is None:
+                return KanResult(None, None, per, commas, side,
+                                 fail_report(checked, "kan-action", morphism=m.name,
+                                             count=count))
+            mor_map[m.name] = g
+        ext = Functor(name, D, F.cod, obj_map, mor_map)
+        LK, Nat, validate = compose_functors(ext, K), NatTrans, validate_natural
     comps = {}
     for c in C.objects:
         d = K.obj_map[c]
-        o = pair_index[d][(c, D.id_of(d))]
-        comps[c] = per[d].cone.legs.components[o]
-    LK = compose_functors(ext, K)
-    if side == LEFT:
-        unit = NatTrans("unit", F, LK, comps)
-    else:
-        unit = NatTrans("counit", LK, F, comps)
-    rep = validate_natural(unit)
+        comps[c] = per[d].cone.legs.components[pair_index[d][(c, D.id_of(d))]]
+    unit = Nat("unit", F, LK, comps) if side == LEFT else Nat("counit", LK, F, comps)
+    rep = validate(unit)
     if not rep.ok:
         return KanResult(ext, unit, per, commas, side,
                          fail_report(checked, "kan-unit-naturality",
@@ -207,22 +197,13 @@ def reconstruct_comma_cocone(kr: KanResult, d: str) -> dict[str, str]:
     Agreement with the stored legs is the recovered-cocone identity.
     """
     comma = kr.commas[d]
-    out = {}
-    if isinstance(kr.extension, SetFunctor):
-        for o, (c, p) in comma.pairs.items():
-            if kr.side == LEFT:
-                m = kr.unit_or_counit.components[c].then(kr.extension.on_mor[p])
-            else:
-                m = kr.extension.on_mor[p].then(kr.unit_or_counit.components[c])
-            out[o] = m
-        return out
-    E = kr.extension.cod
-    for o, (c, p) in comma.pairs.items():
+    T, unit = kr.extension, kr.unit_or_counit.components
+    if isinstance(T, SetFunctor):
         if kr.side == LEFT:
-            out[o] = E.comp(kr.extension.mor_map[p], kr.unit_or_counit.components[c])
-        else:
-            out[o] = E.comp(kr.unit_or_counit.components[c], kr.extension.mor_map[p])
-    return out
+            return {o: unit[c].then(T.on_mor[p]) for o, (c, p) in comma.pairs.items()}
+        return {o: T.on_mor[p].then(unit[c]) for o, (c, p) in comma.pairs.items()}
+    E = T.cod if kr.side == LEFT else opposite(T.cod)
+    return {o: E.comp(T.mor_map[p], unit[c]) for o, (c, p) in comma.pairs.items()}
 
 
 def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
@@ -235,32 +216,26 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     probe run, flagged as partial in the report.
     """
     D, E = K.cod, F.cod
+    # the right-handed property is the left-handed one in op(E), where every
+    # transformation runs the other way
+    Es = E if side == LEFT else opposite(E)
     partial = H_family is not None
     if H_family is None:
         H_family = enumerate_functors(D, E, guard)
     checked = 0
     for H in H_family:
         HK = compose_functors(H, K)
-        if side == LEFT:
-            sigmas = enumerate_nat_trans(F, HK)
-        else:
-            sigmas = enumerate_nat_trans(HK, F)
+        sigmas = enumerate_nat_trans(F, HK) if side == LEFT else enumerate_nat_trans(HK, F)
+        between = enumerate_nat_trans(L, H) if side == LEFT else enumerate_nat_trans(H, L)
         for sigma in sigmas:
             checked += 1
-            if side == LEFT:
-                mediators = [
-                    sb for sb in enumerate_nat_trans(L, H)
-                    if all(E.comp(sb.components[K.obj_map[c]], eta.components[c])
-                           == sigma.components[c] for c in K.dom.objects)]
-            else:
-                mediators = [
-                    sb for sb in enumerate_nat_trans(H, L)
-                    if all(E.comp(eta.components[c], sb.components[K.obj_map[c]])
-                           == sigma.components[c] for c in K.dom.objects)]
-            if len(mediators) != 1:
+            sb, count = unique_factor(
+                between,
+                lambda sb: all(Es.comp(sb.components[K.obj_map[c]], eta.components[c])
+                               == sigma.components[c] for c in K.dom.objects))
+            if sb is None:
                 return Report(False, checked,
-                              Counterexample("kan-universal",
-                                             {"H": H.name, "count": len(mediators)}),
+                              Counterexample("kan-universal", {"H": H.name, "count": count}),
                               partial)
     return ok_report(checked, partial)
 
@@ -275,13 +250,13 @@ def ran_factor(kr: KanResult, H: Functor, sigma: NatTrans) -> NatTrans:
     for d in D.objects:
         comma = kr.commas[d]
         legs = kr.per_object[d].cone.legs.components
-        cands = [g for g in E.hom(H.obj_map[d], T.obj_map[d])
-                 if all(E.comp(legs[o], g) ==
-                        E.comp(sigma.components[c], H.mor_map[p])
-                        for o, (c, p) in comma.pairs.items())]
-        if len(cands) != 1:
+        g, _ = unique_factor(E.hom(H.obj_map[d], T.obj_map[d]),
+                             lambda g: all(E.comp(legs[o], g) ==
+                                           E.comp(sigma.components[c], H.mor_map[p])
+                                           for o, (c, p) in comma.pairs.items()))
+        if g is None:
             raise StructuralError(f"right-Kan factorization at {d} not unique")
-        comps[d] = cands[0]
+        comps[d] = g
     out = NatTrans("mediator", H, T, comps)
     rep = validate_natural(out)
     if not rep.ok:
@@ -358,32 +333,23 @@ def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
 
 
 def enumerate_wedges(D: Functor, J: FinCat, side: str) -> list[WedgeData]:
-    """All (co)wedges of a bifunctor valued in a finite category."""
+    """All (co)wedges of a bifunctor valued in a finite category.
+
+    A cowedge is a wedge read in the opposite target with J's arrows reversed.
+    """
     _check_bifunctor_shape(D, J)
-    C = D.cod
+    C = D.cod if side == "end" else opposite(D.cod)
     objs = J.sorted_objects()
+    steps = [(D.mor_map[pair_id(J.id_of(i), h)], i, D.mor_map[pair_id(h, J.id_of(j))], j)
+             for h, i, j in arrows(J, reverse=side != "end")]
     out = []
     for c in C.sorted_objects():
-        if side == "end":
-            choices = [C.hom(c, D.obj_map[pair_id(j, j)]) for j in objs]
-        else:
-            choices = [C.hom(D.obj_map[pair_id(j, j)], c) for j in objs]
-        for combo in itertools.product(*choices):
+        for combo in itertools.product(*[C.hom(c, D.obj_map[pair_id(j, j)]) for j in objs]):
             fam = dict(zip(objs, combo))
-            ok = True
-            for h in J.morphisms:
-                if side == "end":
-                    i, j = h.dom, h.cod
-                    lhs = C.comp(D.mor_map[pair_id(J.id_of(i), h.name)], fam[i])
-                    rhs = C.comp(D.mor_map[pair_id(h.name, J.id_of(j))], fam[j])
-                else:
-                    j, i = h.dom, h.cod
-                    lhs = C.comp(fam[i], D.mor_map[pair_id(J.id_of(i), h.name)])
-                    rhs = C.comp(fam[j], D.mor_map[pair_id(h.name, J.id_of(j))])
-                if lhs != rhs:
-                    ok = False
+            for u, i, v, j in steps:
+                if C.comp(u, fam[i]) != C.comp(v, fam[j]):
                     break
-            if ok:
+            else:
                 out.append(WedgeData(c, fam, "wedge" if side == "end" else "cowedge"))
     return out
 
@@ -398,27 +364,13 @@ def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[E
         raise StructuralError(f"unknown side {side!r}")
     if isinstance(D, SetFunctor):
         return end_coend_finset(D, J, side)
-    _check_bifunctor_shape(D, J)
-    C = D.cod
     wedges = enumerate_wedges(D, J, side)
-    for cand in wedges:
-        checked = 0
-        good = True
-        for other in wedges:
-            checked += 1
-            if side == "end":
-                factors = [f for f in C.hom(other.apex, cand.apex)
-                           if all(C.comp(cand.components[j], f) == other.components[j]
-                                  for j in cand.components)]
-            else:
-                factors = [f for f in C.hom(cand.apex, other.apex)
-                           if all(C.comp(f, cand.components[j]) == other.components[j]
-                                  for j in cand.components)]
-            if len(factors) != 1:
-                good = False
-                break
-        if good:
-            return EndResult(cand.apex, cand, ok_report(checked))
+    C = D.cod if side == "end" else opposite(D.cod)
+    cones = [(w.apex, w.components) for w in wedges]
+    for w in wedges:
+        cert = certify_terminal(C, w.apex, w.components, cones)
+        if cert.ok:
+            return EndResult(w.apex, w, cert)
     return None
 
 
@@ -432,15 +384,15 @@ def _hom_tensor_bifunctor(K: Functor, F: SetFunctor, d: str) -> SetFunctor:
     P = product(opposite(C), C)
     on_obj = {}
     for o in P.objects:
-        cp, c = _split(o)
+        cp, c = split_pair(o)
         on_obj[o] = FinSetObj(tuple(
             f"({p},{x})" for p in sorted(D.hom(K.obj_map[cp], d))
             for x in F.on_obj[c].sorted()))
     on_mor = {}
     for m in P.morphisms:
-        fo, g = _split(m.name)
-        cp0, c0 = _split(m.dom)
-        cp1, c1 = _split(m.cod)
+        fo, g = split_pair(m.name)
+        cp0, c0 = split_pair(m.dom)
+        cp1, c1 = split_pair(m.cod)
         table = {}
         for p in sorted(D.hom(K.obj_map[cp0], d)):
             for x in F.on_obj[c0].sorted():
@@ -449,11 +401,6 @@ def _hom_tensor_bifunctor(K: Functor, F: SetFunctor, d: str) -> SetFunctor:
                 table[f"({p},{x})"] = f"({moved_p},{moved_x})"
         on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], table)
     return SetFunctor(f"hom(K-,{d})xF", P, on_obj, on_mor)
-
-
-def _split(s: str) -> tuple[str, str]:
-    from .core import split_pair
-    return split_pair(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -583,9 +530,12 @@ class WeightedResult:
     certificate: Report
 
 
-def _hom_set_functor(E: FinCat, e: str, F: Functor) -> SetFunctor:
-    """c |-> E(e, Fc) as a Set-valued functor on F's domain."""
-    C = F.dom
+def _hom_set_functor(e: str, F: Functor) -> SetFunctor:
+    """c |-> E(e, Fc) as a Set-valued functor on F's domain, E = F.cod.
+
+    Over opposite_functor(K) this is the presheaf c |-> D(Kc, e).
+    """
+    C, E = F.dom, F.cod
     on_obj = {c: FinSetObj(E.hom(e, F.obj_map[c])) for c in C.objects}
     on_mor = {m.name: FinSetMap(on_obj[m.dom], on_obj[m.cod],
                                 {g: E.comp(F.mor_map[m.name], g)
@@ -605,11 +555,14 @@ def weighted_limit(W: SetFunctor, F: Union[Functor, SetFunctor],
     if side == LIMIT:
         if isinstance(F, SetFunctor):
             return _weighted_limit_finset(W, F)
-        return _weighted_limit_general(W, F)
+        return _weighted_limit_general(W, F, LIMIT)
     if side == COLIMIT:
         if isinstance(F, SetFunctor):
             return _weighted_colimit_finset(W, F)
-        return _weighted_colimit_general(W, F)
+        if F.dom != opposite(W.dom):
+            raise StructuralError("weight and diagram must share their base category")
+        # colim^W F is lim^W of F^op: C^op -> E^op, W being a presheaf on C
+        return _weighted_limit_general(W, opposite_functor(F), COLIMIT)
     raise StructuralError(f"unknown side {side!r}")
 
 
@@ -620,22 +573,22 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     P = product(opposite(C), C)
     on_obj, on_mor = {}, {}
     for o in P.objects:
-        cp, c = _split(o)
+        cp, c = split_pair(o)
         on_obj[o] = FinSetObj(tuple(table_id(t) for t in all_maps(W.on_obj[cp],
                                                                   F.on_obj[c])))
     decode = {}
     for o in P.objects:
-        cp, c = _split(o)
+        cp, c = split_pair(o)
         decode[o] = {table_id(t): t for t in all_maps(W.on_obj[cp], F.on_obj[c])}
     for m in P.morphisms:
-        fo, g = _split(m.name)
+        fo, g = split_pair(m.name)
         table = {}
-        cp0, c0 = _split(m.dom)
+        cp0, c0 = split_pair(m.dom)
         for eid in on_obj[m.dom].elements:
             t = decode[m.dom][eid]
-            moved = FinSetMap(W.on_obj[_split(m.cod)[0]], F.on_obj[_split(m.cod)[1]],
+            moved = FinSetMap(W.on_obj[split_pair(m.cod)[0]], F.on_obj[split_pair(m.cod)[1]],
                               {w: F.on_mor[g](t(W.on_mor[fo](w)))
-                               for w in W.on_obj[_split(m.cod)[0]].elements})
+                               for w in W.on_obj[split_pair(m.cod)[0]].elements})
             table[eid] = table_id(moved)
         on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], table)
     B = SetFunctor(f"Set(W-,{F.name}-)", P, on_obj, on_mor)
@@ -709,13 +662,13 @@ def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     P = product(opC, C)
     on_obj, on_mor = {}, {}
     for o in P.objects:
-        cp, c = _split(o)
+        cp, c = split_pair(o)
         on_obj[o] = FinSetObj(tuple(f"({w},{x})" for w in W.on_obj[cp].sorted()
                                     for x in F.on_obj[c].sorted()))
     for m in P.morphisms:
-        fo, g = _split(m.name)
+        fo, g = split_pair(m.name)
         table = {}
-        cp0, c0 = _split(m.dom)
+        cp0, c0 = split_pair(m.dom)
         for w in W.on_obj[cp0].sorted():
             for x in F.on_obj[c0].sorted():
                 table[f"({w},{x})"] = f"({W.on_mor[fo](w)},{F.on_mor[g](x)})"
@@ -764,8 +717,16 @@ def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     return WeightedResult(res.object, ok_report(checked))
 
 
-def _weighted_limit_general(W: SetFunctor, F: Functor) -> WeightedResult:
-    """lim^W F in a tabulated target: end of per-pair cotensors."""
+def _weighted_limit_general(W: SetFunctor, F: Functor, side: str) -> WeightedResult:
+    """lim^W F in a tabulated target: end of per-pair cotensors.
+
+    With side COLIMIT, F is the opposite of the diagram and E = F.cod the
+    opposite of its target: the cotensors, the end and the defining bijection
+    computed here are the tensors, the coend and the bijection of colim^W.
+    Only the reported law names differ.
+    """
+    dual = side == COLIMIT
+    cot = "tensor" if dual else "cotensor"
     C = W.dom
     E = F.cod
     if F.dom != C:
@@ -774,32 +735,34 @@ def _weighted_limit_general(W: SetFunctor, F: Functor) -> WeightedResult:
     cot_obj: dict[str, str] = {}
     cot_legs: dict[str, dict[str, str]] = {}
     for o in P.objects:
-        cp, c = _split(o)
-        res = _cotensor(E, W.on_obj[cp], F.obj_map[c])
+        cp, c = split_pair(o)
+        res = cotensor_in_category(W.on_obj[cp], F.obj_map[c], E)
         if res is None:
-            return WeightedResult(None, fail_report(0, "missing-cotensor", at=o))
-        cot_obj[o], cot_legs[o] = res
+            return WeightedResult(None, fail_report(0, f"missing-{cot}", at=o))
+        cot_obj[o], cot_legs[o] = res.object, legs_by_element(W.on_obj[cp], res)
     mor_map = {}
     for m in P.morphisms:
-        fo, g = _split(m.name)
+        fo, g = split_pair(m.name)
         src, tgt = m.dom, m.cod
-        cp1, c1 = _split(tgt)
-        cands = [u for u in E.hom(cot_obj[src], cot_obj[tgt])
-                 if all(E.comp(cot_legs[tgt][w], u) ==
-                        E.comp(F.mor_map[g], cot_legs[src][W.on_mor[fo](w)])
-                        for w in W.on_obj[cp1].elements)]
-        if len(cands) != 1:
-            return WeightedResult(None, fail_report(0, "missing-cotensor",
-                                                    at=m.name))
-        mor_map[m.name] = cands[0]
-    B = Functor(f"cot({W.name},{F.name})", P, E, cot_obj, mor_map)
+        cp1, c1 = split_pair(tgt)
+        u, _ = unique_factor(E.hom(cot_obj[src], cot_obj[tgt]),
+                             lambda u: all(E.comp(cot_legs[tgt][w], u) ==
+                                           E.comp(F.mor_map[g], cot_legs[src][W.on_mor[fo](w)])
+                                           for w in W.on_obj[cp1].elements))
+        if u is None:
+            return WeightedResult(None, fail_report(0, f"missing-{cot}", at=m.name))
+        mor_map[m.name] = u
+    B = Functor(f"{cot}({W.name},{F.name})", P, E, cot_obj, mor_map)
     res = end_coend(B, C, "end")
     if res is None:
-        return WeightedResult(None, fail_report(0, "weighted-limit-missing-end"))
+        return WeightedResult(None, fail_report(
+            0, "weighted-colimit-missing-coend" if dual else "weighted-limit-missing-end"))
     # defining bijection against natural families, for every probe object e
+    law = f"weighted-{side}-defining-bijection"
     checked = 0
     for e in E.sorted_objects():
-        target = enumerate_set_naturals(W, _hom_set_functor(E, e, F))
+        homF = _hom_set_functor(e, F)
+        target = enumerate_set_naturals(W, homF)
         images = set()
         for g in E.hom(e, res.object):
             comps = {}
@@ -807,126 +770,16 @@ def _weighted_limit_general(W: SetFunctor, F: Functor) -> WeightedResult:
                 o = pair_id(c, c)
                 tbl = {w: E.comp_path(g, res.wedge.components[c], cot_legs[o][w])
                        for w in W.on_obj[c].elements}
-                comps[c] = FinSetMap(W.on_obj[c],
-                                     FinSetObj(E.hom(e, F.obj_map[c])), tbl)
-            cand = SetNatTrans("transposed", W, _hom_set_functor(E, e, F), comps)
-            checked += 1
-            if not validate_set_natural(cand).ok:
-                return WeightedResult(res.object, fail_report(
-                    checked, "weighted-limit-defining-bijection", probe=e))
-            images.add(cand.key())
-        if len(images) != len(E.hom(e, res.object)) or len(images) != len(target):
-            return WeightedResult(res.object, fail_report(
-                checked, "weighted-limit-defining-bijection", probe=e,
-                failure="not bijective"))
-    return WeightedResult(res.object, ok_report(checked))
-
-
-def _cotensor(E: FinCat, X: FinSetObj, c: str):
-    """Product of |X| copies of c with legs indexed by the elements of X."""
-    from .fixtures import discrete
-    J = discrete(len(X))
-    objs = sorted(J.objects)
-    D = Functor("copies", J, E, {j: c for j in objs},
-                {J.id_of(j): E.id_of(c) for j in objs})
-    res = limit(D, LIMIT)
-    if res is None:
-        return None
-    legs = {x: res.cone.legs.components[objs[i]]
-            for i, x in enumerate(X.sorted())}
-    return res.object, legs
-
-
-def _tensor(E: FinCat, X: FinSetObj, c: str):
-    """Coproduct of |X| copies of c with injections indexed by X's elements."""
-    from .fixtures import discrete
-    J = discrete(len(X))
-    objs = sorted(J.objects)
-    D = Functor("copies", J, E, {j: c for j in objs},
-                {J.id_of(j): E.id_of(c) for j in objs})
-    res = limit(D, COLIMIT)
-    if res is None:
-        return None
-    legs = {x: res.cone.legs.components[objs[i]]
-            for i, x in enumerate(X.sorted())}
-    return res.object, legs
-
-
-def _weighted_colimit_general(W: SetFunctor, F: Functor) -> WeightedResult:
-    """colim^W F in a tabulated target: coend of per-pair copowers.
-
-    W is a presheaf on op(C); the defining bijection is certified on every
-    object of the target.
-    """
-    opC = W.dom
-    C = opposite(opC)
-    E = F.cod
-    if F.dom != C:
-        raise StructuralError("weight and diagram must share their base category")
-    P = product(opC, C)
-    ten_obj: dict[str, str] = {}
-    ten_legs: dict[str, dict[str, str]] = {}
-    for o in P.objects:
-        cp, c = _split(o)
-        res = _tensor(E, W.on_obj[cp], F.obj_map[c])
-        if res is None:
-            return WeightedResult(None, fail_report(0, "missing-tensor", at=o))
-        ten_obj[o], ten_legs[o] = res
-    mor_map = {}
-    for m in P.morphisms:
-        fo, g = _split(m.name)
-        src, tgt = m.dom, m.cod
-        cp0, c0 = _split(src)
-        cands = [u for u in E.hom(ten_obj[src], ten_obj[tgt])
-                 if all(E.comp(u, ten_legs[src][w]) ==
-                        E.comp(ten_legs[tgt][W.on_mor[fo](w)], F.mor_map[g])
-                        for w in W.on_obj[cp0].elements)]
-        if len(cands) != 1:
-            return WeightedResult(None, fail_report(0, "missing-tensor", at=m.name))
-        mor_map[m.name] = cands[0]
-    B = Functor(f"ten({W.name},{F.name})", P, E, ten_obj, mor_map)
-    res = end_coend(B, C, "coend")
-    if res is None:
-        return WeightedResult(None, fail_report(0, "weighted-colimit-missing-coend"))
-    checked = 0
-    for e in E.sorted_objects():
-        homF = _hom_from_functor(E, F, e)
-        target = enumerate_set_naturals(W, homF)
-        images = set()
-        for g in E.hom(res.object, e):
-            comps = {}
-            for c in C.objects:
-                o = pair_id(c, c)
-                tbl = {w: E.comp_path(ten_legs[o][w], res.wedge.components[c], g)
-                       for w in W.on_obj[c].elements}
-                comps[c] = FinSetMap(W.on_obj[c],
-                                     FinSetObj(E.hom(F.obj_map[c], e)), tbl)
+                comps[c] = FinSetMap(W.on_obj[c], homF.on_obj[c], tbl)
             cand = SetNatTrans("transposed", W, homF, comps)
             checked += 1
             if not validate_set_natural(cand).ok:
-                return WeightedResult(res.object, fail_report(
-                    checked, "weighted-colimit-defining-bijection", probe=e))
+                return WeightedResult(res.object, fail_report(checked, law, probe=e))
             images.add(cand.key())
-        if len(images) != len(E.hom(res.object, e)) or len(images) != len(target):
+        if len(images) != len(E.hom(e, res.object)) or len(images) != len(target):
             return WeightedResult(res.object, fail_report(
-                checked, "weighted-colimit-defining-bijection", probe=e,
-                failure="not bijective"))
+                checked, law, probe=e, failure="not bijective"))
     return WeightedResult(res.object, ok_report(checked))
-
-
-def _hom_from_functor(E: FinCat, F: Functor, e: str) -> SetFunctor:
-    """The presheaf c |-> E(Fc, e) on op(C)."""
-    C = F.dom
-    opC = opposite(C)
-    on_obj = {c: FinSetObj(E.hom(F.obj_map[c], e)) for c in C.objects}
-    on_mor = {}
-    for m in opC.morphisms:
-        # m: c -> c' in op(C) is f: c' -> c in C
-        f = m.name
-        on_mor[f] = FinSetMap(on_obj[m.dom], on_obj[m.cod],
-                              {p: E.comp(p, F.mor_map[f])
-                               for p in on_obj[m.dom].elements})
-    return SetFunctor(f"hom({F.name}-,{e})", opC, on_obj, on_mor)
 
 
 # ---------------------------------------------------------------------------
@@ -951,10 +804,11 @@ def density_check(K: Functor) -> Report:
     # independent criterion: Nat(D(K-,d), D(K-,d')) ~ D(d,d')
     dense_via_hom = True
     witness = None
+    Kop = opposite_functor(K)
     for d in D.sorted_objects():
-        Xd = _restricted_hom(K, d)
+        Xd = _hom_set_functor(d, Kop)   # the presheaf D(K-, d)
         for dp in D.sorted_objects():
-            Xdp = _restricted_hom(K, dp)
+            Xdp = _hom_set_functor(dp, Kop)
             nats = enumerate_set_naturals(Xd, Xdp)
             images = set()
             for g in D.hom(d, dp):
@@ -979,21 +833,6 @@ def density_check(K: Functor) -> Report:
                            reason="extension not isomorphic to the identity",
                            at=str(witness))
     return ok_report(checked)
-
-
-def _restricted_hom(K: Functor, d: str) -> SetFunctor:
-    """The presheaf c |-> D(Kc, d) on op(C)."""
-    C, D = K.dom, K.cod
-    opC = opposite(C)
-    on_obj = {c: FinSetObj(D.hom(K.obj_map[c], d)) for c in C.objects}
-    on_mor = {}
-    for m in opC.morphisms:
-        # m: c -> c' in op(C) is f: c' -> c in C
-        f = m.name
-        on_mor[f] = FinSetMap(on_obj[m.dom], on_obj[m.cod],
-                              {p: D.comp(p, K.mor_map[f])
-                               for p in on_obj[m.dom].elements})
-    return SetFunctor(f"hom(K-,{d})", opC, on_obj, on_mor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1068,8 +907,6 @@ def nerve_realization_check(K: Functor, X: SetFunctor, d: str) -> NerveRealizati
     if X.dom != opposite(C):
         raise StructuralError("witness must be a presheaf on the functor's source")
     el = elements_category(X)
-    elp = opposite(el.cat)
-    from .core import opposite_functor
     P = opposite_functor(el.forgetful)   # el(X)^op -> C
     diagram = compose_functors(K, P)
     res = limit(diagram, COLIMIT)
@@ -1077,7 +914,7 @@ def nerve_realization_check(K: Functor, X: SetFunctor, d: str) -> NerveRealizati
         return NerveRealization("", fail_report(0, "nerve-realization",
                                                 reason="colimit over elements missing"))
     FX = res.object
-    Gd = _restricted_hom(K, d)
+    Gd = _hom_set_functor(d, opposite_functor(K))   # D(K-, d)
     nats = enumerate_set_naturals(X, Gd)
     legs = res.cone.legs.components
     images = set()
@@ -1102,7 +939,6 @@ def nerve_realization_check(K: Functor, X: SetFunctor, d: str) -> NerveRealizati
             lhs=len(D.hom(FX, d)), rhs=len(nats)))
     # naturality probes along morphisms out of d
     for g in [m for m in D.morphisms if m.dom == d]:
-        Gdp = _restricted_hom(K, g.cod)
         for h in D.hom(FX, d):
             checked += 1
             lhs = {c: {x: D.comp(g.name, D.comp(h, legs[f"⟨{c},{x}⟩"]))

@@ -18,10 +18,17 @@ from .core import (
     NatTrans,
     Report,
     StructuralError,
+    arrows,
     compose_functors,
     const_diagram,
     fail_report,
+    functor_category,
     ok_report,
+    opposite,
+    pair_id,
+    product,
+    split_pair,
+    unique_factor,
     whisker_functor_nat,
 )
 from .finset import (
@@ -79,51 +86,56 @@ class UnionFind:
 
 # ---------------------------------------------------------------------------
 # General path: cone enumeration and extremal search
+#
+# Only the limit side is written.  A cocone over D: J -> C is a cone over D
+# read in opposite(C) with J's arrows reversed, and a colimit is such a limit
+# (Rydeheard & Burstall, Computational Category Theory, 1988).  The target's
+# opposite is cached; the index category is only read backwards, since it is
+# often built for the call.
+
+def _searched_in(C: FinCat, direction: str) -> FinCat:
+    """The category in which a search in `direction` runs as a limit search."""
+    return C if direction == LIMIT else opposite(C)
+
 
 def enumerate_cones(D: Functor, direction: str) -> list[tuple[str, dict[str, str]]]:
     """All (apex, legs) in the target category, legs filtered by naturality."""
-    J, C = D.dom, D.cod
-    objs = J.sorted_objects()
+    C = _searched_in(D.cod, direction)
+    objs = D.dom.sorted_objects()
+    steps = [(D.mor_map[m], a, b) for m, a, b in arrows(D.dom, reverse=direction != LIMIT)]
     out = []
     for c in C.sorted_objects():
-        if direction == LIMIT:
-            choices = [C.hom(c, D.obj_map[j]) for j in objs]
-        else:
-            choices = [C.hom(D.obj_map[j], c) for j in objs]
-        for legs in itertools.product(*choices):
+        for legs in itertools.product(*[C.hom(c, D.obj_map[j]) for j in objs]):
             fam = dict(zip(objs, legs))
-            ok = True
-            for m in J.morphisms:
-                if direction == LIMIT:
-                    if C.comp(D.mor_map[m.name], fam[m.dom]) != fam[m.cod]:
-                        ok = False
-                        break
-                else:
-                    if C.comp(fam[m.cod], D.mor_map[m.name]) != fam[m.dom]:
-                        ok = False
-                        break
-            if ok:
+            for u, a, b in steps:
+                if C.comp(u, fam[a]) != fam[b]:
+                    break
+            else:
                 out.append((c, fam))
     return out
+
+
+def _factor_through(C: FinCat, c: str, fam, apex: str, legs):
+    """unique_factor over C(c, apex) for legs_j . f = fam_j at every j."""
+    return unique_factor(C.hom(c, apex),
+                         lambda f: all(C.comp(legs[j], f) == fam[j] for j in legs))
+
+
+def certify_terminal(C: FinCat, apex: str, legs, cones) -> Report:
+    """Exhaustive unique-factorization certificate against every listed cone."""
+    checked = 0
+    for c, fam in cones:
+        checked += 1
+        f, count = _factor_through(C, c, fam, apex, legs)
+        if f is None:
+            return fail_report(checked, "limit-factorization", apex=c, count=count)
+    return ok_report(checked)
 
 
 def _certify_extremal(D: Functor, direction: str, apex: str, legs: dict[str, str],
                       cones: list[tuple[str, dict[str, str]]]) -> Report:
     """Exhaustive unique-factorization certificate against every enumerated (co)cone."""
-    C = D.cod
-    checked = 0
-    for c, fam in cones:
-        checked += 1
-        if direction == LIMIT:
-            factors = [f for f in C.hom(c, apex)
-                       if all(C.comp(legs[j], f) == fam[j] for j in fam)]
-        else:
-            factors = [f for f in C.hom(apex, c)
-                       if all(C.comp(f, legs[j]) == fam[j] for j in fam)]
-        if len(factors) != 1:
-            return fail_report(checked, "limit-factorization",
-                               apex=c, count=len(factors))
-    return ok_report(checked)
+    return certify_terminal(_searched_in(D.cod, direction), apex, legs, cones)
 
 
 def limit(D: Functor, direction: str = LIMIT) -> Optional[LimitResult]:
@@ -142,6 +154,23 @@ def limit(D: Functor, direction: str = LIMIT) -> Optional[LimitResult]:
             return LimitResult(apex, ConeData(apex, nat, "cone" if direction == LIMIT
                                               else "cocone"), cert)
     return None
+
+
+def _induced(C: FinCat, direction: str, src: LimitResult, tgt: LimitResult,
+             tau, objs) -> Optional[str]:
+    """The arrow lim src -> lim tgt (colim src -> colim tgt) commuting with the
+    family tau_j: src_j -> tgt_j, or None when it is not unique.
+
+    Read in opposite(C) the family runs from tgt to src, so a colimit's arrow
+    is the limit arrow out of tgt.
+    """
+    Cs = _searched_in(C, direction)
+    if direction != LIMIT:
+        src, tgt = tgt, src
+    legs = src.cone.legs.components
+    f, _ = _factor_through(Cs, src.object, {j: Cs.comp(tau[j], legs[j]) for j in objs},
+                          tgt.object, tgt.cone.legs.components)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +328,6 @@ def limit_functor(J: FinCat, C: FinCat, direction: str = LIMIT,
     The action on a transformation is the unique factorization of the composed
     (co)cone; uniqueness is asserted during construction.
     """
-    from .core import functor_category
     fc = fc or functor_category(J, C, guard)
     lims: dict[str, LimitResult] = {}
     for Did in fc.cat.objects:
@@ -310,23 +338,12 @@ def limit_functor(J: FinCat, C: FinCat, direction: str = LIMIT,
     obj_map = {Did: lims[Did].object for Did in fc.cat.objects}
     mor_map = {}
     for m in fc.cat.morphisms:
-        tau = fc.nats[m.name]
-        src, tgt = lims[m.dom], lims[m.cod]
-        if direction == LIMIT:
-            cands = [f for f in C.hom(src.object, tgt.object)
-                     if all(C.comp(tgt.cone.legs.components[j],
-                                   f) == C.comp(tau.components[j],
-                                                src.cone.legs.components[j])
-                            for j in J.objects)]
-        else:
-            cands = [f for f in C.hom(src.object, tgt.object)
-                     if all(C.comp(f, src.cone.legs.components[j]) ==
-                            C.comp(tgt.cone.legs.components[j], tau.components[j])
-                            for j in J.objects)]
-        if len(cands) != 1:
+        f = _induced(C, direction, lims[m.dom], lims[m.cod],
+                     fc.nats[m.name].components, J.objects)
+        if f is None:
             raise StructuralError(
                 f"factorization through the {direction} of {m.cod} is not unique")
-        mor_map[m.name] = cands[0]
+        mor_map[m.name] = f
     name = ("lim" if direction == LIMIT else "colim") + f"[{J.name},{C.name}]"
     F = Functor(name, fc.cat, C, obj_map, mor_map)
     counit = {Did: lims[Did].cone.legs for Did in fc.cat.objects}
@@ -361,7 +378,6 @@ class InterchangeWitness:
 
 def _iterated_limit_functor(D: Functor, I: FinCat, J: FinCat, direction: str):
     """Fix the first coordinate: the functor I -> C of per-i (co)limits over J."""
-    from .core import pair_id
     C = D.cod
     per_i: dict[str, LimitResult] = {}
     for i in I.objects:
@@ -375,21 +391,11 @@ def _iterated_limit_functor(D: Functor, I: FinCat, J: FinCat, direction: str):
     obj_map = {i: per_i[i].object for i in I.objects}
     mor_map = {}
     for m in I.morphisms:
-        src, tgt = per_i[m.dom], per_i[m.cod]
         move = {j: D.mor_map[pair_id(m.name, J.id_of(j))] for j in J.objects}
-        if direction == LIMIT:
-            cands = [f for f in C.hom(src.object, tgt.object)
-                     if all(C.comp(tgt.cone.legs.components[j], f) ==
-                            C.comp(move[j], src.cone.legs.components[j])
-                            for j in J.objects)]
-        else:
-            cands = [f for f in C.hom(src.object, tgt.object)
-                     if all(C.comp(f, src.cone.legs.components[j]) ==
-                            C.comp(tgt.cone.legs.components[j], move[j])
-                            for j in J.objects)]
-        if len(cands) != 1:
+        f = _induced(C, direction, per_i[m.dom], per_i[m.cod], move, J.objects)
+        if f is None:
             raise StructuralError("iterated limit action not unique")
-        mor_map[m.name] = cands[0]
+        mor_map[m.name] = f
     L = Functor(f"{direction}_J({D.name})", I, C, obj_map, mor_map)
     return L, per_i
 
@@ -402,7 +408,6 @@ def interchange_check(D: Functor, I: FinCat, J: FinCat,
     three objects are produced by unique factorization in both directions and
     checked to compose to identities.
     """
-    from .core import pair_id, product
     C = D.cod
     joint = limit(D, direction)
     if joint is None:
@@ -427,74 +432,38 @@ def interchange_check(D: Functor, I: FinCat, J: FinCat,
     if outer2 is None:
         raise StructuralError("outer (co)limit over J missing")
 
+    Cs = _searched_in(C, direction)
     checked = 0
 
-    def mediate(apex: str, legs: dict[str, str], target: LimitResult,
-                tlegs: dict[str, str]) -> str:
+    def mediate(apex: str, legs: dict[str, str], target: LimitResult) -> str:
         nonlocal checked
         checked += 1
-        if direction == LIMIT:
-            cands = [f for f in C.hom(apex, target.object)
-                     if all(C.comp(tlegs[k], f) == legs[k] for k in tlegs)]
-        else:
-            cands = [f for f in C.hom(target.object, apex)
-                     if all(C.comp(f, tlegs[k]) == legs[k] for k in tlegs)]
-        if len(cands) != 1:
+        f, _ = _factor_through(Cs, apex, legs, target.object, target.cone.legs.components)
+        if f is None:
             raise StructuralError("mediating morphism not unique")
-        return cands[0]
+        return f
 
-    # outer (lim_i lim_j) carries a joint cone: leg at (i,j) = inner leg . outer leg
-    def joint_legs_from(outer_res: LimitResult, per, flip: bool) -> dict[str, str]:
-        legs = {}
-        for i, res in per.items():
-            for j, leg in res.cone.legs.components.items():
-                key = pair_id(j, i) if flip else pair_id(i, j)
-                if direction == LIMIT:
-                    legs[key] = C.comp(leg, outer_res.cone.legs.components[i])
-                else:
-                    legs[key] = C.comp(outer_res.cone.legs.components[i], leg)
-        return legs
+    # an iterated (co)limit carries a joint cone, leg at (i,j) = inner leg .
+    # outer leg, and the joint one factors through it one outer index at a
+    # time; the two mediators must be inverse
+    for nested, per, A, B, flip, label in ((outer, per_i, I, J, False, "outer-joint"),
+                                           (outer2, per_j, J, I, True, "joint-swapped")):
+        def key(a: str, b: str) -> str:
+            return pair_id(b, a) if flip else pair_id(a, b)
 
-    legs_outer = joint_legs_from(outer, per_i, flip=False)
-    to_joint = mediate(outer.object, legs_outer, joint,
-                       dict(joint.cone.legs.components))
-    # joint object also carries an outer cone: factor joint legs per i
-    per_i_legs = {}
-    for i in I.objects:
-        fam = {j: joint.cone.legs.components[pair_id(i, j)] for j in J.objects}
-        per_i_legs[i] = mediate(joint.object, fam, per_i[i],
-                                dict(per_i[i].cone.legs.components))
-    from_joint = mediate(joint.object, per_i_legs, outer,
-                         dict(outer.cone.legs.components))
-    ok1 = (C.comp(from_joint, to_joint) == C.id_of(outer.object) and
-           C.comp(to_joint, from_joint) == C.id_of(joint.object)) \
-        if direction == LIMIT else \
-          (C.comp(to_joint, from_joint) == C.id_of(outer.object) and
-           C.comp(from_joint, to_joint) == C.id_of(joint.object))
-    if not ok1:
-        return InterchangeWitness(outer.object, joint.object, outer2.object,
-                                  fail_report(checked, "limit-interchange",
-                                              pair="outer-joint"))
-    # same game between joint and the swapped iteration
-    legs_outer2 = joint_legs_from(outer2, per_j, flip=True)
-    to_joint2 = mediate(outer2.object, legs_outer2, joint,
-                        dict(joint.cone.legs.components))
-    per_j_legs = {}
-    for j in J.objects:
-        fam = {i: joint.cone.legs.components[pair_id(i, j)] for i in I.objects}
-        per_j_legs[j] = mediate(joint.object, fam, per_j[j],
-                                dict(per_j[j].cone.legs.components))
-    from_joint2 = mediate(joint.object, per_j_legs, outer2,
-                          dict(outer2.cone.legs.components))
-    ok2 = (C.comp(from_joint2, to_joint2) == C.id_of(outer2.object) and
-           C.comp(to_joint2, from_joint2) == C.id_of(joint.object)) \
-        if direction == LIMIT else \
-          (C.comp(to_joint2, from_joint2) == C.id_of(outer2.object) and
-           C.comp(from_joint2, to_joint2) == C.id_of(joint.object))
-    if not ok2:
-        return InterchangeWitness(outer.object, joint.object, outer2.object,
-                                  fail_report(checked, "limit-interchange",
-                                              pair="joint-swapped"))
+        joint_legs = {key(a, b): Cs.comp(leg, nested.cone.legs.components[a])
+                      for a, res in per.items()
+                      for b, leg in res.cone.legs.components.items()}
+        to_joint = mediate(nested.object, joint_legs, joint)
+        per_legs = {a: mediate(joint.object,
+                               {b: joint.cone.legs.components[key(a, b)] for b in B.objects},
+                               per[a])
+                    for a in A.objects}
+        from_joint = mediate(joint.object, per_legs, nested)
+        if not (Cs.comp(from_joint, to_joint) == Cs.id_of(nested.object) and
+                Cs.comp(to_joint, from_joint) == Cs.id_of(joint.object)):
+            return InterchangeWitness(outer.object, joint.object, outer2.object,
+                                      fail_report(checked, "limit-interchange", pair=label))
     return InterchangeWitness(outer.object, joint.object, outer2.object,
                               ok_report(checked))
 
@@ -502,7 +471,6 @@ def interchange_check(D: Functor, I: FinCat, J: FinCat,
 def interchange_check_finset(D: SetFunctor, I: FinCat, J: FinCat,
                              direction: str = LIMIT) -> InterchangeWitness:
     """FinSet backend: compute the three objects directly with explicit bijections."""
-    from .core import pair_id, product
     joint = limit_finset(D, direction)
 
     def inner_then_outer(A: FinCat, B: FinCat, flip: bool):
@@ -566,7 +534,6 @@ def interchange_check_finset(D: SetFunctor, I: FinCat, J: FinCat,
                                   ok_report(checked))
 
     # colimit: classes correspond through the quotient legs
-    from .core import split_pair
 
     def joint_to_nested(res, per, flip):
         nonlocal checked
@@ -596,10 +563,9 @@ def interchange_check_finset(D: SetFunctor, I: FinCat, J: FinCat,
 def _induced_map(src: LimitResult, tgt: LimitResult, D: SetFunctor,
                  A: FinCat, B: FinCat, m: Mor, flip: bool, direction: str) -> FinSetMap:
     """The map between inner (co)limits induced by an A-morphism, built elementwise."""
-    from .core import pair_id
 
-    def dkey(a_mor: str, b_mor: str) -> str:
-        return pair_id(a_mor, b_mor) if not flip else pair_id(b_mor, a_mor)
+    def dkey(a: str, b: str) -> str:
+        return pair_id(a, b) if not flip else pair_id(b, a)
 
     if direction == LIMIT:
         table = {}
@@ -608,16 +574,16 @@ def _induced_map(src: LimitResult, tgt: LimitResult, D: SetFunctor,
             for b in B.objects:
                 x = src.cone.legs.components[b](e)
                 values[b] = D.on_mor[dkey(m.name, B.id_of(b))](x)
-            matches = [e2 for e2 in tgt.object.elements
-                       if all(tgt.cone.legs.components[b](e2) == values[b]
-                              for b in B.objects)]
-            if len(matches) != 1:
+            e2, _ = unique_factor(tgt.object.elements,
+                                  lambda e2: all(tgt.cone.legs.components[b](e2) == values[b]
+                                                 for b in B.objects))
+            if e2 is None:
                 raise StructuralError("induced map between inner limits not unique")
-            table[e] = matches[0]
+            table[e] = e2
         return FinSetMap(src.object, tgt.object, table)
     table = {}
     for b in B.objects:
-        for x in D.on_obj[dkey_obj(m.dom, b, flip)].elements:
+        for x in D.on_obj[dkey(m.dom, b)].elements:
             src_cls = src.cone.legs.components[b](x)
             moved = D.on_mor[dkey(m.name, B.id_of(b))](x)
             tgt_cls = tgt.cone.legs.components[b](moved)
@@ -625,8 +591,3 @@ def _induced_map(src: LimitResult, tgt: LimitResult, D: SetFunctor,
                 raise StructuralError("induced map between inner colimits ill-defined")
             table[src_cls] = tgt_cls
     return FinSetMap(src.object, tgt.object, table)
-
-
-def dkey_obj(a: str, b: str, flip: bool) -> str:
-    from .core import pair_id
-    return pair_id(a, b) if not flip else pair_id(b, a)

@@ -11,10 +11,12 @@ from .core import (
     NatTrans,
     Report,
     StructuralError,
+    compose_functors,
     const_diagram,
     fail_report,
     ok_report,
-    opposite,
+    opposite_functor,
+    unique_factor,
 )
 from .finset import (
     FinSetMap,
@@ -104,7 +106,7 @@ def comma_from_object(c: str, G: Functor, name: str | None = None) -> CommaData:
         return C.comp(G.mor_map[f], a) == b
 
     cat, forgetful, by_id = _build_comma(name or f"({c}↓{G.name})", pairs, D, mor_ok)
-    GP = _compose_via(G, forgetful)
+    GP = compose_functors(G, forgetful)
     theta = NatTrans(f"θ({c}↓{G.name})", const_diagram(c, cat, C), GP,
                      {o: by_id[o][1] for o in cat.objects})
     return CommaData(cat, forgetful, theta, {o: by_id[o] for o in cat.objects})
@@ -128,15 +130,10 @@ def comma_to_object(G: Functor, c: str, name: str | None = None) -> CommaData:
         return C.comp(b, G.mor_map[f]) == a
 
     cat, forgetful, by_id = _build_comma(name or f"({G.name}↓{c})", pairs, D, mor_ok)
-    GP = _compose_via(G, forgetful)
+    GP = compose_functors(G, forgetful)
     theta = NatTrans(f"θ({G.name}↓{c})", GP, const_diagram(c, cat, C),
                      {o: by_id[o][1] for o in cat.objects})
     return CommaData(cat, forgetful, theta, {o: by_id[o] for o in cat.objects})
-
-
-def _compose_via(G: Functor, P: Functor) -> Functor:
-    from .core import compose_functors
-    return compose_functors(G, P)
 
 
 def elements_category(X: SetFunctor, name: str | None = None) -> CommaData:
@@ -219,6 +216,12 @@ class UniversalWitness:
     report: Report
 
 
+def _from_side(G: Functor, direction: str) -> Functor:
+    """G, or for arrows to an object its opposite: a universal arrow from G
+    to c is a universal arrow from c to G read in the opposite categories."""
+    return G if direction == FROM_OBJECT else opposite_functor(G)
+
+
 def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
                        ) -> Optional[UniversalWitness]:
     """Search the comma category for its initial (or terminal) object.
@@ -226,14 +229,12 @@ def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
     The defining factorization property is re-verified exhaustively before
     the witness is returned.
     """
-    if direction == FROM_OBJECT:
-        comma = comma_from_object(c, G)
-        ext = extremal_object(comma.cat, "initial")
-    elif direction == TO_OBJECT:
-        comma = comma_to_object(G, c)
-        ext = extremal_object(comma.cat, "terminal")
-    else:
+    if direction not in (FROM_OBJECT, TO_OBJECT):
         raise StructuralError(f"unknown direction {direction!r}")
+    if c not in G.cod.objects:
+        raise StructuralError(f"unknown object {c} in {G.cod.name}")
+    comma = comma_from_object(c, _from_side(G, direction))
+    ext = extremal_object(comma.cat, "initial")
     if ext is None:
         return None
     x, a = comma.pairs[ext.object]
@@ -249,54 +250,37 @@ def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
 
 def verify_universal(w: UniversalWitness, c: str, G: Functor) -> Report:
     """Exhaustively check that every comma object factors uniquely through the witness."""
+    G = _from_side(G, w.direction)
     C, D = G.cod, G.dom
     u, eta = w.vertex, w.arrow
+    if eta not in C.hom(c, G.obj_map[u]):
+        raise StructuralError("witness arrow has the wrong type")
     checked = 0
-    if w.direction == FROM_OBJECT:
-        if eta not in C.hom(c, G.obj_map[u]):
-            raise StructuralError("witness arrow has the wrong type")
-        for x in D.sorted_objects():
-            for a in C.hom(c, G.obj_map[x]):
-                checked += 1
-                factors = [f for f in D.hom(u, x)
-                           if C.comp(G.mor_map[f], eta) == a]
-                if len(factors) != 1:
-                    return fail_report(checked, "universal-factorization",
-                                       at=_pair(x, a), count=len(factors))
-    else:
-        if eta not in C.hom(G.obj_map[u], c):
-            raise StructuralError("witness arrow has the wrong type")
-        for x in D.sorted_objects():
-            for a in C.hom(G.obj_map[x], c):
-                checked += 1
-                factors = [f for f in D.hom(x, u)
-                           if C.comp(eta, G.mor_map[f]) == a]
-                if len(factors) != 1:
-                    return fail_report(checked, "universal-factorization",
-                                       at=_pair(x, a), count=len(factors))
+    for x in D.sorted_objects():
+        for a in C.hom(c, G.obj_map[x]):
+            checked += 1
+            f, count = unique_factor(D.hom(u, x), lambda f: C.comp(G.mor_map[f], eta) == a)
+            if f is None:
+                return fail_report(checked, "universal-factorization",
+                                   at=_pair(x, a), count=count)
     return ok_report(checked)
 
 
 def essentially_unique(c: str, G: Functor, w1: UniversalWitness,
                        w2: UniversalWitness) -> Report:
     """Two witnesses for the same data are related by a unique isomorphism."""
-    C, D = G.cod, G.dom
-    checked = 0
     if w1.direction != w2.direction:
         raise StructuralError("witness directions differ")
-    if w1.direction == FROM_OBJECT:
-        psis = [f for f in D.hom(w1.vertex, w2.vertex)
-                if C.comp(G.mor_map[f], w1.arrow) == w2.arrow]
-    else:
-        psis = [f for f in D.hom(w2.vertex, w1.vertex)
-                if C.comp(w1.arrow, G.mor_map[f]) == w2.arrow]
-    checked += 1
-    if len(psis) != 1:
-        return fail_report(checked, "essential-uniqueness", count=len(psis))
-    if not D.is_iso(psis[0]):
-        return fail_report(checked, "essential-uniqueness", arrow=psis[0],
+    G = _from_side(G, w1.direction)
+    C, D = G.cod, G.dom
+    psi, count = unique_factor(D.hom(w1.vertex, w2.vertex),
+                               lambda f: C.comp(G.mor_map[f], w1.arrow) == w2.arrow)
+    if psi is None:
+        return fail_report(1, "essential-uniqueness", count=count)
+    if not D.is_iso(psi):
+        return fail_report(1, "essential-uniqueness", arrow=psi,
                            failure="mediating arrow not iso")
-    return ok_report(checked)
+    return ok_report(1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +309,7 @@ def representability(X: SetFunctor) -> Optional[Representation]:
                 continue
             eta = yoneda_map("alpha", C, u, X, sigma)
             # certify: every (x, a) factors uniquely through eta
-            ok = True
-            for x in C.sorted_objects():
-                for a in X.on_obj[x].sorted():
-                    factors = [f for f in C.hom(u, x) if X.on_mor[f](eta) == a]
-                    if len(factors) != 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(unique_factor(C.hom(u, x), lambda f: X.on_mor[f](eta) == a)[0] is not None
+                   for x in C.sorted_objects() for a in X.on_obj[x].sorted()):
                 return Representation(u, sigma)
     return None

@@ -216,11 +216,12 @@ def test_declared_unit_violation_is_flagged(tmp_path):
     assert doc["report"]["counterexample"]["law"] == "unit"
 
 
-def _run_cli_process(tmp_path, text: str) -> subprocess.CompletedProcess:
+def _run_cli_process(tmp_path, text: str, *command: str) -> subprocess.CompletedProcess:
     f = tmp_path / "input.cat"
     f.write_text(text)
     src = str(pathlib.Path(fincat.__file__).resolve().parent.parent)
-    return subprocess.run([sys.executable, "-m", "fincat.cli", "validate", str(f)],
+    return subprocess.run([sys.executable, "-m", "fincat.cli", *(command or ("validate",)),
+                           str(f)],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
 
@@ -240,3 +241,44 @@ functor F: C -> D { obj a |-> a; obj b |-> c; }
     assert proc.returncode == 2
     assert "unknown object c" in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+def test_functor_map_naming_a_missing_arrow_is_structural(tmp_path):
+    # density.cat without its arrow a, while Itwo still maps a
+    text = (CORPUS / "density.cat").read_text()
+    assert 'mor a: "0" -> "1";' in text
+    text = text.replace('mor a: "0" -> "1";', "")
+    for command in (("validate",), ("density", "Itwo"), ("codensity", "Itwo")):
+        proc = _run_cli_process(tmp_path, text, *command)
+        assert proc.returncode == 2, command
+        assert "Itwo: morphism map names a, which is not in two" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
+def test_functor_object_map_with_a_stray_entry_is_structural(tmp_path):
+    proc = _run_cli_process(tmp_path, """category C { objects: a; }
+functor F: C -> C { obj a |-> a; obj q |-> a; }
+""")
+    assert proc.returncode == 2
+    assert "F: object map names q, which is not in C" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_nat_component_at_a_stray_object_is_structural(tmp_path):
+    proc = _run_cli_process(tmp_path, """category C { objects: a; }
+functor F: C -> C { obj a |-> a; }
+nat t: F => F { at a: id_a; at q: id_a; }
+""")
+    assert proc.returncode == 2
+    assert "t: component family names q, which is not in C" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_setfunctor_with_stray_entries_is_structural(tmp_path):
+    for clause, message in (('obj q |-> {x};', "X: object values names q, which is not in C"),
+                            ("mor g |-> [x -> x];", "X: table at g, which is not in C")):
+        proc = _run_cli_process(tmp_path, "category C { objects: a; }\n"
+                                f"setfunctor X: C -> Set {{ obj a |-> {{x}}; {clause} }}\n")
+        assert proc.returncode == 2, clause
+        assert message in proc.stdout
+        assert "Traceback" not in proc.stderr

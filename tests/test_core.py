@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import pytest
 
@@ -158,6 +159,19 @@ def test_opposite_involution_and_shape():
     z2 = z2_monoid()
     assert dict(opposite(z2).compose) == {(f, g): h for (g, f), h in z2.compose.items()}
     assert dict(opposite(z2).compose) == dict(z2.compose)
+
+
+def test_opposite_is_computed_once_and_its_opposite_is_the_category():
+    two = walking_arrow()
+    op = opposite(two)
+    assert opposite(two) is op and opposite(op) is two
+    # the way back is weak, so no reference cycle keeps either category alive
+    gone = weakref.ref(two)
+    del two, op
+    assert gone() is None
+    # an opposite that outlives its category still has a structural opposite
+    op = opposite(walking_arrow())
+    assert same_structure(opposite(op), walking_arrow()) and opposite(opposite(op)) is op
 
 
 def test_product_counts_and_validity():
