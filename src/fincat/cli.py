@@ -14,6 +14,7 @@ import sys
 from .adjunction import adjoint_from_universals, snake_check
 from .catfile import LawViolation, Workspace, load_workspace
 from .core import (
+    Functor,
     GuardExceeded,
     StructuralError,
     opposite,
@@ -115,22 +116,12 @@ def _align_bifunctor(B, J):
                 return None
         elif bh != h:
             return None
+    values = B.on_mor if isinstance(B, SetFunctor) else B.mor_map
+    renamed = {m.name: values[B.dom.id_of(m.dom) if P.is_identity(m.name) else m.name]
+               for m in P.morphisms}
     if isinstance(B, SetFunctor):
-        on_mor = {}
-        for m in P.morphisms:
-            if P.is_identity(m.name):
-                on_mor[m.name] = B.on_mor[B.dom.id_of(m.dom)]
-            else:
-                on_mor[m.name] = B.on_mor[m.name]
-        return SetFunctor(B.name, P, B.on_obj, on_mor)
-    mor_map = {}
-    for m in P.morphisms:
-        if P.is_identity(m.name):
-            mor_map[m.name] = B.mor_map[B.dom.id_of(m.dom)]
-        else:
-            mor_map[m.name] = B.mor_map[m.name]
-    from .core import Functor
-    return Functor(B.name, P, B.cod, B.obj_map, mor_map)
+        return SetFunctor(B.name, P, B.on_obj, renamed)
+    return Functor(B.name, P, B.cod, B.obj_map, renamed)
 
 
 def _shape_of_bifunctor(ws: Workspace, B):

@@ -8,8 +8,13 @@ the other categories involved backwards.  Right Kan extensions share the
 action, counit and universal-property code of left ones, coends are ends in
 the opposite target, and a weighted colimit is the weighted limit of the
 opposite functor, whose cotensors are tensors in the original target.  The
-Set backend computes both sides directly, since the opposite of finite Set is
-not finite Set.
+opposite of finite Set is not finite Set, so the Set backend computes both
+sides directly, on the tuple and quotient kernels of limits.py: Set ends and
+coends are the limit and colimit of the diagonal, and every map between Set
+(co)limits (the Kan action, the coend-formula action and its iso to the
+pointwise extension) comes from one induced-map helper.  The coend formula
+and the weighted colimit share one W x F bifunctor, and the two Set weighted
+(co)limits one defining-bijection check on probe sets.
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ from .finset import (
     all_maps,
     cotensor_in_category,
     enumerate_set_naturals,
+    hom_functor,
     legs_by_element,
     set_precompose,
     table_id,
@@ -59,11 +65,12 @@ from .limits import (
     COLIMIT,
     LIMIT,
     LimitResult,
-    UnionFind,
     certify_terminal,
+    induced_set_map,
     limit,
     limit_finset,
-    tagged,
+    set_colimit,
+    set_limit,
 )
 from .universal import CommaData, comma_from_object, comma_to_object, elements_category
 
@@ -117,64 +124,37 @@ def kan_pointwise(K: Functor, F: Union[Functor, SetFunctor],
 
     name = f"{'Lan' if side == LEFT else 'Ran'}[{K.name}]({F.name})"
     checked = 0
+    obj_map = {d: per[d].object for d in D.objects}
+    legs = {d: per[d].cone.legs.components for d in D.objects}
+    # Ran is Lan read in op(D) (and op(E)): the action on m: d -> d' links
+    # each comma object (c, p) at d to (c, m.p) at d', read from d' for Ran
+    Ds = D if side == LEFT else opposite(D)
+    mor_map = {}
+    for m in D.morphisms:
+        d, dp = (m.dom, m.cod) if side == LEFT else (m.cod, m.dom)
+        links = [(o, pair_index[dp][(c, Ds.comp(m.name, p))])
+                 for o, (c, p) in commas[d].pairs.items()]
+        if finset:
+            g, n = induced_set_map(direction, obj_map[m.dom], legs[m.dom], obj_map[m.cod],
+                                   legs[m.cod], [(o, None, o2) if side == LEFT else (o2, None, o)
+                                                 for o, o2 in links])
+            checked += n
+            detail = {}
+        else:
+            Es = F.cod if side == LEFT else opposite(F.cod)
+            g, count = unique_factor(Es.hom(obj_map[d], obj_map[dp]),
+                                     lambda g: all(Es.comp(g, legs[d][o]) == legs[dp][o2]
+                                                   for o, o2 in links))
+            checked += 1
+            detail = {"count": count}
+        if g is None:
+            return KanResult(None, None, per, commas, side,
+                             fail_report(checked, "kan-action", morphism=m.name, **detail))
+        mor_map[m.name] = g
     if finset:
-        on_obj = {d: per[d].object for d in D.objects}
-        on_mor = {}
-        for m in D.morphisms:
-            d, dp = m.dom, m.cod
-            table: dict[str, str] = {}
-            if side == LEFT:
-                for o, (c, p) in commas[d].pairs.items():
-                    op_ = pair_index[dp][(c, D.comp(m.name, p))]
-                    for x in F.on_obj[c].elements:
-                        src = per[d].cone.legs.components[o](x)
-                        tgt = per[dp].cone.legs.components[op_](x)
-                        checked += 1
-                        if table.setdefault(src, tgt) != tgt:
-                            return KanResult(None, None, per, commas, side,
-                                             fail_report(checked, "kan-action",
-                                                         morphism=m.name))
-            else:
-                objs_dp = commas[dp].cat.sorted_objects()
-                for e in per[d].object.elements:
-                    values = {}
-                    for o in objs_dp:
-                        c, p = commas[dp].pairs[o]
-                        o_back = pair_index[d][(c, D.comp(p, m.name))]
-                        values[o] = per[d].cone.legs.components[o_back](e)
-                    e2, _ = unique_factor(
-                        per[dp].object.elements,
-                        lambda e2: all(per[dp].cone.legs.components[o](e2) == values[o]
-                                       for o in objs_dp))
-                    checked += 1
-                    if e2 is None:
-                        return KanResult(None, None, per, commas, side,
-                                         fail_report(checked, "kan-action",
-                                                     morphism=m.name))
-                    table[e] = e2
-            on_mor[m.name] = FinSetMap(per[d].object, per[dp].object, table)
-        ext = SetFunctor(name, D, on_obj, on_mor)
+        ext = SetFunctor(name, D, obj_map, mor_map)
         LK, Nat, validate = set_precompose(ext, K), SetNatTrans, validate_set_natural
     else:
-        # Ran is Lan read in op(D) and op(E): the action on m: d -> d' is the
-        # arrow out of the value at d' that the shifted cone factors through
-        Es, Ds = (F.cod, D) if side == LEFT else (opposite(F.cod), opposite(D))
-        obj_map = {d: per[d].object for d in D.objects}
-        legs = {d: per[d].cone.legs.components for d in D.objects}
-        mor_map = {}
-        for m in D.morphisms:
-            d, dp = (m.dom, m.cod) if side == LEFT else (m.cod, m.dom)
-            g, count = unique_factor(
-                Es.hom(obj_map[d], obj_map[dp]),
-                lambda g: all(Es.comp(g, legs[d][o]) ==
-                              legs[dp][pair_index[dp][(c, Ds.comp(m.name, p))]]
-                              for o, (c, p) in commas[d].pairs.items()))
-            checked += 1
-            if g is None:
-                return KanResult(None, None, per, commas, side,
-                                 fail_report(checked, "kan-action", morphism=m.name,
-                                             count=count))
-            mor_map[m.name] = g
         ext = Functor(name, D, F.cod, obj_map, mor_map)
         LK, Nat, validate = compose_functors(ext, K), NatTrans, validate_natural
     comps = {}
@@ -291,44 +271,30 @@ def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
     """Direct Set computation: ends as matching diagonal tuples, coends as
     union-find quotients of the diagonal disjoint union."""
     _check_bifunctor_shape(D, J)
+    return _end_coend_set(D, J, side)
+
+
+def _end_coend_set(D: SetFunctor, J: FinCat, side: str) -> EndResult:
+    """end_coend_finset for a bifunctor already known to live on op(J) x J."""
     objs = J.sorted_objects()
+    diagonal = {j: D.on_obj[pair_id(j, j)] for j in objs}
+
+    def at(f: str, g: str):
+        return D.on_mor[pair_id(f, g)].table
+
     if side == "end":
-        pools = [D.on_obj[pair_id(j, j)].sorted() for j in objs]
-        members = []
-        for combo in itertools.product(*pools):
-            values = dict(zip(objs, combo))
-            ok = True
-            for h in J.morphisms:
-                i, j = h.dom, h.cod
-                lhs = D.on_mor[pair_id(J.id_of(i), h.name)](values[i])
-                rhs = D.on_mor[pair_id(h.name, J.id_of(j))](values[j])
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                members.append(values)
-        obj = FinSetObj(tuple("(" + ",".join(v[j] for j in objs) + ")" for v in members))
-        decode = {"(" + ",".join(v[j] for j in objs) + ")": v for v in members}
-        legs = {j: FinSetMap(obj, D.on_obj[pair_id(j, j)],
-                             {e: decode[e][j] for e in obj.elements}) for j in objs}
-        return EndResult(obj, WedgeData("", legs, "wedge"), ok_report(len(members)))
+        # h: i -> j; B(id_i,h) at i and B(h,id_j) at j meet in B(i,j)
+        obj, legs = set_limit(objs, diagonal, [
+            (h.dom, at(J.id_of(h.dom), h.name), h.cod, at(h.name, J.id_of(h.cod)))
+            for h in J.morphisms])
+        return EndResult(obj, WedgeData("", legs, "wedge"), ok_report(len(obj)))
     if side == "coend":
-        items = [tagged(j, x) for j in objs for x in D.on_obj[pair_id(j, j)].sorted()]
-        uf = UnionFind(items)
-        for h in J.morphisms:
-            # h: j -> i read per the cowedge condition
-            j, i = h.dom, h.cod
-            for y in D.on_obj[pair_id(i, j)].sorted():
-                left = D.on_mor[pair_id(J.id_of(i), h.name)](y)
-                right = D.on_mor[pair_id(h.name, J.id_of(j))](y)
-                uf.union(tagged(i, left), tagged(j, right))
-        classes = uf.classes()
-        obj = FinSetObj(tuple(sorted(classes)))
-        legs = {j: FinSetMap(D.on_obj[pair_id(j, j)], obj,
-                             {x: uf.find(tagged(j, x))
-                              for x in D.on_obj[pair_id(j, j)].elements})
-                for j in objs}
-        return EndResult(obj, WedgeData("", legs, "cowedge"), ok_report(len(items)))
+        # h: i -> j; y in B(j,i) relates B(id_j,h) y at j with B(h,id_i) y at i
+        obj, legs = set_colimit(objs, diagonal, (
+            (h.cod, x, h.dom, at(h.name, J.id_of(h.dom))[y])
+            for h in J.morphisms for y, x in at(J.id_of(h.cod), h.name).items()))
+        return EndResult(obj, WedgeData("", legs, "cowedge"),
+                         ok_report(sum(len(X) for X in diagonal.values())))
     raise StructuralError(f"unknown side {side!r}")
 
 
@@ -377,30 +343,22 @@ def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[E
 # ---------------------------------------------------------------------------
 # Coend formula for left Kan extensions and the co-Yoneda collapse
 
-def _hom_tensor_bifunctor(K: Functor, F: SetFunctor, d: str) -> SetFunctor:
-    """(c', c) |-> D(Kc', d) x F(c) as a Set bifunctor on op(C) x C."""
-    C = K.dom
-    D = K.cod
-    P = product(opposite(C), C)
+def _tensor_bifunctor(W: SetFunctor, F: SetFunctor, P: FinCat) -> SetFunctor:
+    """(c', c) |-> W(c') x F(c) as a Set bifunctor on P = op(C) x C, for a
+    presheaf W on C (a functor on op(C)) and F on C; elements are pairs "(w,x)"."""
     on_obj = {}
     for o in P.objects:
         cp, c = split_pair(o)
-        on_obj[o] = FinSetObj(tuple(
-            f"({p},{x})" for p in sorted(D.hom(K.obj_map[cp], d))
-            for x in F.on_obj[c].sorted()))
+        on_obj[o] = FinSetObj(tuple(pair_id(w, x) for w in W.on_obj[cp].sorted()
+                                    for x in F.on_obj[c].sorted()))
     on_mor = {}
     for m in P.morphisms:
         fo, g = split_pair(m.name)
         cp0, c0 = split_pair(m.dom)
-        cp1, c1 = split_pair(m.cod)
-        table = {}
-        for p in sorted(D.hom(K.obj_map[cp0], d)):
-            for x in F.on_obj[c0].sorted():
-                moved_p = D.comp(p, K.mor_map[fo])
-                moved_x = F.on_mor[g](x)
-                table[f"({p},{x})"] = f"({moved_p},{moved_x})"
-        on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], table)
-    return SetFunctor(f"hom(K-,{d})xF", P, on_obj, on_mor)
+        on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], {
+            pair_id(w, x): pair_id(W.on_mor[fo](w), F.on_mor[g](x))
+            for w in W.on_obj[cp0].sorted() for x in F.on_obj[c0].sorted()})
+    return SetFunctor(f"({W.name}x{F.name})", P, on_obj, on_mor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,51 +372,47 @@ class CoendKan:
 def lan_via_coend(K: Functor, F: SetFunctor) -> CoendKan:
     """Left Kan extension through the coend of hom-weighted copowers.
 
-    The result is compared with the comma-colimit computation through an
-    explicit natural isomorphism built classwise.
+    The value at d is the coend of D(K-, d) x F; the result is compared with
+    the comma-colimit computation through an explicit natural isomorphism
+    built classwise.
     """
     C, D = K.dom, K.cod
-    per: dict[str, LimitResult] = {}
-    on_obj, on_mor = {}, {}
-    for d in D.objects:
-        B = _hom_tensor_bifunctor(K, F, d)
-        per[d] = end_coend_finset(B, C, "coend")
-        on_obj[d] = per[d].object
+    P = product(opposite(C), C)
+    Kop = opposite_functor(K)
+    per = {d: _end_coend_set(_tensor_bifunctor(_hom_set_functor(d, Kop), F, P), C, "coend")
+           for d in D.objects}
+    on_mor = {}
     for m in D.morphisms:
         d, dp = m.dom, m.cod
-        table = {}
-        for c in C.objects:
-            legs_d = per[d].wedge.components[c]
-            legs_dp = per[dp].wedge.components[c]
-            for p in sorted(D.hom(K.obj_map[c], d)):
-                for x in F.on_obj[c].sorted():
-                    src = legs_d(f"({p},{x})")
-                    tgt = legs_dp(f"({D.comp(m.name, p)},{x})")
-                    if table.setdefault(src, tgt) != tgt:
-                        return CoendKan(None, per, None,
-                                        fail_report(0, "coend-kan-action",
-                                                    morphism=m.name))
-        on_mor[m.name] = FinSetMap(on_obj[d], on_obj[dp], table)
-    L = SetFunctor(f"coendLan[{K.name}]({F.name})", D, on_obj, on_mor)
+        # m acts on the hom factor of each diagonal copower: (p, x) |-> (m.p, x)
+        moves = [(c, {pair_id(p, x): pair_id(D.comp(m.name, p), x)
+                      for p in D.hom(K.obj_map[c], d) for x in F.on_obj[c].elements}, c)
+                 for c in C.objects]
+        f, _ = induced_set_map(COLIMIT, per[d].object, per[d].wedge.components,
+                               per[dp].object, per[dp].wedge.components, moves)
+        if f is None:
+            return CoendKan(None, per, None, fail_report(0, "coend-kan-action",
+                                                         morphism=m.name))
+        on_mor[m.name] = f
+    L = SetFunctor(f"coendLan[{K.name}]({F.name})", D,
+                   {d: per[d].object for d in D.objects}, on_mor)
 
     kr = kan_pointwise(K, F, LEFT)
-    checked = 0
     if kr.extension is None:
         return CoendKan(L, per, None, fail_report(0, "kan-comma-limit",
                                                   at=kr.missing_at))
+    checked = 0
     comps = {}
     for d in D.objects:
-        table = {}
-        comma = kr.commas[d]
-        for o, (c, p) in comma.pairs.items():
-            for x in F.on_obj[c].elements:
-                src = kr.per_object[d].cone.legs.components[o](x)
-                tgt = per[d].wedge.components[c](f"({p},{x})")
-                checked += 1
-                if table.setdefault(src, tgt) != tgt:
-                    return CoendKan(L, per, None,
-                                    fail_report(checked, "coend-kan-iso", at=d))
-        m = FinSetMap(kr.extension.on_obj[d], L.on_obj[d], table)
+        # x at the comma object (c, p) goes to (p, x) in the copower at c
+        src = kr.per_object[d]
+        moves = [(o, {x: pair_id(p, x) for x in F.on_obj[c].elements}, c)
+                 for o, (c, p) in kr.commas[d].pairs.items()]
+        m, n = induced_set_map(COLIMIT, src.object, src.cone.legs.components,
+                               per[d].object, per[d].wedge.components, moves)
+        checked += n
+        if m is None:
+            return CoendKan(L, per, None, fail_report(checked, "coend-kan-iso", at=d))
         if not m.is_bijection():
             return CoendKan(L, per, None,
                             fail_report(checked, "coend-kan-iso", at=d,
@@ -489,8 +443,8 @@ def coyoneda_witness(F: SetFunctor, d: str) -> CoyonedaWitness:
     C = F.dom
     if d not in C.objects:
         raise StructuralError(f"unknown object {d}")
-    B = _hom_tensor_bifunctor(identity_functor(C), F, d)
-    res = end_coend_finset(B, C, "coend")
+    W = hom_functor(C, d, "contravariant")
+    res = _end_coend_set(_tensor_bifunctor(W, F, product(opposite(C), C)), C, "coend")
     legs = res.wedge.components
     to_table = {}
     checked = 0
@@ -567,32 +521,27 @@ def weighted_limit(W: SetFunctor, F: Union[Functor, SetFunctor],
 
 
 def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
+    """lim^W F as the end of Set(W(c'), F(c)), certified against Nat(W, F)."""
     C = W.dom
     if F.dom != C:
         raise StructuralError("weight and diagram must share their category")
     P = product(opposite(C), C)
-    on_obj, on_mor = {}, {}
-    for o in P.objects:
-        cp, c = split_pair(o)
-        on_obj[o] = FinSetObj(tuple(table_id(t) for t in all_maps(W.on_obj[cp],
-                                                                  F.on_obj[c])))
     decode = {}
     for o in P.objects:
         cp, c = split_pair(o)
         decode[o] = {table_id(t): t for t in all_maps(W.on_obj[cp], F.on_obj[c])}
+    on_obj = {o: FinSetObj(tuple(decode[o])) for o in P.objects}
+    on_mor = {}
     for m in P.morphisms:
         fo, g = split_pair(m.name)
-        table = {}
-        cp0, c0 = split_pair(m.dom)
-        for eid in on_obj[m.dom].elements:
-            t = decode[m.dom][eid]
-            moved = FinSetMap(W.on_obj[split_pair(m.cod)[0]], F.on_obj[split_pair(m.cod)[1]],
-                              {w: F.on_mor[g](t(W.on_mor[fo](w)))
-                               for w in W.on_obj[split_pair(m.cod)[0]].elements})
-            table[eid] = table_id(moved)
-        on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], table)
+        cp1, c1 = split_pair(m.cod)
+        on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], {
+            eid: table_id(FinSetMap(W.on_obj[cp1], F.on_obj[c1],
+                                    {w: F.on_mor[g](t(W.on_mor[fo](w)))
+                                     for w in W.on_obj[cp1].elements}))
+            for eid, t in decode[m.dom].items()})
     B = SetFunctor(f"Set(W-,{F.name}-)", P, on_obj, on_mor)
-    res = end_coend_finset(B, C, "end")
+    res = _end_coend_set(B, C, "end")
     # the end elements are exactly the natural families: certify against the
     # independent enumeration, elementwise
     nats = enumerate_set_naturals(W, F)
@@ -611,46 +560,10 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     if len(seen) != len(nats):
         return WeightedResult(res.object, fail_report(
             checked, "weighted-limit-naturals", failure="not bijective"))
-    # defining bijection Set(e, lim^W F) ~ Nat(W, Set(e, F-)) on probes
-    for probe in (SINGLETON, FinSetObj(("p0", "p1"))):
-        homF = SetFunctor(f"maps({probe.sorted()},F-)", C,
-                          {c: FinSetObj(tuple(table_id(t)
-                                              for t in all_maps(probe, F.on_obj[c])))
-                           for c in C.objects},
-                          {m.name: FinSetMap(
-                              FinSetObj(tuple(table_id(t)
-                                              for t in all_maps(probe, F.on_obj[m.dom]))),
-                              FinSetObj(tuple(table_id(t)
-                                              for t in all_maps(probe, F.on_obj[m.cod]))),
-                              {table_id(t): table_id(t.then(F.on_mor[m.name]))
-                               for t in all_maps(probe, F.on_obj[m.dom])})
-                           for m in C.morphisms})
-        target = enumerate_set_naturals(W, homF)
-        target_set = set(target)
-        images = set()
-        for h in all_maps(probe, res.object):
-            comps = {}
-            for c in C.objects:
-                tbl = {}
-                for w in W.on_obj[c].elements:
-                    t = FinSetMap(probe, F.on_obj[c],
-                                  {q: decode[pair_id(c, c)][
-                                      res.wedge.components[c](h(q))](w)
-                                   for q in probe.elements})
-                    tbl[w] = table_id(t)
-                comps[c] = FinSetMap(W.on_obj[c], homF.on_obj[c], tbl)
-            cand = SetNatTrans("transposed", W, homF, comps)
-            checked += 1
-            if not validate_set_natural(cand).ok or cand not in target_set:
-                return WeightedResult(res.object, fail_report(
-                    checked, "weighted-limit-defining-bijection",
-                    probe=str(probe.sorted())))
-            images.add(cand.key())
-        if len(images) != len(target):
-            return WeightedResult(res.object, fail_report(
-                checked, "weighted-limit-defining-bijection",
-                probe=str(probe.sorted()), failure="not bijective"))
-    return WeightedResult(res.object, ok_report(checked))
+    return WeightedResult(res.object, _defining_bijection(
+        W, F, res.object, LIMIT, checked, lambda h, c, w: FinSetMap(
+            h.dom, F.on_obj[c], {q: decode[pair_id(c, c)][res.wedge.components[c](h(q))](w)
+                                 for q in h.dom.elements})))
 
 
 def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
@@ -659,62 +572,52 @@ def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     C = opposite(opC)
     if F.dom != C:
         raise StructuralError("diagram must live on the base category")
-    P = product(opC, C)
-    on_obj, on_mor = {}, {}
-    for o in P.objects:
-        cp, c = split_pair(o)
-        on_obj[o] = FinSetObj(tuple(f"({w},{x})" for w in W.on_obj[cp].sorted()
-                                    for x in F.on_obj[c].sorted()))
-    for m in P.morphisms:
-        fo, g = split_pair(m.name)
-        table = {}
-        cp0, c0 = split_pair(m.dom)
-        for w in W.on_obj[cp0].sorted():
-            for x in F.on_obj[c0].sorted():
-                table[f"({w},{x})"] = f"({W.on_mor[fo](w)},{F.on_mor[g](x)})"
-        on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], table)
-    B = SetFunctor(f"({W.name}x{F.name})", P, on_obj, on_mor)
-    res = end_coend_finset(B, C, "coend")
-    # defining bijection Set(colim^W F, e) ~ Nat(W, Set(F-, e)) on probes
-    checked = 0
+    res = _end_coend_set(_tensor_bifunctor(W, F, product(opC, C)), C, "coend")
+    return WeightedResult(res.object, _defining_bijection(
+        W, F, res.object, COLIMIT, 0, lambda h, c, w: FinSetMap(
+            F.on_obj[c], h.cod, {x: h(res.wedge.components[c](pair_id(w, x)))
+                                 for x in F.on_obj[c].elements})))
+
+
+def _defining_bijection(W: SetFunctor, F: SetFunctor, obj: FinSetObj, side: str,
+                        checked: int, transpose) -> Report:
+    """The defining bijection of the Set weighted (co)limit obj on probe sets e.
+
+    Side LIMIT: Set(e, lim^W F) ~ Nat(W, Set(e, F-)); side COLIMIT:
+    Set(colim^W F, e) ~ Nat(W, Set(F-, e)), with F on C and W on op(C).
+    transpose(h, c, w) is the map between e and F(c) that h sends w to;
+    `checked` counts on from the checks already made.
+    """
+    law = f"weighted-{side}-defining-bijection"
     for probe in (SINGLETON, FinSetObj(("p0", "p1"))):
-        homF = SetFunctor(
-            f"maps(F-,{probe.sorted()})", opC,
-            {c: FinSetObj(tuple(table_id(t) for t in all_maps(F.on_obj[c], probe)))
-             for c in C.objects},
-            {m.name: FinSetMap(
-                FinSetObj(tuple(table_id(t)
-                                for t in all_maps(F.on_obj[m.dom], probe))),
-                FinSetObj(tuple(table_id(t)
-                                for t in all_maps(F.on_obj[m.cod], probe))),
-                {table_id(t): table_id(F.on_mor[m.name].then(t))
-                 for t in all_maps(F.on_obj[m.dom], probe)})
-             for m in opC.morphisms})
+        def maps(c: str):
+            return all_maps(probe, F.on_obj[c]) if side == LIMIT else all_maps(F.on_obj[c], probe)
+
+        def act(f: str, t: FinSetMap) -> FinSetMap:
+            return t.then(F.on_mor[f]) if side == LIMIT else F.on_mor[f].then(t)
+
+        hom = {c: FinSetObj(tuple(table_id(t) for t in maps(c))) for c in W.dom.objects}
+        homF = SetFunctor(f"maps({probe.sorted()},F-)" if side == LIMIT
+                          else f"maps(F-,{probe.sorted()})", W.dom, hom,
+                          {m.name: FinSetMap(hom[m.dom], hom[m.cod],
+                                             {table_id(t): table_id(act(m.name, t))
+                                              for t in maps(m.dom)})
+                           for m in W.dom.morphisms})
         target = enumerate_set_naturals(W, homF)
         target_set = set(target)
         images = set()
-        for h in all_maps(res.object, probe):
-            comps = {}
-            for c in C.objects:
-                tbl = {}
-                for w in W.on_obj[c].elements:
-                    t = FinSetMap(F.on_obj[c], probe,
-                                  {x: h(res.wedge.components[c](f"({w},{x})"))
-                                   for x in F.on_obj[c].elements})
-                    tbl[w] = table_id(t)
-                comps[c] = FinSetMap(W.on_obj[c], homF.on_obj[c], tbl)
+        for h in (all_maps(probe, obj) if side == LIMIT else all_maps(obj, probe)):
+            comps = {c: FinSetMap(W.on_obj[c], hom[c], {w: table_id(transpose(h, c, w))
+                                                        for w in W.on_obj[c].elements})
+                     for c in W.dom.objects}
             cand = SetNatTrans("transposed", W, homF, comps)
             checked += 1
             if not validate_set_natural(cand).ok or cand not in target_set:
-                return WeightedResult(res.object, fail_report(
-                    checked, "weighted-colimit-defining-bijection",
-                    probe=str(probe.sorted())))
+                return fail_report(checked, law, probe=str(probe.sorted()))
             images.add(cand.key())
         if len(images) != len(target):
-            return WeightedResult(res.object, fail_report(
-                checked, "weighted-colimit-defining-bijection",
-                probe=str(probe.sorted()), failure="not bijective"))
-    return WeightedResult(res.object, ok_report(checked))
+            return fail_report(checked, law, probe=str(probe.sorted()), failure="not bijective")
+    return ok_report(checked)
 
 
 def _weighted_limit_general(W: SetFunctor, F: Functor, side: str) -> WeightedResult:

@@ -3,7 +3,10 @@ finite Set, limit functors, preservation and interchange checks.
 
 Two independent computation paths exist for Set-valued diagrams (cone search
 over a materialized subcategory vs direct tuple/quotient construction); their
-agreement is this module's own oracle.
+agreement is this module's own oracle.  The direct path has one kernel per
+side, `set_limit` (matching tuples) and `set_colimit` (a union-find quotient),
+and one `induced_set_map` for the map between two of them; the Set ends,
+coends, Kan extensions and interchange isos in kan.py run on the same three.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from typing import Mapping, Optional, Union
 from .core import (
     FinCat,
     Functor,
-    Mor,
     NatTrans,
     Report,
     StructuralError,
@@ -36,6 +38,7 @@ from .finset import (
     FinSetObj,
     SetFunctor,
     SetNatTrans,
+    _tables,
     all_maps,
     const_set_functor,
 )
@@ -175,63 +178,103 @@ def _induced(C: FinCat, direction: str, src: LimitResult, tgt: LimitResult,
 
 # ---------------------------------------------------------------------------
 # Direct path in finite Set
+#
+# Every Set (co)limit-shaped construction, here and in kan.py, runs on two
+# kernels: matching tuples for limits and a union-find quotient of the tagged
+# disjoint union for colimits.  The map between two of them induced by a map
+# of diagrams is built by one helper.
 
-def _tuple_id(values: dict[str, str], objs: tuple[str, ...]) -> str:
-    return "(" + ",".join(values[j] for j in objs) + ")"
+_PROBE_SIZES = (1, 2)   # the sizes of the probe apexes a Set certificate tries
 
 
 def tagged(j: str, x: str) -> str:
     return f"{j}:{x}"
 
 
-def limit_finset(D: SetFunctor, direction: str = LIMIT,
-                 probe_sizes: tuple[int, ...] = (1, 2)) -> LimitResult:
+def set_limit(objs, values, equations) -> tuple[FinSetObj, dict[str, FinSetMap]]:
+    """The tuples (x_j) over objs, x_j in values[j], with f[x_a] == g[x_b] for
+    every (a, f, b, g) in equations; elements are named "(x_1,...,x_n)".
+    Returns the set and its projections."""
+    pos = {j: n for n, j in enumerate(objs)}
+    eqs = [(pos[a], f, pos[b], g) for a, f, b, g in equations]
+    members = [combo for combo in itertools.product(*[values[j].sorted() for j in objs])
+               if all(f[combo[a]] == g[combo[b]] for a, f, b, g in eqs)]
+    names = ["(" + ",".join(combo) + ")" for combo in members]
+    obj = FinSetObj(tuple(names))
+    return obj, {j: FinSetMap(obj, values[j], {e: combo[n] for e, combo in zip(names, members)})
+                 for n, j in enumerate(objs)}
+
+
+def set_colimit(objs, values, relations) -> tuple[FinSetObj, dict[str, FinSetMap]]:
+    """The disjoint union of values[j] over objs, elements tagged "j:x",
+    quotiented by the relations (a, x, b, y): x at a ~ y at b.  Classes are
+    named by their least tagged member.  Returns the set and its injections."""
+    uf = UnionFind(tagged(j, x) for j in objs for x in values[j].sorted())
+    for a, x, b, y in relations:
+        uf.union(tagged(a, x), tagged(b, y))
+    obj = FinSetObj(tuple(sorted(uf.classes())))
+    return obj, {j: FinSetMap(values[j], obj, {x: uf.find(tagged(j, x))
+                                               for x in values[j].elements})
+                 for j in objs}
+
+
+def induced_set_map(direction: str, src: FinSetObj, src_legs, tgt: FinSetObj, tgt_legs,
+                    moves) -> tuple[Optional[FinSetMap], int]:
+    """The map src -> tgt between two Set (co)limits induced by a map of diagrams.
+
+    Each move (k, t, k2) carries the diagram value at src leg k to the one at
+    tgt leg k2 by the table t (None for the identity).  A limit element goes
+    to the tgt element whose leg values are its moved leg values, looked up by
+    those values; the class of x at k goes to the class of t[x] at k2.
+    Returns the map, or None at the first element where it is not well
+    defined, and the number of elements checked.
+    """
+    checks = 0
+    table: dict[str, str] = {}
+    if direction == LIMIT:
+        by_values: dict[tuple, Optional[str]] = {}
+        for e2 in tgt.elements:
+            key = tuple(tgt_legs[k2].table[e2] for _, _, k2 in moves)
+            by_values[key] = None if key in by_values else e2
+        moved = [(src_legs[k].table, t) for k, t, _ in moves]
+        for e in src.elements:
+            checks += 1
+            e2 = by_values.get(tuple(leg[e] if t is None else t[leg[e]] for leg, t in moved))
+            if e2 is None:
+                return None, checks
+            table[e] = e2
+    else:
+        for k, t, k2 in moves:
+            leg, leg2 = src_legs[k].table, tgt_legs[k2].table
+            for x in src_legs[k].dom.elements:
+                checks += 1
+                cls = leg2[x if t is None else t[x]]
+                if table.setdefault(leg[x], cls) != cls:
+                    return None, checks
+    return FinSetMap(src, tgt, table), checks
+
+
+def limit_finset(D: SetFunctor, direction: str = LIMIT) -> LimitResult:
     """Limits as matching-tuple sets, colimits as union-find quotients.
 
     The certificate verifies unique factorization against every (co)cone whose
-    apex is a probe set of the configured sizes.
+    apex is a probe set of _PROBE_SIZES elements.
     """
     J = D.dom
     objs = J.sorted_objects()
     if direction == LIMIT:
-        pools = [D.on_obj[j].sorted() for j in objs]
-        members = []
-        for combo in itertools.product(*pools):
-            values = dict(zip(objs, combo))
-            if all(D.on_mor[m.name](values[m.dom]) == values[m.cod]
-                   for m in J.morphisms):
-                members.append(values)
-        obj = FinSetObj(tuple(_tuple_id(v, objs) for v in members))
-        decode = {_tuple_id(v, objs): v for v in members}
-        legs = {j: FinSetMap(obj, D.on_obj[j], {e: decode[e][j] for e in obj.elements})
-                for j in objs}
-        nat = SetNatTrans(f"lim-cone({D.name})", const_set_functor(J, obj), D,
-                          {j: legs[j] for j in objs})
-        cert = _certify_finset(D, direction, obj, legs, probe_sizes)
-        return LimitResult(obj, ConeData("", nat, "cone"), cert)
-
-    if direction == COLIMIT:
-        items = [tagged(j, x) for j in objs for x in D.on_obj[j].sorted()]
-        uf = UnionFind(items)
-        for m in J.morphisms:
-            for x in D.on_obj[m.dom].sorted():
-                uf.union(tagged(m.dom, x), tagged(m.cod, D.on_mor[m.name](x)))
-        classes = uf.classes()
-        obj = FinSetObj(tuple(sorted(classes)))
-        legs = {j: FinSetMap(D.on_obj[j], obj,
-                             {x: uf.find(tagged(j, x)) for x in D.on_obj[j].elements})
-                for j in objs}
-        nat = SetNatTrans(f"colim-cocone({D.name})", D, const_set_functor(J, obj),
-                          {j: legs[j] for j in objs})
-        cert = _certify_finset(D, direction, obj, legs, probe_sizes)
-        return LimitResult(obj, ConeData("", nat, "cocone"), cert)
-
-    raise StructuralError(f"unknown direction {direction!r}")
-
-
-def _probe_sets(sizes: tuple[int, ...]):
-    for n in sizes:
-        yield FinSetObj(tuple(f"p{i}" for i in range(n)))
+        obj, legs = set_limit(objs, D.on_obj, [
+            (m.dom, D.on_mor[m.name].table, m.cod, {y: y for y in D.on_obj[m.cod].elements})
+            for m in J.morphisms])
+        nat = SetNatTrans(f"lim-cone({D.name})", const_set_functor(J, obj), D, legs)
+    elif direction == COLIMIT:
+        obj, legs = set_colimit(objs, D.on_obj, ((m.dom, x, m.cod, y) for m in J.morphisms
+                                                 for x, y in D.on_mor[m.name].table.items()))
+        nat = SetNatTrans(f"colim-cocone({D.name})", D, const_set_functor(J, obj), legs)
+    else:
+        raise StructuralError(f"unknown direction {direction!r}")
+    return LimitResult(obj, ConeData("", nat, "cone" if direction == LIMIT else "cocone"),
+                       _certify_finset(D, direction, obj, legs))
 
 
 def _factor_count_limit(signature: dict[tuple, int], order: tuple[str, ...],
@@ -263,7 +306,7 @@ def _factor_count_colimit(obj: FinSetObj, legs: dict[str, FinSetMap],
 
 
 def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
-                    legs: dict[str, FinSetMap], probe_sizes) -> Report:
+                    legs: dict[str, FinSetMap]) -> Report:
     """Unique factorization of every probe (co)cone, on raw tables.
 
     Candidate families run in all_maps order, so `checked` and the first
@@ -271,19 +314,16 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
     """
     J = D.dom
     objs = J.sorted_objects()
-    arrows = []
-    for m in J.morphisms:
-        t = D.on_mor[m.name]
-        if t.dom != D.on_obj[m.dom] or t.cod != D.on_obj[m.cod]:
-            raise StructuralError(f"{D.name}: table at {m.name} has wrong endpoints")
-        arrows.append((m.dom, m.cod, t.table))
+    tables = _tables(D)
+    arrows = [(m.dom, m.cod, tables[m.name]) for m in J.morphisms]
     checked = 0
     signature: dict[tuple, int] = {}
     if direction == LIMIT:
         for e in obj.elements:
             k = tuple(legs[j](e) for j in objs)
             signature[k] = signature.get(k, 0) + 1
-    for P in _probe_sets(probe_sizes):
+    for size in _PROBE_SIZES:
+        P = FinSetObj(tuple(f"p{i}" for i in range(size)))
         if direction == LIMIT:
             choices = [[t.table for t in all_maps(P, D.on_obj[j])] for j in objs]
         else:
@@ -474,120 +514,52 @@ def interchange_check_finset(D: SetFunctor, I: FinCat, J: FinCat,
     joint = limit_finset(D, direction)
 
     def inner_then_outer(A: FinCat, B: FinCat, flip: bool):
+        def key(a: str, b: str) -> str:
+            return pair_id(b, a) if flip else pair_id(a, b)
+
         per: dict[str, LimitResult] = {}
         for a in A.objects:
-            Da = SetFunctor(
-                f"{D.name}({a},-)", B,
-                {b: D.on_obj[pair_id(a, b) if not flip else pair_id(b, a)]
-                 for b in B.objects},
-                {m.name: D.on_mor[pair_id(A.id_of(a), m.name) if not flip
-                                  else pair_id(m.name, A.id_of(a))]
-                 for m in B.morphisms})
+            Da = SetFunctor(f"{D.name}({a},-)", B, {b: D.on_obj[key(a, b)] for b in B.objects},
+                            {m.name: D.on_mor[key(A.id_of(a), m.name)] for m in B.morphisms})
             per[a] = limit_finset(Da, direction)
-        outerD = SetFunctor(
-            f"{direction}_inner({D.name})", A,
-            {a: per[a].object for a in A.objects},
-            {m.name: _induced_map(per[m.dom], per[m.cod], D, A, B, m, flip, direction)
-             for m in A.morphisms})
+        on_mor = {}
+        for m in A.morphisms:
+            src, tgt = per[m.dom], per[m.cod]
+            f, _ = induced_set_map(direction, src.object, src.cone.legs.components,
+                                   tgt.object, tgt.cone.legs.components,
+                                   [(b, D.on_mor[key(m.name, B.id_of(b))].table, b)
+                                    for b in B.objects])
+            if f is None:
+                raise StructuralError(f"induced map between inner {direction}s not well defined")
+            on_mor[m.name] = f
+        outerD = SetFunctor(f"{direction}_inner({D.name})", A,
+                            {a: per[a].object for a in A.objects}, on_mor)
         return limit_finset(outerD, direction), per
 
     outer, per_i = inner_then_outer(I, J, flip=False)
     outer2, per_j = inner_then_outer(J, I, flip=True)
-    checked = 0
+
+    def witness(report: Report) -> InterchangeWitness:
+        return InterchangeWitness(outer.object, joint.object, outer2.object, report)
+
     if not (joint.certificate.ok and outer.certificate.ok and outer2.certificate.ok):
-        return InterchangeWitness(outer.object, joint.object, outer2.object,
-                                  fail_report(checked + 1, "limit-interchange",
-                                              failure="inner certificate"))
-    if direction == LIMIT:
-        # joint elements are determined by their leg values at every (a, b);
-        # map a nested element to the unique joint element with the same values
-        signature = {}
-        for e in joint.object.elements:
-            key = tuple(sorted((o, joint.cone.legs.components[o](e))
-                               for o in D.dom.objects))
-            signature[key] = e
-
-        def nested_to_joint(res, per, flip):
-            nonlocal checked
-            table = {}
-            for e in res.object.elements:
-                values = {}
-                for a, inner_res in per.items():
-                    mid = res.cone.legs.components[a](e)
-                    for b, leg in inner_res.cone.legs.components.items():
-                        o = pair_id(b, a) if flip else pair_id(a, b)
-                        values[o] = leg(mid)
-                key = tuple(sorted(values.items()))
-                checked += 1
-                if key not in signature:
-                    return None
-                table[e] = signature[key]
-            return FinSetMap(res.object, joint.object, table)
-
-        for res, per, flip in ((outer, per_i, False), (outer2, per_j, True)):
-            m = nested_to_joint(res, per, flip)
-            if m is None or not m.is_bijection():
-                return InterchangeWitness(outer.object, joint.object, outer2.object,
-                                          fail_report(checked, "limit-interchange",
-                                                      failure="no bijection"))
-        return InterchangeWitness(outer.object, joint.object, outer2.object,
-                                  ok_report(checked))
-
-    # colimit: classes correspond through the quotient legs
-
-    def joint_to_nested(res, per, flip):
-        nonlocal checked
-        table = {}
+        return witness(fail_report(1, "limit-interchange", failure="inner certificate"))
+    # a nested element goes to the joint element with the same leg values at
+    # every (a, b); a joint class goes to the nested class of its members
+    checked = 0
+    for res, per, flip in ((outer, per_i, False), (outer2, per_j, True)):
+        links = []
         for o in D.dom.objects:
             i, j = split_pair(o)
-            outer_key, inner_key = (j, i) if flip else (i, j)
-            for x in D.on_obj[o].elements:
-                src = joint.cone.legs.components[o](x)
-                mid = per[outer_key].cone.legs.components[inner_key](x)
-                tgt = res.cone.legs.components[outer_key](mid)
-                checked += 1
-                if table.setdefault(src, tgt) != tgt:
-                    return None
-        return FinSetMap(joint.object, res.object, table)
-
-    for res, per, flip in ((outer, per_i, False), (outer2, per_j, True)):
-        m = joint_to_nested(res, per, flip)
+            a, b = (j, i) if flip else (i, j)
+            links.append((o, per[a].cone.legs.components[b].table, a))
+        if direction == LIMIT:
+            src, tgt, moves = res, joint, [(a, t, o) for o, t, a in links]
+        else:
+            src, tgt, moves = joint, res, links
+        m, n = induced_set_map(direction, src.object, src.cone.legs.components,
+                               tgt.object, tgt.cone.legs.components, moves)
+        checked += n
         if m is None or not m.is_bijection():
-            return InterchangeWitness(outer.object, joint.object, outer2.object,
-                                      fail_report(checked, "limit-interchange",
-                                                  failure="no bijection"))
-    return InterchangeWitness(outer.object, joint.object, outer2.object,
-                              ok_report(checked))
-
-
-def _induced_map(src: LimitResult, tgt: LimitResult, D: SetFunctor,
-                 A: FinCat, B: FinCat, m: Mor, flip: bool, direction: str) -> FinSetMap:
-    """The map between inner (co)limits induced by an A-morphism, built elementwise."""
-
-    def dkey(a: str, b: str) -> str:
-        return pair_id(a, b) if not flip else pair_id(b, a)
-
-    if direction == LIMIT:
-        table = {}
-        for e in src.object.elements:
-            values = {}
-            for b in B.objects:
-                x = src.cone.legs.components[b](e)
-                values[b] = D.on_mor[dkey(m.name, B.id_of(b))](x)
-            e2, _ = unique_factor(tgt.object.elements,
-                                  lambda e2: all(tgt.cone.legs.components[b](e2) == values[b]
-                                                 for b in B.objects))
-            if e2 is None:
-                raise StructuralError("induced map between inner limits not unique")
-            table[e] = e2
-        return FinSetMap(src.object, tgt.object, table)
-    table = {}
-    for b in B.objects:
-        for x in D.on_obj[dkey(m.dom, b)].elements:
-            src_cls = src.cone.legs.components[b](x)
-            moved = D.on_mor[dkey(m.name, B.id_of(b))](x)
-            tgt_cls = tgt.cone.legs.components[b](moved)
-            if src_cls in table and table[src_cls] != tgt_cls:
-                raise StructuralError("induced map between inner colimits ill-defined")
-            table[src_cls] = tgt_cls
-    return FinSetMap(src.object, tgt.object, table)
+            return witness(fail_report(checked, "limit-interchange", failure="no bijection"))
+    return witness(ok_report(checked))

@@ -96,3 +96,42 @@ def test_corpus_mutations_end_with_an_exit_code(tmp_path):
         except Exception as exc:  # report the mutant that escaped
             raise AssertionError(f"mutant {i} of {name}, {command}: {exc!r}\n{mutant}") from exc
         assert code in (0, 1, 2), (i, name, command, mutant)
+
+
+TERMS = re.compile(r'term \w+ = "([^"]*)";')
+TERM_TOKEN = re.compile(r"\w+|\S")
+TERM_MUTANTS = 200
+
+
+def _mutate_term(rng: random.Random, term: str, vocabulary: list[str]) -> str:
+    """One seeded edit of a term string: delete, replace or duplicate a token."""
+    spans = [m.span() for m in TERM_TOKEN.finditer(term)]
+    a, b = spans[rng.randrange(len(spans))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return term[:a] + term[b:]
+    if kind == 1:
+        return term[:a] + rng.choice(vocabulary) + term[b:]
+    return term[:b] + " " + term[a:b] + term[b:]
+
+
+def test_term_string_mutations_end_with_an_exit_code(tmp_path):
+    path = CORPUS / "terms.cat"
+    terms = TERMS.findall(path.read_text())
+    assert len(terms) == 3
+    vocabulary = sorted({t for term in terms for t in TERM_TOKEN.findall(term)} | {"(", ")"})
+    svg = tmp_path / "out.svg"
+    rng = random.Random(11)
+    codes = set()
+    for i in range(TERM_MUTANTS):
+        mutant = _mutate_term(rng, terms[i % len(terms)], vocabulary)
+        for command in (("diagram-eval", mutant), ("diagram-normalize", mutant),
+                        ("render", mutant, "-o", str(svg))):
+            try:
+                code, _ = _run(path, command)
+            except Exception as exc:  # report the mutant that escaped
+                raise AssertionError(f"mutant {i}, {command}: {exc!r}") from exc
+            assert code in (0, 1, 2), (i, command)
+            codes.add(code)
+    # some mutants still typecheck and some do not parse
+    assert {0, 2} <= codes

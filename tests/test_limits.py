@@ -433,9 +433,9 @@ def test_raw_table_certificate_matches_composed_maps():
             want = _reference_certify_finset(D, direction, res.object, legs, (1, 2))
             assert want.ok and want.checked > 0
             assert res.certificate == want, (i, direction)
-            assert _certify_finset(D, direction, res.object, legs, (1, 2)) == want
+            assert _certify_finset(D, direction, res.object, legs) == want
             wrong = _wrong_cone(direction, res.object, legs)
             want = _reference_certify_finset(D, direction, *wrong, (1, 2))
-            assert _certify_finset(D, direction, *wrong, (1, 2)) == want, (i, direction)
+            assert _certify_finset(D, direction, *wrong) == want, (i, direction)
             failures += not want.ok
     assert failures == 60
