@@ -477,23 +477,30 @@ def validate_category(C: FinCat) -> Report:
     for a, i in C.identity.items():
         if not (C.mor[i].dom == a and C.mor[i].cod == a):
             return fail_report(checked, "identity-endpoints", object=a, identity=i)
-    pair_list = list(composable_pairs(C))
-    for g, f in pair_list:
-        if (g.name, f.name) not in C.compose:
+    comp, into = C.compose, C._into
+    # g -> (f, g.f) for each f into g's domain, in _into order
+    after: dict[str, list[tuple[str, str]]] = {}
+    for g, f in composable_pairs(C):
+        gf = comp.get((g.name, f.name))
+        if gf is None:
             raise StructuralError(
                 f"{C.name}: incomplete composition table, missing ({g.name},{f.name})")
+        after.setdefault(g.name, []).append((f.name, gf))
         checked += 1
     for m in C.morphisms:
         if C.comp(m.name, C.identity[m.dom]) != m.name:
             return fail_report(checked, "unit", morphism=m.name, side="right")
         if C.comp(C.identity[m.cod], m.name) != m.name:
             return fail_report(checked, "unit", morphism=m.name, side="left")
+    # every lookup below is of a composable pair, present by the pass above
     for h in C.morphisms:
-        for g in C._into.get(h.dom, ()):
-            for f in C._into.get(g.dom, ()):
+        hn = h.name
+        for g in into.get(h.dom, ()):
+            hg = comp[(hn, g.name)]
+            for fn, gf in after.get(g.name, ()):
                 checked += 1
-                if C.comp(h.name, C.comp(g.name, f.name)) != C.comp(C.comp(h.name, g.name), f.name):
-                    return fail_report(checked, "associativity", h=h.name, g=g.name, f=f.name)
+                if comp[(hn, gf)] != comp[(hg, fn)]:
+                    return fail_report(checked, "associativity", h=hn, g=g.name, f=fn)
     return ok_report(checked)
 
 
@@ -633,22 +640,39 @@ def split_pair(p: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Functor categories
 
+def _assignment(table: Mapping[str, str], keys) -> str:
+    return ";".join(f"{k}↦{table[k]}" for k in keys)
+
+
+def _nat_id(fid: str, gid: str, components: Mapping[str, str], objs) -> str:
+    return f"{fid}=>{gid}:[{_assignment(components, objs)}]"
+
+
+def _functor_id(obj_map: Mapping[str, str], objs, mor_map: Mapping[str, str], gens) -> str:
+    obj = _assignment(obj_map, objs)
+    return obj + "|" + _assignment(mor_map, gens) if gens else obj
+
+
 def canonical_functor_id(F: Functor) -> str:
     """Stable cross-run object id for a functor inside a functor category."""
-    obj = ";".join(f"{a}↦{F.obj_map[a]}" for a in sorted(F.obj_map))
-    gens = F.dom.nonidentity_mor_names()
-    if not gens:
-        return obj
-    return obj + "|" + ";".join(f"{f}↦{F.mor_map[f]}" for f in gens)
+    return _functor_id(F.obj_map, sorted(F.obj_map), F.mor_map, F.dom.nonidentity_mor_names())
 
 
 def canonical_nat_id(alpha: NatTrans) -> str:
-    comps = ";".join(f"{a}↦{alpha.components[a]}" for a in sorted(alpha.components))
-    return f"{canonical_functor_id(alpha.src)}=>{canonical_functor_id(alpha.tgt)}:[{comps}]"
+    return _nat_id(canonical_functor_id(alpha.src), canonical_functor_id(alpha.tgt),
+                   alpha.components, sorted(alpha.components))
 
 
 def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[Functor]:
-    """All functors C -> D by backtracking, in canonical id order."""
+    """All functors C -> D, each named by its canonical id, in id order.
+
+    For each object assignment, the generators (C's non-identity morphisms in
+    name order) are assigned one by one, backtracking over D's hom-sets.  Each
+    composable pair (g, f, g.f) of C is tested once on a path, at the step
+    that assigns the last of its three members; pairs of identities are tested
+    before the first step.  A node thus tests only the pairs its own
+    assignment completed: its ancestors passed all the others.
+    """
     guard = DEFAULT_GUARD if guard is None else guard
     objs = C.sorted_objects()
     d_objs = D.sorted_objects()
@@ -656,78 +680,106 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
         raise GuardExceeded(
             f"functor enumeration {C.name} -> {D.name} exceeds guard {guard}")
     gens = C.nonidentity_mor_names()
-    pairs = [(g.name, f.name) for g, f in composable_pairs(C)]
-    out = []
+    ids = [C.id_of(a) for a in objs]
+    step = dict.fromkeys(ids, 0)
+    step.update((f, i + 1) for i, f in enumerate(gens))
+    # due[0]: pairs of identities; due[i + 1]: the pairs gens[i] completes
+    due: list[list[tuple[str, str, str]]] = [[] for _ in range(len(gens) + 1)]
+    for g, f in composable_pairs(C):
+        gf = C.comp(g.name, f.name)
+        due[max(step[g.name], step[f.name], step[gf])].append((g.name, f.name, gf))
+    ends = [(C.mor[f].dom, C.mor[f].cod) for f in gens]
+    out: list[Functor] = []
+    obj_map: dict[str, str] = {}
+    mor_map: dict[str, str] = {}
+
+    def holds(pairs) -> bool:
+        for g, f, gf in pairs:
+            if D.comp(mor_map[g], mor_map[f]) != mor_map[gf]:
+                return False
+        return True
+
+    def extend(i: int):
+        # an entry left by a sibling branch is overwritten before a test reads it
+        if i == len(gens):
+            out.append(Functor(_functor_id(obj_map, objs, mor_map, gens), C, D, obj_map, mor_map))
+            return
+        f = gens[i]
+        a, b = ends[i]
+        for u in D.hom(obj_map[a], obj_map[b]):
+            mor_map[f] = u
+            if holds(due[i + 1]):
+                extend(i + 1)
+
     for choice in itertools.product(d_objs, repeat=len(objs)):
         obj_map = dict(zip(objs, choice))
-        mor_map = {C.id_of(a): D.id_of(obj_map[a]) for a in objs}
-
-        def extend(i: int):
-            if i == len(gens):
-                for g, f in pairs:
-                    gf = C.comp(g, f)
-                    if D.comp(mor_map[g], mor_map[f]) != mor_map[gf]:
-                        return
-                out.append(Functor("F", C, D, obj_map, mor_map))
-                return
-            f = gens[i]
-            m = C.mor[f]
-            for u in D.hom(obj_map[m.dom], obj_map[m.cod]):
-                mor_map[f] = u
-                ok = True
-                for g2, f2 in pairs:
-                    if g2 in mor_map and f2 in mor_map:
-                        gf = C.comp(g2, f2)
-                        if gf in mor_map and D.comp(mor_map[g2], mor_map[f2]) != mor_map[gf]:
-                            ok = False
-                            break
-                if ok:
-                    extend(i + 1)
-                del mor_map[f]
-
-        extend(0)
-    out = [Functor(canonical_functor_id(F), C, D, F.obj_map, F.mor_map) for F in out]
+        mor_map = {i: D.id_of(x) for i, x in zip(ids, choice)}
+        if holds(due[0]):
+            extend(0)
     out.sort(key=lambda F: F.name)
     return out
 
 
-def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
-    """All natural transformations F => G by backtracking with naturality pruning."""
+def _nat_trans(F: Functor, G: Functor, fid: str, gid: str) -> list[tuple[str, NatTrans]]:
+    """The natural transformations F => G with their canonical ids, in id order,
+    given the ids fid and gid of F and G.
+
+    Components are chosen object by object in sorted order, backtracking over
+    D's hom-sets; each morphism's naturality square is tested once on a path,
+    when the later of its two ends gets its component.
+    """
     C, D = F.dom, F.cod
     objs = C.sorted_objects()
-    mors = [C.mor[m] for m in C.sorted_mor_names()]
-    out: list[NatTrans] = []
+    homs = [D.hom(F.obj_map[a], G.obj_map[a]) for a in objs]
+    if not all(homs):
+        return []
+    pos = {a: i for i, a in enumerate(objs)}
+    due: list[list[tuple[str, str, str, str]]] = [[] for _ in objs]
+    for name in C.sorted_mor_names():
+        m = C.mor[name]
+        due[max(pos[m.dom], pos[m.cod])].append((m.dom, m.cod, F.mor_map[name], G.mor_map[name]))
+    out: list[tuple[str, NatTrans]] = []
     comps: dict[str, str] = {}
 
     def extend(i: int):
+        # an entry left by a sibling branch is overwritten before a test reads it
         if i == len(objs):
-            out.append(NatTrans("t", F, G, comps))
+            out.append((_nat_id(fid, gid, comps, objs), NatTrans("t", F, G, comps)))
             return
         a = objs[i]
-        for u in D.hom(F.obj_map[a], G.obj_map[a]):
+        for u in homs[i]:
             comps[a] = u
-            ok = True
-            for m in mors:
-                if m.dom in comps and m.cod in comps:
-                    if D.comp(G.mor_map[m.name], comps[m.dom]) != \
-                            D.comp(comps[m.cod], F.mor_map[m.name]):
-                        ok = False
-                        break
-            if ok:
+            for x, y, Fm, Gm in due[i]:
+                if D.comp(Gm, comps[x]) != D.comp(comps[y], Fm):
+                    break
+            else:
                 extend(i + 1)
-            del comps[a]
 
     extend(0)
-    return sorted(out, key=canonical_nat_id)
+    out.sort(key=lambda p: p[0])
+    return out
+
+
+def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
+    """All natural transformations F => G by backtracking with naturality
+    pruning, in canonical id order."""
+    if F.dom != G.dom or F.cod != G.cod:
+        raise StructuralError(
+            f"{F.name}=>{G.name}: source and target functors are not parallel")
+    return [t for _, t in _nat_trans(F, G, canonical_functor_id(F), canonical_functor_id(G))]
 
 
 @dataclass(frozen=True, eq=False)
 class FunctorCategory:
-    """A materialized functor category with an index back to the tabulated values."""
+    """A materialized functor category with a read-only index back to the
+    tabulated values."""
 
     cat: FinCat
-    functors: dict[str, Functor]
-    nats: dict[str, NatTrans]
+    functors: Mapping[str, Functor]
+    nats: Mapping[str, NatTrans]
+
+    def __post_init__(self):
+        Keyed._freeze(self, "functors", "nats")
 
     def obj_id_of(self, F: Functor) -> str:
         return canonical_functor_id(F)
@@ -737,29 +789,37 @@ class FunctorCategory:
 
 
 def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorCategory:
-    """The category of functors C -> D and all natural transformations between them."""
+    """The category of functors C -> D and all natural transformations between them.
+
+    Objects are the functors of enumerate_functors, whose names are their
+    canonical ids; each transformation and each composite is named once from
+    those names and its components, without building a NatTrans for it.
+    """
     fs = enumerate_functors(C, D, guard)
-    functors = {F.name: F for F in fs}
+    objs = C.sorted_objects()
     nats: dict[str, NatTrans] = {}
     mors = []
-    identity = {}
+    into: dict[str, list[Mor]] = {}
     for F in fs:
         for G in fs:
-            for t in enumerate_nat_trans(F, G):
-                tid = canonical_nat_id(t)
+            for tid, t in _nat_trans(F, G, F.name, G.name):
                 nats[tid] = t
-                mors.append(Mor(tid, F.name, G.name))
-    for F in fs:
-        identity[F.name] = canonical_nat_id(identity_nat(F))
+                m = Mor(tid, F.name, G.name)
+                mors.append(m)
+                into.setdefault(G.name, []).append(m)
+    identity = {F.name: _nat_id(F.name, F.name,
+                                {a: D.id_of(F.obj_map[a]) for a in objs}, objs)
+                for F in fs}
     table = {}
     for m in mors:
-        for n in mors:
-            if n.cod != m.dom:
-                continue
-            table[(m.name, n.name)] = canonical_nat_id(vcompose(nats[m.name], nats[n.name]))
+        beta = nats[m.name].components
+        for n in into.get(m.dom, ()):
+            alpha = nats[n.name].components
+            table[(m.name, n.name)] = _nat_id(
+                n.dom, m.cod, {a: D.comp(beta[a], alpha[a]) for a in C.objects}, objs)
     cat = FinCat(f"[{C.name},{D.name}]", tuple(F.name for F in fs),
                  tuple(mors), identity, table)
-    return FunctorCategory(cat, functors, nats)
+    return FunctorCategory(cat, {F.name: F for F in fs}, nats)
 
 
 def const_diagram(c: str, J: FinCat, C: FinCat) -> Functor:

@@ -260,21 +260,28 @@ def limit_finset(D: SetFunctor, direction: str = LIMIT) -> LimitResult:
     The certificate verifies unique factorization against every (co)cone whose
     apex is a probe set of _PROBE_SIZES elements.
     """
+    obj, legs = _set_limit_of(D, direction)
+    const = const_set_functor(D.dom, obj)
+    if direction == LIMIT:
+        nat = SetNatTrans(f"lim-cone({D.name})", const, D, legs)
+    else:
+        nat = SetNatTrans(f"colim-cocone({D.name})", D, const, legs)
+    return LimitResult(obj, ConeData("", nat, "cone" if direction == LIMIT else "cocone"),
+                       _certify_finset(D, direction, obj, legs))
+
+
+def _set_limit_of(D: SetFunctor, direction: str) -> tuple[FinSetObj, dict[str, FinSetMap]]:
+    """The (co)limit of D and its legs, with no certificate."""
     J = D.dom
     objs = J.sorted_objects()
     if direction == LIMIT:
-        obj, legs = set_limit(objs, D.on_obj, [
+        return set_limit(objs, D.on_obj, [
             (m.dom, D.on_mor[m.name].table, m.cod, {y: y for y in D.on_obj[m.cod].elements})
             for m in J.morphisms])
-        nat = SetNatTrans(f"lim-cone({D.name})", const_set_functor(J, obj), D, legs)
-    elif direction == COLIMIT:
-        obj, legs = set_colimit(objs, D.on_obj, ((m.dom, x, m.cod, y) for m in J.morphisms
-                                                 for x, y in D.on_mor[m.name].table.items()))
-        nat = SetNatTrans(f"colim-cocone({D.name})", D, const_set_functor(J, obj), legs)
-    else:
-        raise StructuralError(f"unknown direction {direction!r}")
-    return LimitResult(obj, ConeData("", nat, "cone" if direction == LIMIT else "cocone"),
-                       _certify_finset(D, direction, obj, legs))
+    if direction == COLIMIT:
+        return set_colimit(objs, D.on_obj, ((m.dom, x, m.cod, y) for m in J.morphisms
+                                            for x, y in D.on_mor[m.name].table.items()))
+    raise StructuralError(f"unknown direction {direction!r}")
 
 
 def _factor_count_limit(signature: dict[tuple, int], order: tuple[str, ...],
@@ -517,23 +524,23 @@ def interchange_check_finset(D: SetFunctor, I: FinCat, J: FinCat,
         def key(a: str, b: str) -> str:
             return pair_id(b, a) if flip else pair_id(a, b)
 
-        per: dict[str, LimitResult] = {}
+        # the inner (co)limits' certificates would never be read
+        per: dict[str, tuple[FinSetObj, dict[str, FinSetMap]]] = {}
         for a in A.objects:
             Da = SetFunctor(f"{D.name}({a},-)", B, {b: D.on_obj[key(a, b)] for b in B.objects},
                             {m.name: D.on_mor[key(A.id_of(a), m.name)] for m in B.morphisms})
-            per[a] = limit_finset(Da, direction)
+            per[a] = _set_limit_of(Da, direction)
         on_mor = {}
         for m in A.morphisms:
-            src, tgt = per[m.dom], per[m.cod]
-            f, _ = induced_set_map(direction, src.object, src.cone.legs.components,
-                                   tgt.object, tgt.cone.legs.components,
+            (src, src_legs), (tgt, tgt_legs) = per[m.dom], per[m.cod]
+            f, _ = induced_set_map(direction, src, src_legs, tgt, tgt_legs,
                                    [(b, D.on_mor[key(m.name, B.id_of(b))].table, b)
                                     for b in B.objects])
             if f is None:
                 raise StructuralError(f"induced map between inner {direction}s not well defined")
             on_mor[m.name] = f
         outerD = SetFunctor(f"{direction}_inner({D.name})", A,
-                            {a: per[a].object for a in A.objects}, on_mor)
+                            {a: per[a][0] for a in A.objects}, on_mor)
         return limit_finset(outerD, direction), per
 
     outer, per_i = inner_then_outer(I, J, flip=False)
@@ -552,7 +559,7 @@ def interchange_check_finset(D: SetFunctor, I: FinCat, J: FinCat,
         for o in D.dom.objects:
             i, j = split_pair(o)
             a, b = (j, i) if flip else (i, j)
-            links.append((o, per[a].cone.legs.components[b].table, a))
+            links.append((o, per[a][1][b].table, a))
         if direction == LIMIT:
             src, tgt, moves = res, joint, [(a, t, o) for o, t, a in links]
         else:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import fincat
-from fincat.core import FinCat, Functor, NatTrans, make_category
+from fincat.core import FinCat, Functor, NatTrans, functor_category, make_category
 from fincat.finset import FinSetMap, FinSetObj, SetFunctor, SetNatTrans
 from fincat.fixtures import walking_arrow
 
@@ -140,3 +140,10 @@ for attempt in (lambda: Report(False, 0, None), lambda: split_pair("ab,c")):
 """
     proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+def test_functor_category_index_is_read_only():
+    fc = functor_category(WALKING_ARROW, WALKING_ARROW)
+    for table in (fc.functors, fc.nats):
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = None
