@@ -18,6 +18,7 @@ from .core import (
     GuardExceeded,
     StructuralError,
     opposite,
+    pair_id,
     product,
 )
 from .diagram import evaluate, normalize, parse_term, pretty, render_svg
@@ -42,10 +43,6 @@ class Failure(Exception):
     def __init__(self, message: str, payload: dict | None = None):
         super().__init__(message)
         self.payload = payload or {}
-
-
-def _sizes(X: SetFunctor) -> dict:
-    return {a: len(v) for a, v in sorted(X.on_obj.items())}
 
 
 def cmd_validate(ws: Workspace, args) -> dict:
@@ -91,11 +88,11 @@ def _align_bifunctor(B, J):
     Identity morphisms are renamed to the constructed pair ids; everything
     else must match on the nose.  Returns None when the shapes differ.
     """
+    if set(B.dom.objects) != {pair_id(a, b) for a in J.objects for b in J.objects}:
+        return None
     P = product(opposite(J), J)
     if B.dom == P:
         return B
-    if set(P.objects) != set(B.dom.objects):
-        return None
     if set(m for m in P.sorted_mor_names() if not P.is_identity(m)) != \
             set(m for m in B.dom.sorted_mor_names() if not B.dom.is_identity(m)):
         return None

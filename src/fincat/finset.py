@@ -245,11 +245,6 @@ def set_precompose(X: SetFunctor, F: Functor, name: str | None = None) -> SetFun
                       {m.name: X.on_mor[F.mor_map[m.name]] for m in F.dom.morphisms})
 
 
-def set_nat_precompose(t: SetNatTrans, F: Functor) -> SetNatTrans:
-    return SetNatTrans(f"{t.name}*{F.name}", set_precompose(t.src, F), set_precompose(t.tgt, F),
-                       {a: t.components[F.obj_map[a]] for a in F.dom.objects})
-
-
 def const_set_functor(C: FinCat, V: FinSetObj, name: str | None = None) -> SetFunctor:
     return SetFunctor(name or f"const({','.join(V.sorted())})", C,
                       {a: V for a in C.objects},
@@ -310,6 +305,29 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor,
     extend(0)
     out.sort(key=lambda t: t.key())
     return out
+
+
+NOT_BIJECTIVE = object()   # nat_bijection: every family natural, but the images miss
+
+
+def nat_bijection(X: SetFunctor, Y: SetFunctor, sources: Iterable, entry,
+                  target: Iterable[SetNatTrans]) -> tuple[int, object]:
+    """Certify s |-> (c |-> (x |-> entry(s, c, x))) as a bijection from sources
+    onto target = enumerate_set_naturals(X, Y), where being natural is being in target.
+
+    Returns how many sources were tried and None, the first source whose family
+    is not natural, or NOT_BIJECTIVE when two share an image or one of target is missed.
+    """
+    target, images, tried = set(target), set(), 0
+    for s in sources:
+        tried += 1
+        family = SetNatTrans("transposed", X, Y, {c: FinSetMap(
+            X.on_obj[c], Y.on_obj[c], {x: entry(s, c, x) for x in X.on_obj[c].elements})
+            for c in X.dom.objects})
+        if family not in target:
+            return tried, s
+        images.add(family)
+    return tried, None if len(images) == tried == len(target) else NOT_BIJECTIVE
 
 
 # ---------------------------------------------------------------------------
@@ -624,30 +642,25 @@ def exponential_adjunction_check(F: SetFunctor, G: SetFunctor,
     checked = 0
     for H in test_family:
         lhs = enumerate_set_naturals(H, exp.functor, guard)
-        rhs = enumerate_set_naturals(product_set_functor(H, F), G, guard)
+        HF = product_set_functor(H, F)
+        rhs = enumerate_set_naturals(HF, G, guard)
         if len(lhs) != len(rhs):
             return fail_report(checked, "exponential-adjunction", probe=H.name,
                                lhs=len(lhs), rhs=len(rhs))
-        rhs_set = set(rhs)
-        seen = set()
-        for s in lhs:
-            # transpose: (h, u) |-> decode(s_a(h)) evaluated at (id_a, u)
-            HF = product_set_functor(H, F)
-            comps = {}
-            for a in C.objects:
-                tbl = {}
-                for h in H.on_obj[a].sorted():
-                    t = exp.index[(a, s.components[a](h))]
-                    for u in F.on_obj[a].sorted():
-                        tbl[f"({h},{u})"] = t.components[a](f"({C.id_of(a)},{u})")
-                comps[a] = FinSetMap(HF.on_obj[a], G.on_obj[a], tbl)
-            cand = SetNatTrans("transposed", HF, G, comps)
-            checked += 1
-            if not validate_set_natural(cand).ok or cand not in rhs_set:
-                return fail_report(checked, "exponential-adjunction", probe=H.name,
-                                   failure="transpose not natural")
-            seen.add(cand.key())
-        if len(seen) != len(rhs):
+        pairs = {a: {f"({h},{u})": (h, u) for h in H.on_obj[a].elements
+                     for u in F.on_obj[a].elements} for a in C.objects}
+
+        def transpose(s: SetNatTrans, a: str, hu: str) -> str:
+            # (h, u) |-> decode(s_a(h)) evaluated at (id_a, u)
+            h, u = pairs[a][hu]
+            return exp.index[(a, s.components[a](h))].components[a](f"({C.id_of(a)},{u})")
+
+        tried, bad = nat_bijection(HF, G, lhs, transpose, rhs)
+        checked += tried
+        if bad is NOT_BIJECTIVE:
             return fail_report(checked, "exponential-adjunction", probe=H.name,
                                failure="transpose not bijective")
+        if bad is not None:
+            return fail_report(checked, "exponential-adjunction", probe=H.name,
+                               failure="transpose not natural")
     return ok_report(checked)

@@ -14,7 +14,9 @@ coends are the limit and colimit of the diagonal, and every map between Set
 (co)limits (the Kan action, the coend-formula action and its iso to the
 pointwise extension) comes from one induced-map helper.  The coend formula
 and the weighted colimit share one W x F bifunctor, and the two Set weighted
-(co)limits one defining-bijection check on probe sets.
+(co)limits one defining-bijection check.  Every bijection onto a set of natural
+transformations (weighted (co)limits, density, nerve-realization) is
+certified by one helper, finset.nat_bijection.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ from .core import (
 from .finset import (
     FinSetMap,
     FinSetObj,
+    NOT_BIJECTIVE,
     SINGLETON,
     SetFunctor,
     SetNatTrans,
@@ -57,6 +60,7 @@ from .finset import (
     enumerate_set_naturals,
     hom_functor,
     legs_by_element,
+    nat_bijection,
     set_precompose,
     table_id,
     validate_set_natural,
@@ -542,24 +546,17 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
             for eid, t in decode[m.dom].items()})
     B = SetFunctor(f"Set(W-,{F.name}-)", P, on_obj, on_mor)
     res = _end_coend_set(B, C, "end")
-    # the end elements are exactly the natural families: certify against the
-    # independent enumeration, elementwise
-    nats = enumerate_set_naturals(W, F)
-    nat_set = set(nats)
-    checked = 0
-    seen = set()
-    for e in res.object.elements:
-        comps = {c: decode[pair_id(c, c)][res.wedge.components[c](e)]
-                 for c in C.objects}
-        cand = SetNatTrans("decoded", W, F, comps)
-        checked += 1
-        if not validate_set_natural(cand).ok or cand not in nat_set:
-            return WeightedResult(res.object, fail_report(
-                checked, "weighted-limit-naturals", element=e))
-        seen.add(cand.key())
-    if len(seen) != len(nats):
+    # the end elements are exactly the natural families, enumerated independently
+    checked, bad = nat_bijection(
+        W, F, res.object.elements,
+        lambda e, c, w: decode[pair_id(c, c)][res.wedge.components[c](e)](w),
+        enumerate_set_naturals(W, F))
+    if bad is NOT_BIJECTIVE:
         return WeightedResult(res.object, fail_report(
             checked, "weighted-limit-naturals", failure="not bijective"))
+    if bad is not None:
+        return WeightedResult(res.object, fail_report(
+            checked, "weighted-limit-naturals", element=bad))
     return WeightedResult(res.object, _defining_bijection(
         W, F, res.object, LIMIT, checked, lambda h, c, w: FinSetMap(
             h.dom, F.on_obj[c], {q: decode[pair_id(c, c)][res.wedge.components[c](h(q))](w)
@@ -603,20 +600,14 @@ def _defining_bijection(W: SetFunctor, F: SetFunctor, obj: FinSetObj, side: str,
                                              {table_id(t): table_id(act(m.name, t))
                                               for t in maps(m.dom)})
                            for m in W.dom.morphisms})
-        target = enumerate_set_naturals(W, homF)
-        target_set = set(target)
-        images = set()
-        for h in (all_maps(probe, obj) if side == LIMIT else all_maps(obj, probe)):
-            comps = {c: FinSetMap(W.on_obj[c], hom[c], {w: table_id(transpose(h, c, w))
-                                                        for w in W.on_obj[c].elements})
-                     for c in W.dom.objects}
-            cand = SetNatTrans("transposed", W, homF, comps)
-            checked += 1
-            if not validate_set_natural(cand).ok or cand not in target_set:
-                return fail_report(checked, law, probe=str(probe.sorted()))
-            images.add(cand.key())
-        if len(images) != len(target):
+        tried, bad = nat_bijection(
+            W, homF, all_maps(probe, obj) if side == LIMIT else all_maps(obj, probe),
+            lambda h, c, w: table_id(transpose(h, c, w)), enumerate_set_naturals(W, homF))
+        checked += tried
+        if bad is NOT_BIJECTIVE:
             return fail_report(checked, law, probe=str(probe.sorted()), failure="not bijective")
+        if bad is not None:
+            return fail_report(checked, law, probe=str(probe.sorted()))
     return ok_report(checked)
 
 
@@ -665,23 +656,16 @@ def _weighted_limit_general(W: SetFunctor, F: Functor, side: str) -> WeightedRes
     checked = 0
     for e in E.sorted_objects():
         homF = _hom_set_functor(e, F)
-        target = enumerate_set_naturals(W, homF)
-        images = set()
-        for g in E.hom(e, res.object):
-            comps = {}
-            for c in C.objects:
-                o = pair_id(c, c)
-                tbl = {w: E.comp_path(g, res.wedge.components[c], cot_legs[o][w])
-                       for w in W.on_obj[c].elements}
-                comps[c] = FinSetMap(W.on_obj[c], homF.on_obj[c], tbl)
-            cand = SetNatTrans("transposed", W, homF, comps)
-            checked += 1
-            if not validate_set_natural(cand).ok:
-                return WeightedResult(res.object, fail_report(checked, law, probe=e))
-            images.add(cand.key())
-        if len(images) != len(E.hom(e, res.object)) or len(images) != len(target):
+        tried, bad = nat_bijection(
+            W, homF, E.hom(e, res.object),
+            lambda g, c, w: E.comp_path(g, res.wedge.components[c], cot_legs[pair_id(c, c)][w]),
+            enumerate_set_naturals(W, homF))
+        checked += tried
+        if bad is NOT_BIJECTIVE:
             return WeightedResult(res.object, fail_report(
                 checked, law, probe=e, failure="not bijective"))
+        if bad is not None:
+            return WeightedResult(res.object, fail_report(checked, law, probe=e))
     return WeightedResult(res.object, ok_report(checked))
 
 
@@ -695,7 +679,7 @@ def density_check(K: Functor) -> Report:
     transformation sets between restricted hom presheaves must biject with the
     target hom-sets.
     """
-    C, D = K.dom, K.cod
+    D = K.cod
     kr = kan_pointwise(K, K, LEFT)
     checked = 0
     if kr.extension is None:
@@ -704,30 +688,18 @@ def density_check(K: Functor) -> Report:
     isos = [t for t in enumerate_nat_trans(L, identity_functor(D))
             if all(D.is_iso(m) for m in t.components.values())]
     dense_via_lan = bool(isos)
-    # independent criterion: Nat(D(K-,d), D(K-,d')) ~ D(d,d')
-    dense_via_hom = True
+    # independent criterion: Nat(D(K-,d), D(K-,d')) ~ D(d,d') by postcomposition
     witness = None
     Kop = opposite_functor(K)
-    for d in D.sorted_objects():
-        Xd = _hom_set_functor(d, Kop)   # the presheaf D(K-, d)
-        for dp in D.sorted_objects():
-            Xdp = _hom_set_functor(dp, Kop)
-            nats = enumerate_set_naturals(Xd, Xdp)
-            images = set()
-            for g in D.hom(d, dp):
-                comps = {c: FinSetMap(Xd.on_obj[c], Xdp.on_obj[c],
-                                      {p: D.comp(g, p) for p in Xd.on_obj[c].elements})
-                         for c in C.objects}
-                cand = SetNatTrans("postcompose", Xd, Xdp, comps)
-                images.add(cand.key())
-            checked += 1
-            if len(images) != len(D.hom(d, dp)) or len(images) != len(nats) or \
-                    images != {t.key() for t in nats}:
-                dense_via_hom = False
-                witness = (d, dp)
-                break
-        if not dense_via_hom:
+    DK = {d: _hom_set_functor(d, Kop) for d in D.objects}   # d |-> the presheaf D(K-, d)
+    for d, dp in itertools.product(D.sorted_objects(), repeat=2):
+        checked += 1
+        _, bad = nat_bijection(DK[d], DK[dp], D.hom(d, dp), lambda g, c, p: D.comp(g, p),
+                               enumerate_set_naturals(DK[d], DK[dp]))
+        if bad is not None:
+            witness = (d, dp)
             break
+    dense_via_hom = witness is None
     if dense_via_lan != dense_via_hom:
         raise StructuralError(
             f"density criteria disagree (lan={dense_via_lan}, hom={dense_via_hom})")
@@ -820,26 +792,15 @@ def nerve_realization_check(K: Functor, X: SetFunctor, d: str) -> NerveRealizati
     Gd = _hom_set_functor(d, opposite_functor(K))   # D(K-, d)
     nats = enumerate_set_naturals(X, Gd)
     legs = res.cone.legs.components
-    images = set()
-    checked = 0
-    for h in D.hom(FX, d):
-        comps = {}
-        for c in C.objects:
-            tbl = {}
-            for x in X.on_obj[c].elements:
-                o = f"⟨{c},{x}⟩"
-                tbl[x] = D.comp(h, legs[o])
-            comps[c] = FinSetMap(X.on_obj[c], Gd.on_obj[c], tbl)
-        cand = SetNatTrans("transposed", X, Gd, comps)
-        checked += 1
-        if not validate_set_natural(cand).ok:
-            return NerveRealization(FX, fail_report(checked, "nerve-realization",
-                                                    at=h, failure="not natural"))
-        images.add(cand.key())
-    if len(images) != len(D.hom(FX, d)) or images != {t.key() for t in nats}:
+    checked, bad = nat_bijection(X, Gd, D.hom(FX, d),
+                                 lambda h, c, x: D.comp(h, legs[f"⟨{c},{x}⟩"]), nats)
+    if bad is NOT_BIJECTIVE:
         return NerveRealization(FX, fail_report(
             checked, "nerve-realization", failure="not bijective",
             lhs=len(D.hom(FX, d)), rhs=len(nats)))
+    if bad is not None:
+        return NerveRealization(FX, fail_report(checked, "nerve-realization",
+                                                at=bad, failure="not natural"))
     # naturality probes along morphisms out of d
     for g in [m for m in D.morphisms if m.dom == d]:
         for h in D.hom(FX, d):

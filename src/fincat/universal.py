@@ -73,14 +73,13 @@ def _build_comma(name: str, pairs: list[tuple[str, str]], D: FinCat,
     for o in objects:
         x, a = by_id[o]
         identity[o] = _arrow_id(D.id_of(x), o, o)
-    table = {}
     msorted = sorted(mors, key=lambda m: m.name)
-    for m in msorted:
-        for n in msorted:
-            if n.cod != m.dom:
-                continue
-            table[(m.name, n.name)] = _arrow_id(
-                D.comp(underlying[m.name], underlying[n.name]), n.dom, m.cod)
+    into: dict[str, list[Mor]] = {o: [] for o in objects}   # composable pairs only
+    for n in msorted:
+        into[n.cod].append(n)
+    table = {(m.name, n.name): _arrow_id(D.comp(underlying[m.name], underlying[n.name]),
+                                         n.dom, m.cod)
+             for m in msorted for n in into[m.dom]}
     cat = FinCat(name, objects, tuple(msorted), identity, table)
     forget_obj = {o: by_id[o][0] for o in objects}
     forgetful = Functor(f"P({name})", cat, D, forget_obj, dict(underlying))

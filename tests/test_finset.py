@@ -6,7 +6,9 @@ from fincat.core import StructuralError, opposite
 from fincat.finset import (
     FinSetMap,
     FinSetObj,
+    NOT_BIJECTIVE,
     SINGLETON,
+    SetFunctor,
     SetNatTrans,
     all_maps,
     const_set_functor,
@@ -14,6 +16,7 @@ from fincat.finset import (
     exponential_adjunction_check,
     hom_functor,
     identity_set_nat,
+    nat_bijection,
     presheaf_exponential,
     product_set_functor,
     tensor_cotensor,
@@ -183,3 +186,34 @@ def test_presheaf_exponential_self_hom_on_walking_arrow():
     oracle = enumerate_set_naturals(product_set_functor(y1, F), F)
     assert len(exp.functor.on_obj["1"]) == len(oracle)
     assert validate_set_functor(exp.functor).ok
+
+
+def test_nat_bijection_outcomes():
+    # Yoneda on the walking arrow: x in Y(0) |-> (p |-> Y(p)(x)), onto Nat(hom(0,-), Y)
+    two = walking_arrow()
+    Y0, Y1 = FinSetObj(("x0", "x1")), FinSetObj(("y0", "y1"))
+    Y = SetFunctor("Y", two, {"0": Y0, "1": Y1},
+                   {"id_0": FinSetMap(Y0, Y0, {"x0": "x0", "x1": "x1"}),
+                    "id_1": FinSetMap(Y1, Y1, {"y0": "y0", "y1": "y1"}),
+                    "a": FinSetMap(Y0, Y1, {"x0": "y0", "x1": "y1"})})
+    X = hom_functor(two, "0", "covariant")
+    target = enumerate_set_naturals(X, Y)
+    assert len(target) == 2
+
+    def yoneda(x, c, p):
+        return Y.on_mor[p](x)
+
+    assert nat_bijection(X, Y, ["x0", "x1"], yoneda, target) == (2, None)
+
+    def skewed(x, c, p):
+        # x1's family sends a to y0 at 1 but id_0 to x1 at 0: not natural
+        return "y0" if c == "1" else x
+
+    assert nat_bijection(X, Y, ["x0", "x1"], skewed, target) == (2, "x1")
+    assert nat_bijection(X, Y, ["x1", "x0"], skewed, target) == (1, "x1")
+    # two sources, one image
+    assert nat_bijection(X, Y, ["x0", "x1"], lambda x, c, p: yoneda("x0", c, p),
+                         target) == (2, NOT_BIJECTIVE)
+    # injective, but a member of the target is missed
+    assert nat_bijection(X, Y, ["x1"], yoneda, target) == (1, NOT_BIJECTIVE)
+    assert nat_bijection(X, Y, [], yoneda, target) == (0, NOT_BIJECTIVE)

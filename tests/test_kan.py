@@ -425,3 +425,31 @@ def test_nerve_realization_three_element_witness():
     for d in two.objects:
         nr = nerve_realization_check(K, X, d)
         assert nr.report.ok
+
+
+def test_defining_bijection_failure_reports_are_pinned():
+    # a wrong transpose must be refuted with exactly this report: the first
+    # source whose family is not natural, or the count once the images miss
+    from fincat.core import Counterexample, Report
+    from fincat.kan import _defining_bijection
+    two = walking_arrow()
+    X0, X1 = FinSetObj(("x0", "x1")), FinSetObj(("y0", "y1"))
+    F = SetFunctor("F", two, {"0": X0, "1": X1},
+                   {"id_0": FinSetMap(X0, X0, {"x0": "x0", "x1": "x1"}),
+                    "id_1": FinSetMap(X1, X1, {"y0": "y0", "y1": "y1"}),
+                    "a": FinSetMap(X0, X1, {"x0": "y0", "x1": "y0"})})
+    W = const_set_functor(two, SINGLETON, "W")
+    obj = weighted_limit(W, F, LIMIT).object
+    assert len(obj) == 2
+    law = "weighted-limit-defining-bijection"
+
+    def constant(at0, at1):
+        return lambda h, c, w: FinSetMap(h.dom, F.on_obj[c], {
+            q: at0 if c == "0" else at1 for q in h.dom.elements})
+
+    # x1 at 0 and y1 at 1 do not commute with F(a)
+    assert _defining_bijection(W, F, obj, LIMIT, 0, constant("x1", "y1")) == \
+        Report(False, 1, Counterexample(law, {"probe": "('*',)"}))
+    # natural, but every source lands on the same family
+    assert _defining_bijection(W, F, obj, LIMIT, 3, constant("x0", "y0")) == \
+        Report(False, 5, Counterexample(law, {"probe": "('*',)", "failure": "not bijective"}))
