@@ -38,9 +38,6 @@ class Adjunction:
     def phi(self, c: str, d: str, f: str) -> str:
         return self.hom_iso[(c, d)](f)
 
-    def phi_inv(self, c: str, d: str, fbar: str) -> str:
-        return self.hom_iso[(c, d)].inverse()(fbar)
-
 
 def validate_adjunction(F: Functor, G: Functor,
                         hom_iso: Mapping[tuple[str, str], FinSetMap]) -> Report:

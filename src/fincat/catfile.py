@@ -1,6 +1,7 @@
 """The .cat workspace format: parse, validate, serialize.
 
-Line-oriented declarations with '#' comments:
+Line-oriented declarations; '#' starts a comment that runs to the end of the
+line, except inside a quoted name:
 
     category C { objects: a, b; mor f: a -> b; compose g.f = h; }
     functor F: C -> D { obj a |-> x; mor f |-> u; }
@@ -66,8 +67,9 @@ class _Tok:
 def _tokenize(text: str, filename: str) -> list[_Tok]:
     out = []
     for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
         for m in _TOKEN.finditer(line):
+            if m.group(0) == "#":  # a comment; a '#' inside a quoted name is part of it
+                break
             out.append(_Tok(m.group(0), ln, m.start() + 1))
     return out
 
@@ -86,6 +88,9 @@ class Workspace:
         return env
 
 
+N = None  # a name place in a _WorkspaceParser.read pattern
+
+
 class _WorkspaceParser:
     def __init__(self, text: str, filename: str):
         self.toks = _tokenize(text, filename)
@@ -98,6 +103,11 @@ class _WorkspaceParser:
             raise CatSyntaxError(message, self.file, t.line, t.col)
         last = self.toks[-1] if self.toks else _Tok("", 1, 1)
         raise CatSyntaxError(message + " (at end of file)", self.file, last.line, last.col)
+
+    def reject(self, message: str):
+        """Fail at the token just taken."""
+        self.pos -= 1
+        self.error(message)
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos].text if self.pos < len(self.toks) else None
@@ -117,159 +127,102 @@ class _WorkspaceParser:
             return t[1:-1].replace('\\"', '"').replace("\\\\", "\\")
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t):
             return t
-        self.pos -= 1
-        self.error(f"expected a name, found {t!r}")
+        self.reject(f"expected a name, found {t!r}")
+
+    def read(self, *pattern) -> list[str]:
+        """Take the pattern's literal tokens in turn; return the names at its N places."""
+        names = []
+        for part in pattern:
+            if part is N:
+                names.append(self.name())
+            else:
+                self.take(part)
+        return names
+
+    def commas(self, item) -> list:
+        """One or more item() results separated by ','."""
+        items = [item()]
+        while self.peek() == ",":
+            self.take(",")
+            items.append(item())
+        return items
+
+    def block(self, kind: str, clauses: dict) -> dict:
+        """Read `{ keyword ...; ... }`; clauses[keyword]() reads what lies between.
+
+        Returns the values each keyword's clauses read, in order.
+        """
+        got = {key: [] for key in clauses}
+        self.take("{")
+        while self.peek() != "}":
+            key = self.take()
+            if key not in clauses:
+                self.reject(f"unknown {kind} clause {key!r}")
+            got[key].append(clauses[key]())
+            self.take(";")
+        self.take("}")
+        return got
 
     def parse(self) -> dict:
         decls = {"category": [], "functor": [], "nat": [], "setfunctor": [], "term": []}
         while self.peek() is not None:
             kind = self.take()
             if kind not in decls:
-                self.pos -= 1
-                self.error(f"unknown declaration {kind!r}")
-            getattr(self, f"parse_{kind}")(decls)
+                self.reject(f"unknown declaration {kind!r}")
+            decls[kind].append(getattr(self, f"parse_{kind}")())
         return decls
 
-    def parse_category(self, decls):
+    def parse_category(self):
         cname = self.name()
-        self.take("{")
-        objects, arrows, compose = [], [], {}
-        while self.peek() != "}":
-            key = self.take()
-            if key == "objects":
-                self.take(":")
-                objects.append(self.name())
-                while self.peek() == ",":
-                    self.take(",")
-                    objects.append(self.name())
-                self.take(";")
-            elif key == "mor":
-                mname = self.name()
-                self.take(":")
-                d = self.name()
-                self.take("->")
-                c = self.name()
-                self.take(";")
-                arrows.append((mname, d, c))
-            elif key == "compose":
-                g = self.name()
-                self.take(".")
-                f = self.name()
-                self.take("=")
-                h = self.name()
-                self.take(";")
-                compose[(g, f)] = h
-            else:
-                self.pos -= 1
-                self.error(f"unknown category clause {key!r}")
-        self.take("}")
-        decls["category"].append((cname, objects, arrows, compose))
+        got = self.block("category", {
+            "objects": lambda: self.read(":") + self.commas(self.name),
+            "mor": lambda: tuple(self.read(N, ":", N, "->", N)),
+            "compose": lambda: self.read(N, ".", N, "=", N)})
+        return (cname, [a for names in got["objects"] for a in names], got["mor"],
+                {(g, f): h for g, f, h in got["compose"]})
 
-    def parse_functor(self, decls):
-        fname = self.name()
-        self.take(":")
-        dom = self.name()
-        self.take("->")
-        cod = self.name()
-        self.take("{")
-        obj_map, mor_map = {}, {}
-        while self.peek() != "}":
-            key = self.take()
-            if key == "obj":
-                a = self.name()
-                self.take("|->")
-                obj_map[a] = self.name()
-                self.take(";")
-            elif key == "mor":
-                f = self.name()
-                self.take("|->")
-                mor_map[f] = self.name()
-                self.take(";")
-            else:
-                self.pos -= 1
-                self.error(f"unknown functor clause {key!r}")
-        self.take("}")
-        decls["functor"].append((fname, dom, cod, obj_map, mor_map))
+    def parse_functor(self):
+        fname, dom, cod = self.read(N, ":", N, "->", N)
+        got = self.block("functor", {"obj": lambda: self.read(N, "|->", N),
+                                     "mor": lambda: self.read(N, "|->", N)})
+        return fname, dom, cod, dict(got["obj"]), dict(got["mor"])
 
-    def parse_nat(self, decls):
-        tname = self.name()
-        self.take(":")
-        src = self.name()
-        self.take("=>")
-        tgt = self.name()
-        self.take("{")
-        comps = {}
+    def parse_nat(self):
+        tname, src, tgt = self.read(N, ":", N, "=>", N, "{")
+        comps = []
         while self.peek() != "}":
-            self.take("at")
-            a = self.name()
-            self.take(":")
-            comps[a] = self.name()
-            self.take(";")
+            comps.append(self.read("at", N, ":", N, ";"))
         self.take("}")
-        decls["nat"].append((tname, src, tgt, comps))
+        return tname, src, tgt, dict(comps)
 
-    def parse_setfunctor(self, decls):
-        xname = self.name()
-        self.take(":")
-        src = self.name()
+    def parse_setfunctor(self):
+        xname, src = self.read(N, ":", N)
         if src == "op" and self.peek() == "(":
-            self.take("(")
-            src = f"op({self.name()})"
-            self.take(")")
+            src = "op({})".format(*self.read("(", N, ")"))
         self.take("->")
-        target = self.take()
-        if target != "Set":
-            self.pos -= 1
-            self.error("setfunctor target must be Set")
-        self.take("{")
-        on_obj, on_mor = {}, {}
-        while self.peek() != "}":
-            key = self.take()
-            if key == "obj":
-                a = self.name()
-                self.take("|->")
-                self.take("{")
-                elems = []
-                if self.peek() != "}":
-                    elems.append(self.name())
-                    while self.peek() == ",":
-                        self.take(",")
-                        elems.append(self.name())
-                self.take("}")
-                self.take(";")
-                on_obj[a] = tuple(elems)
-            elif key == "mor":
-                f = self.name()
-                self.take("|->")
-                self.take("[")
-                table = {}
-                if self.peek() != "]":
-                    x = self.name()
-                    self.take("->")
-                    table[x] = self.name()
-                    while self.peek() == ",":
-                        self.take(",")
-                        x = self.name()
-                        self.take("->")
-                        table[x] = self.name()
-                self.take("]")
-                self.take(";")
-                on_mor[f] = table
-            else:
-                self.pos -= 1
-                self.error(f"unknown setfunctor clause {key!r}")
-        self.take("}")
-        decls["setfunctor"].append((xname, src, on_obj, on_mor))
+        if self.take() != "Set":
+            self.reject("setfunctor target must be Set")
 
-    def parse_term(self, decls):
-        tname = self.name()
-        self.take("=")
+        def entry(opening, closing, item):
+            """`a |-> <opening> item, ... <closing>`: a name and its zero or more items."""
+            a, = self.read(N, "|->", opening)
+            items = self.commas(item) if self.peek() != closing else []
+            self.take(closing)
+            return a, items
+
+        got = self.block("setfunctor", {
+            "obj": lambda: entry("{", "}", self.name),
+            "mor": lambda: entry("[", "]", lambda: self.read(N, "->", N))})
+        return (xname, src, {a: tuple(xs) for a, xs in got["obj"]},
+                {f: dict(pairs) for f, pairs in got["mor"]})
+
+    def parse_term(self):
+        tname, = self.read(N, "=")
         body = self.take()
         if not (body.startswith('"') and body.endswith('"')):
-            self.pos -= 1
-            self.error("term body must be a quoted string")
+            self.reject("term body must be a quoted string")
         self.take(";")
-        decls["term"].append((tname, body[1:-1]))
+        return tname, body[1:-1]
 
 
 def parse_workspace(files: list[tuple[str, str]]) -> Workspace:

@@ -55,12 +55,14 @@ def cmd_validate(ws: Workspace, args) -> dict:
     }
 
 
+def _named(table: dict, kind: str, name: str):
+    if name not in table:
+        raise StructuralError(f"no {kind} named {name}")
+    return table[name]
+
+
 def _diagram_by_name(ws: Workspace, name: str):
-    if name in ws.functors:
-        return ws.functors[name]
-    if name in ws.setfunctors:
-        return ws.setfunctors[name]
-    raise StructuralError(f"no functor or setfunctor named {name}")
+    return _named({**ws.setfunctors, **ws.functors}, "functor or setfunctor", name)
 
 
 def cmd_limit(ws: Workspace, args) -> dict:
@@ -146,9 +148,7 @@ def cmd_end(ws: Workspace, args) -> dict:
 
 
 def cmd_kan(ws: Workspace, args) -> dict:
-    K = ws.functors.get(args.K)
-    if K is None:
-        raise StructuralError(f"no functor named {args.K}")
+    K = _named(ws.functors, "functor", args.K)
     F = _diagram_by_name(ws, args.F)
     side = LEFT if args.command == "kan-left" else RIGHT
     kr = kan_pointwise(K, F, side)
@@ -167,9 +167,7 @@ def cmd_kan(ws: Workspace, args) -> dict:
 
 
 def cmd_adjoint_of(ws: Workspace, args) -> dict:
-    G = ws.functors.get(args.G)
-    if G is None:
-        raise StructuralError(f"no functor named {args.G}")
+    G = _named(ws.functors, "functor", args.G)
     adj = adjoint_from_universals(G, side=args.side)
     if adj is None:
         raise Failure(f"{args.side} adjoint of {args.G} verified absent", {})
@@ -196,9 +194,7 @@ def cmd_snake(ws: Workspace, args) -> dict:
 
 
 def cmd_yoneda_check(ws: Workspace, args) -> dict:
-    C = ws.categories.get(args.C)
-    if C is None:
-        raise StructuralError(f"no category named {args.C}")
+    C = _named(ws.categories, "category", args.C)
     family = [hom_functor(C, c, "covariant") for c in C.sorted_objects()]
     family += [X for X in ws.setfunctors.values() if X.dom == C]
     checked = 0
@@ -224,20 +220,14 @@ def cmd_yoneda_check(ws: Workspace, args) -> dict:
 
 
 def cmd_density(ws: Workspace, args) -> dict:
-    K = ws.functors.get(args.K)
-    if K is None:
-        raise StructuralError(f"no functor named {args.K}")
-    rep = density_check(K)
+    rep = density_check(_named(ws.functors, "functor", args.K))
     if not rep.ok:
         raise Failure("not dense", {"report": rep.to_json()})
     return {"dense": True, "report": rep.to_json()}
 
 
 def cmd_codensity(ws: Workspace, args) -> dict:
-    K = ws.functors.get(args.K)
-    if K is None:
-        raise StructuralError(f"no functor named {args.K}")
-    m = codensity_monad(K)
+    m = codensity_monad(_named(ws.functors, "functor", args.K))
     if m is None:
         raise Failure("codensity monad absent (right extension missing)", {})
     if not m.report.ok:
@@ -249,9 +239,7 @@ def cmd_codensity(ws: Workspace, args) -> dict:
 
 
 def cmd_weighted_limit(ws: Workspace, args) -> dict:
-    W = ws.setfunctors.get(args.W)
-    if W is None:
-        raise StructuralError(f"no setfunctor named {args.W}")
+    W = _named(ws.setfunctors, "setfunctor", args.W)
     F = _diagram_by_name(ws, args.F)
     side = LIMIT if args.side == "limit" else COLIMIT
     res = weighted_limit(W, F, side)
@@ -295,23 +283,24 @@ def cmd_render(ws: Workspace, args) -> dict:
     return {"written": args.output, "bytes": len(svg.encode("utf8"))}
 
 
+# name -> (handler, positional arguments before the files)
 COMMANDS = {
-    "validate": cmd_validate,
-    "limit": cmd_limit,
-    "colimit": cmd_limit,
-    "end": cmd_end,
-    "coend": cmd_end,
-    "kan-left": cmd_kan,
-    "kan-right": cmd_kan,
-    "adjoint-of": cmd_adjoint_of,
-    "snake": cmd_snake,
-    "yoneda-check": cmd_yoneda_check,
-    "density": cmd_density,
-    "codensity": cmd_codensity,
-    "weighted-limit": cmd_weighted_limit,
-    "diagram-eval": cmd_diagram_eval,
-    "diagram-normalize": cmd_diagram_normalize,
-    "render": cmd_render,
+    "validate": (cmd_validate, ()),
+    "limit": (cmd_limit, ("diagram",)),
+    "colimit": (cmd_limit, ("diagram",)),
+    "end": (cmd_end, ("bifunctor",)),
+    "coend": (cmd_end, ("bifunctor",)),
+    "kan-left": (cmd_kan, ("K", "F")),
+    "kan-right": (cmd_kan, ("K", "F")),
+    "adjoint-of": (cmd_adjoint_of, ("G",)),
+    "snake": (cmd_snake, ("F", "G", "eta", "eps")),
+    "yoneda-check": (cmd_yoneda_check, ("C",)),
+    "density": (cmd_density, ("K",)),
+    "codensity": (cmd_codensity, ("K",)),
+    "weighted-limit": (cmd_weighted_limit, ("W", "F")),
+    "diagram-eval": (cmd_diagram_eval, ("term",)),
+    "diagram-normalize": (cmd_diagram_normalize, ("term",)),
+    "render": (cmd_render, ("term",)),
 }
 
 
@@ -324,34 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="echoed into --json output; no command reads it")
     common.add_argument("--guard", type=int, default=None, help="enumeration budget")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, *params, output=False):
+    for name, (_, params) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         for prm in params:
             p.add_argument(prm)
         p.add_argument("files", nargs="+", metavar="FILE.cat")
-        if output:
-            p.add_argument("-o", "--output", default=None)
-        return p
-
-    add("validate")
-    add("limit", "diagram")
-    add("colimit", "diagram")
-    add("end", "bifunctor")
-    add("coend", "bifunctor")
-    add("kan-left", "K", "F")
-    add("kan-right", "K", "F")
-    padj = add("adjoint-of", "G")
-    padj.add_argument("--side", choices=["left", "right"], default="left")
-    add("snake", "F", "G", "eta", "eps")
-    add("yoneda-check", "C")
-    add("density", "K")
-    add("codensity", "K")
-    pwl = add("weighted-limit", "W", "F")
-    pwl.add_argument("--side", choices=["limit", "colimit"], default="limit")
-    add("diagram-eval", "term")
-    add("diagram-normalize", "term")
-    add("render", "term", output=True)
+    sub.choices["adjoint-of"].add_argument("--side", choices=["left", "right"], default="left")
+    sub.choices["weighted-limit"].add_argument("--side", choices=["limit", "colimit"],
+                                               default="limit")
+    sub.choices["render"].add_argument("-o", "--output", default=None)
     return ap
 
 
@@ -373,7 +343,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         ws = load_workspace(args.files)
-        result = COMMANDS[args.command](ws, args)
+        handler, _ = COMMANDS[args.command]
+        result = handler(ws, args)
         return emit(args, {"result": result}, 0)
     except Failure as f:
         return emit(args, {"message": str(f), **f.payload}, 1)

@@ -332,15 +332,15 @@ class NatTrans(Keyed):
 # ---------------------------------------------------------------------------
 # Construction helpers
 
-def make_category(name, objects, arrows, compose, identity_prefix="id_") -> FinCat:
+def make_category(name, objects, arrows, compose) -> FinCat:
     """Build a FinCat from non-identity arrow specs (name, dom, cod).
 
     Identity morphisms and their composites are generated; `compose` supplies
     the remaining entries keyed by (g, f).
     """
     objects = tuple(objects)
-    mors = [Mor(identity_prefix + a, a, a) for a in objects]
-    identity = {a: identity_prefix + a for a in objects}
+    mors = [Mor(f"id_{a}", a, a) for a in objects]
+    identity = {a: f"id_{a}" for a in objects}
     seen = {m.name for m in mors}
     for spec in arrows:
         m = Mor(*spec)
@@ -781,12 +781,6 @@ class FunctorCategory:
     def __post_init__(self):
         Keyed._freeze(self, "functors", "nats")
 
-    def obj_id_of(self, F: Functor) -> str:
-        return canonical_functor_id(F)
-
-    def mor_id_of(self, alpha: NatTrans) -> str:
-        return canonical_nat_id(alpha)
-
 
 def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorCategory:
     """The category of functors C -> D and all natural transformations between them.
@@ -836,12 +830,12 @@ def diagonal_functor(J: FinCat, C: FinCat, fc: FunctorCategory) -> Functor:
     obj_map = {}
     mor_map = {}
     for c in C.objects:
-        obj_map[c] = fc.obj_id_of(const_diagram(c, J, C))
+        obj_map[c] = canonical_functor_id(const_diagram(c, J, C))
     for m in C.morphisms:
         src = fc.functors[obj_map[m.dom]]
         tgt = fc.functors[obj_map[m.cod]]
         nat = NatTrans(f"const({m.name})", src, tgt, {j: m.name for j in J.objects})
-        mor_map[m.name] = fc.mor_id_of(nat)
+        mor_map[m.name] = canonical_nat_id(nat)
     return Functor(f"diag[{J.name}]", C, fc.cat, obj_map, mor_map)
 
 

@@ -9,6 +9,8 @@ from contextlib import redirect_stdout
 
 import fincat
 from fincat.catfile import (
+    CatSyntaxError,
+    LawViolation,
     load_workspace,
     parse_workspace,
     serialize,
@@ -55,6 +57,40 @@ def test_workspace_round_trip():
             assert dict(ws.functors[k].obj_map) == dict(ws2.functors[k].obj_map)
             assert dict(ws.functors[k].mor_map) == dict(ws2.functors[k].mor_map)
         assert {k: v for k, v in ws.terms.items()} == ws2.terms
+
+
+def test_serialize_reproduces_each_loading_corpus_file():
+    loaded = 0
+    for path in sorted(CORPUS.glob("*.cat")):
+        text = path.read_text()
+        try:
+            ws = parse_workspace([(path.name, text)])
+        except (StructuralError, LawViolation):
+            continue
+        assert serialize(ws) == text, path.name
+        loaded += 1
+    assert loaded == 13
+
+
+def test_hash_inside_a_quoted_name_is_not_a_comment():
+    text = """category "C#1" {  # a comment with a "quote
+  objects: "a#1", b;
+  mor "f#": "a#1" -> b;
+}
+functor "F#": "C#1" -> "C#1" { obj "a#1" |-> "a#1"; obj b |-> b; mor "f#" |-> "f#"; }
+nat "t#": "F#" => "F#" { at "a#1": "id_a#1"; at b: id_b; }
+setfunctor "X#": "C#1" -> Set {
+  obj "a#1" |-> {"x#"}; obj b |-> {"y#", z}; mor "f#" |-> ["x#" -> "y#"];
+}
+"""
+    ws = parse_workspace([("hash.cat", text)])
+    assert ws.categories["C#1"].objects == ("a#1", "b")
+    assert dict(ws.setfunctors["X#"].on_mor["f#"].table) == {"x#": "y#"}
+    again = serialize(ws)
+    ws2 = parse_workspace([("<serialized>", again)])
+    assert serialize(ws2) == again
+    assert set(ws2.functors) == {"F#"} and set(ws2.nats) == {"t#"}
+    assert dict(ws2.nats["t#"].components) == {"a#1": "id_a#1", "b": "id_b"}
 
 
 def test_limit_commands():
@@ -199,6 +235,36 @@ def test_cat_syntax_error_carries_position():
         raised = True
         assert "f.cat:1:" in str(e)
     assert raised
+
+
+SYNTAX_ERRORS = [
+    ("category C { objects: a; }\nwidget W { }\n", "f.cat:2:1: unknown declaration 'widget'"),
+    ("category C {\n  objects: a;\n  arrow f: a -> a;\n}\n",
+     "f.cat:3:3: unknown category clause 'arrow'"),
+    ("functor F: C -> C { ob a |-> a; }\n", "f.cat:1:21: unknown functor clause 'ob'"),
+    ("setfunctor X: C -> Set {\n  obj a |-> {x};\n  objs b |-> {};\n}\n",
+     "f.cat:3:3: unknown setfunctor clause 'objs'"),
+    ("nat t: F => G { on a: u; }\n", "f.cat:1:17: expected 'at', found 'on'"),
+    ("nat t: F => G {", "f.cat:1:15: expected 'at' (at end of file)"),
+    ("category C { objects: a, ; }\n", "f.cat:1:26: expected a name, found ';'"),
+    ("category C { objects a; }\n", "f.cat:1:22: expected ':', found 'a'"),
+    ("category C { objects: a;\n", "f.cat:1:24: unexpected end of file (at end of file)"),
+    ("functor F: C -> C\n", "f.cat:1:17: expected '{' (at end of file)"),
+    ("setfunctor X: C -> Cat { }\n", "f.cat:1:20: setfunctor target must be Set"),
+    ("setfunctor X: op(C -> Set { }\n", "f.cat:1:20: expected ')', found '->'"),
+    ("term t = alpha;\n", "f.cat:1:10: term body must be a quoted string"),
+    ("term t = ", "f.cat:1:8: unexpected end of file (at end of file)"),
+]
+
+
+def test_every_syntax_error_message_is_pinned():
+    for text, message in SYNTAX_ERRORS:
+        try:
+            parse_workspace([("f.cat", text)])
+        except CatSyntaxError as e:
+            assert str(e) == message, text
+        else:
+            raise AssertionError(f"no syntax error for {text!r}")
 
 
 def test_declared_unit_violation_is_flagged(tmp_path):
