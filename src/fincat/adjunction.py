@@ -35,9 +35,6 @@ class Adjunction:
     unit: NatTrans
     counit: NatTrans
 
-    def phi(self, c: str, d: str, f: str) -> str:
-        return self.hom_iso[(c, d)](f)
-
 
 def validate_adjunction(F: Functor, G: Functor,
                         hom_iso: Mapping[tuple[str, str], FinSetMap]) -> Report:

@@ -7,7 +7,6 @@ across runs.
 """
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -69,6 +68,63 @@ def unique_factor(candidates, holds):
     how many do: the count a factorization counterexample reports."""
     found = [x for x in candidates if holds(x)]
     return (found[0] if len(found) == 1 else None), len(found)
+
+
+# ---------------------------------------------------------------------------
+# The family search: functors, natural transformations in both backends,
+# cones, wedges and the probe cones of a Set certificate are all families of
+# values, one per slot, under constraints that each read a few slots.
+
+def schedule(slots: int, constraints) -> list[list]:
+    """Bucket the (read, payload) constraints of a search over `slots` slots:
+    due[0] holds the payloads whose read slots are empty, due[i + 1] those
+    whose last read slot is i."""
+    due: list[list] = [[] for _ in range(slots + 1)]
+    for read, payload in constraints:
+        due[max(read, default=-1) + 1].append(payload)
+    return due
+
+
+def search(choices, due, holds) -> Iterator[tuple]:
+    """Every family with values[i] from choices[i] that meets every scheduled
+    constraint, depth first in itertools.product order, so that output order,
+    `checked` counts and first counterexamples are a product filter's.
+
+    holds(payload, values) tests one constraint on the slots assigned so far:
+    those of due[0] once before the first step, those of due[i + 1] once on
+    each path, right after slot i is assigned, so a failing prefix is pruned
+    at once (forward checking, Haralick & Elliott 1980).
+    """
+    values = [None] * len(choices)
+    for c in due[0]:
+        if not holds(c, values):
+            return
+    if not all(choices):
+        return
+    if not choices:
+        yield ()
+        return
+    # untried[i]: the candidates for slot i not yet tried after the current prefix
+    untried = [iter(choices[0])]
+    i = 0
+    while i >= 0:
+        tests = due[i + 1]
+        for v in untried[i]:
+            values[i] = v
+            for c in tests:
+                if not holds(c, values):
+                    break
+            else:
+                break  # v passes every test due at slot i
+        else:
+            untried.pop()  # slot i is exhausted: back up to slot i - 1
+            i -= 1
+            continue
+        if i + 1 < len(choices):
+            i += 1
+            untried.append(iter(choices[i]))
+        else:
+            yield tuple(values)
 
 
 @dataclass(frozen=True)
@@ -176,6 +232,14 @@ class FinCat(Keyed):
         for m in self.morphisms:
             table.setdefault((m.dom, m.cod), []).append(m.name)
         return {k: tuple(sorted(v)) for k, v in table.items()}
+
+    @cached
+    def _squares(self) -> list[list[tuple[str, int, int]]]:
+        """The naturality square (name, dom slot, cod slot) of each morphism,
+        scheduled for a search over component families in sorted object order."""
+        pos = {a: i for i, a in enumerate(self._sorted_objects)}
+        ends = [(m.name, pos[m.dom], pos[m.cod]) for m in self.morphisms]
+        return schedule(len(pos), (((a, b), (m, a, b)) for m, a, b in ends))
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         """Morphism ids from a to b, lexicographically sorted."""
@@ -295,12 +359,6 @@ class Functor(Keyed):
     def __post_init__(self):
         self._freeze("obj_map", "mor_map")
 
-    def on_obj(self, a: str) -> str:
-        return self.obj_map[a]
-
-    def on_mor(self, f: str) -> str:
-        return self.mor_map[f]
-
     def _structure(self):
         return (self.dom.key(), self.cod.key(),
                 tuple(sorted(self.obj_map.items())), tuple(sorted(self.mor_map.items())))
@@ -318,9 +376,6 @@ class NatTrans(Keyed):
 
     def __post_init__(self):
         self._freeze("components")
-
-    def at(self, a: str) -> str:
-        return self.components[a]
 
     def _structure(self):
         return (self.src.key(), self.tgt.key(), tuple(sorted(self.components.items())))
@@ -581,15 +636,6 @@ def opposite(C: FinCat) -> FinCat:
     return back if back is not None else C._opposite
 
 
-def arrows(J: FinCat, reverse: bool = False) -> list[tuple[str, str, str]]:
-    """(name, dom, cod) of J's morphisms, or with reverse of opposite(J)'s in
-    the same order, without building opposite(J): J is often a fresh comma or
-    index category whose opposite would be used once."""
-    if reverse:
-        return [(m.name, m.cod, m.dom) for m in J.morphisms]
-    return [(m.name, m.dom, m.cod) for m in J.morphisms]
-
-
 def opposite_functor(F: Functor) -> Functor:
     return Functor(F.name, opposite(F.dom), opposite(F.cod), F.obj_map, F.mor_map)
 
@@ -605,13 +651,9 @@ def product(C: FinCat, D: FinCat) -> FinCat:
     identity = {pair(x, y): pair(C.identity[x], D.identity[y])
                 for x in C.objects for y in D.objects}
     table = {}
-    for g, f in itertools.product(C.morphisms, repeat=2):
-        if f.cod != g.dom:
-            continue
+    for g, f in composable_pairs(C):
         gf = C.comp(g.name, f.name)
-        for gp, fp in itertools.product(D.morphisms, repeat=2):
-            if fp.cod != gp.dom:
-                continue
+        for gp, fp in composable_pairs(D):
             table[(pair(g.name, gp.name), pair(f.name, fp.name))] = \
                 pair(gf, D.comp(gp.name, fp.name))
     return FinCat(f"{C.name}x{D.name}", objects, tuple(mors), identity, table)
@@ -666,12 +708,12 @@ def canonical_nat_id(alpha: NatTrans) -> str:
 def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[Functor]:
     """All functors C -> D, each named by its canonical id, in id order.
 
-    For each object assignment, the generators (C's non-identity morphisms in
-    name order) are assigned one by one, backtracking over D's hom-sets.  Each
-    composable pair (g, f, g.f) of C is tested once on a path, at the step
-    that assigns the last of its three members; pairs of identities are tested
-    before the first step.  A node thus tests only the pairs its own
-    assignment completed: its ancestors passed all the others.
+    Two searches: one assigns objects, on the schedule C._squares, keeping
+    an assignment only if every morphism of C has a non-empty hom-set
+    between its ends' images; for each such assignment one assigns C's
+    identities their images and then the generators (C's non-identity
+    morphisms) in name order, testing each composable pair (g, f, g.f) of C
+    on the step that assigns its last member.
     """
     guard = DEFAULT_GUARD if guard is None else guard
     objs = C.sorted_objects()
@@ -680,42 +722,21 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
         raise GuardExceeded(
             f"functor enumeration {C.name} -> {D.name} exceeds guard {guard}")
     gens = C.nonidentity_mor_names()
-    ids = [C.id_of(a) for a in objs]
-    step = dict.fromkeys(ids, 0)
-    step.update((f, i + 1) for i, f in enumerate(gens))
-    # due[0]: pairs of identities; due[i + 1]: the pairs gens[i] completes
-    due: list[list[tuple[str, str, str]]] = [[] for _ in range(len(gens) + 1)]
-    for g, f in composable_pairs(C):
-        gf = C.comp(g.name, f.name)
-        due[max(step[g.name], step[f.name], step[gf])].append((g.name, f.name, gf))
     ends = [(C.mor[f].dom, C.mor[f].cod) for f in gens]
+    # the generator search's slots: each identity (one candidate), then gens
+    slot = {f: i for i, f in enumerate([C.id_of(a) for a in objs] + list(gens))}
+    pairs = [(slot[g.name], slot[f.name], slot[C.comp(g.name, f.name)])
+             for g, f in composable_pairs(C)]
+    composites = schedule(len(slot), ((p, p) for p in pairs))
     out: list[Functor] = []
-    obj_map: dict[str, str] = {}
-    mor_map: dict[str, str] = {}
-
-    def holds(pairs) -> bool:
-        for g, f, gf in pairs:
-            if D.comp(mor_map[g], mor_map[f]) != mor_map[gf]:
-                return False
-        return True
-
-    def extend(i: int):
-        # an entry left by a sibling branch is overwritten before a test reads it
-        if i == len(gens):
-            out.append(Functor(_functor_id(obj_map, objs, mor_map, gens), C, D, obj_map, mor_map))
-            return
-        f = gens[i]
-        a, b = ends[i]
-        for u in D.hom(obj_map[a], obj_map[b]):
-            mor_map[f] = u
-            if holds(due[i + 1]):
-                extend(i + 1)
-
-    for choice in itertools.product(d_objs, repeat=len(objs)):
+    # an object assignment must give each morphism of C a non-empty hom-set
+    for choice in search([d_objs] * len(objs), C._squares,
+                         lambda square, v: bool(D.hom(v[square[1]], v[square[2]]))):
         obj_map = dict(zip(objs, choice))
-        mor_map = {i: D.id_of(x) for i, x in zip(ids, choice)}
-        if holds(due[0]):
-            extend(0)
+        homs = [(D.id_of(x),) for x in choice] + [D.hom(obj_map[a], obj_map[b]) for a, b in ends]
+        for images in search(homs, composites, lambda p, v: D.comp(v[p[0]], v[p[1]]) == v[p[2]]):
+            mor_map = dict(zip(slot, images))
+            out.append(Functor(_functor_id(obj_map, objs, mor_map, gens), C, D, obj_map, mor_map))
     out.sort(key=lambda F: F.name)
     return out
 
@@ -724,38 +745,23 @@ def _nat_trans(F: Functor, G: Functor, fid: str, gid: str) -> list[tuple[str, Na
     """The natural transformations F => G with their canonical ids, in id order,
     given the ids fid and gid of F and G.
 
-    Components are chosen object by object in sorted order, backtracking over
-    D's hom-sets; each morphism's naturality square is tested once on a path,
-    when the later of its two ends gets its component.
+    Components are searched object by object in sorted order over D's
+    hom-sets, each morphism's naturality square tested once on a path, when
+    the later of its two ends gets its component (the schedule C._squares).
     """
     C, D = F.dom, F.cod
     objs = C.sorted_objects()
     homs = [D.hom(F.obj_map[a], G.obj_map[a]) for a in objs]
-    if not all(homs):
-        return []
-    pos = {a: i for i, a in enumerate(objs)}
-    due: list[list[tuple[str, str, str, str]]] = [[] for _ in objs]
-    for name in C.sorted_mor_names():
-        m = C.mor[name]
-        due[max(pos[m.dom], pos[m.cod])].append((m.dom, m.cod, F.mor_map[name], G.mor_map[name]))
-    out: list[tuple[str, NatTrans]] = []
-    comps: dict[str, str] = {}
+    Fm, Gm = F.mor_map, G.mor_map
 
-    def extend(i: int):
-        # an entry left by a sibling branch is overwritten before a test reads it
-        if i == len(objs):
-            out.append((_nat_id(fid, gid, comps, objs), NatTrans("t", F, G, comps)))
-            return
-        a = objs[i]
-        for u in homs[i]:
-            comps[a] = u
-            for x, y, Fm, Gm in due[i]:
-                if D.comp(Gm, comps[x]) != D.comp(comps[y], Fm):
-                    break
-            else:
-                extend(i + 1)
+    def natural(square, v) -> bool:
+        m, a, b = square
+        return D.comp(Gm[m], v[a]) == D.comp(v[b], Fm[m])
 
-    extend(0)
+    out = []
+    for family in search(homs, C._squares, natural):
+        comps = dict(zip(objs, family))
+        out.append((_nat_id(fid, gid, comps, objs), NatTrans("t", F, G, comps)))
     out.sort(key=lambda p: p[0])
     return out
 

@@ -25,6 +25,7 @@ from .core import (
     ok_report,
     opposite,
     reject_strays,
+    search,
 )
 
 
@@ -127,12 +128,6 @@ class SetFunctor(Keyed):
     def __post_init__(self):
         self._freeze("on_obj", "on_mor")
 
-    def obj(self, a: str) -> FinSetObj:
-        return self.on_obj[a]
-
-    def mor(self, f: str) -> FinSetMap:
-        return self.on_mor[f]
-
     def _structure(self):
         return (self.dom.key(),
                 tuple(sorted((a, X.key()) for a, X in self.on_obj.items())),
@@ -191,9 +186,6 @@ class SetNatTrans(Keyed):
 
     def __post_init__(self):
         self._freeze("components")
-
-    def at(self, a: str) -> FinSetMap:
-        return self.components[a]
 
     def _structure(self):
         return (self.src.key(), self.tgt.key(),
@@ -271,7 +263,8 @@ def product_set_functor(X: SetFunctor, Y: SetFunctor, name: str | None = None) -
 
 def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor,
                            guard: int | None = None) -> list[SetNatTrans]:
-    """All natural transformations X => Y, by backtracking with naturality pruning."""
+    """All natural transformations X => Y, in key order: components searched
+    over all_maps on the naturality squares C._squares, as in core._nat_trans."""
     if X.dom != Y.dom:
         raise StructuralError("functors on different categories")
     guard = DEFAULT_GUARD if guard is None else guard
@@ -282,27 +275,16 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor,
         budget *= max(1, len(Y.on_obj[a])) ** len(X.on_obj[a])
         if budget > guard:
             raise GuardExceeded(f"natural-family enumeration exceeds guard {guard}")
-    mors = [C.mor[m] for m in C.sorted_mor_names()]
     Xt, Yt = _tables(X), _tables(Y)
-    out: list[SetNatTrans] = []
-    comps: dict[str, FinSetMap] = {}
 
-    def natural(m) -> bool:
-        a, b = comps[m.dom].table, comps[m.cod].table
-        return all(Yt[m.name][a[x]] == b[Xt[m.name][x]] for x in a)
+    def natural(square, v) -> bool:
+        m, i, j = square
+        a, b, xm, ym = v[i].table, v[j].table, Xt[m], Yt[m]
+        return all(ym[a[x]] == b[xm[x]] for x in a)
 
-    def extend(i: int):
-        if i == len(objs):
-            out.append(SetNatTrans("t", X, Y, comps))
-            return
-        a = objs[i]
-        for cand in all_maps(X.on_obj[a], Y.on_obj[a]):
-            comps[a] = cand
-            if all(natural(m) for m in mors if m.dom in comps and m.cod in comps):
-                extend(i + 1)
-            del comps[a]
-
-    extend(0)
+    out = [SetNatTrans("t", X, Y, dict(zip(objs, family)))
+           for family in search([all_maps(X.on_obj[a], Y.on_obj[a]) for a in objs],
+                                C._squares, natural)]
     out.sort(key=lambda t: t.key())
     return out
 
@@ -423,10 +405,8 @@ def yoneda_embedding(C: FinCat) -> YonedaImage:
                 mors.append(Mor(mor_id(f), obj_id(c), obj_id(d)))
     identity = {obj_id(c): mor_id(C.id_of(c)) for c in C.objects}
     table = {}
-    for m in C.morphisms:
-        for n in C.morphisms:
-            if n.cod == m.dom:
-                table[(mor_id(m.name), mor_id(n.name))] = mor_id(C.comp(m.name, n.name))
+    for m, n in composable_pairs(C):
+        table[(mor_id(m.name), mor_id(n.name))] = mor_id(C.comp(m.name, n.name))
     image = FinCat(f"y({C.name})", tuple(obj_id(c) for c in C.sorted_objects()),
                    tuple(sorted(mors, key=lambda m: m.name)), identity, table)
     emb = Functor(f"yoneda({C.name})", C, image,

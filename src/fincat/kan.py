@@ -31,7 +31,6 @@ from .core import (
     NatTrans,
     Report,
     StructuralError,
-    arrows,
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
@@ -42,6 +41,7 @@ from .core import (
     opposite_functor,
     pair_id,
     product,
+    search,
     split_pair,
     unique_factor,
     validate_natural,
@@ -69,7 +69,7 @@ from .limits import (
     COLIMIT,
     LIMIT,
     LimitResult,
-    certify_terminal,
+    first_terminal,
     induced_set_map,
     limit,
     limit_finset,
@@ -303,25 +303,32 @@ def _end_coend_set(D: SetFunctor, J: FinCat, side: str) -> EndResult:
 
 
 def enumerate_wedges(D: Functor, J: FinCat, side: str) -> list[WedgeData]:
-    """All (co)wedges of a bifunctor valued in a finite category.
+    """All (co)wedges of a bifunctor valued in a finite category, apexes in
+    id order and each apex's families in product order, searched component by
+    component on the schedule J._squares: each arrow is tested once both its
+    ends have a component.
 
     A cowedge is a wedge read in the opposite target with J's arrows reversed.
     """
     _check_bifunctor_shape(D, J)
     C = D.cod if side == "end" else opposite(D.cod)
     objs = J.sorted_objects()
-    steps = [(D.mor_map[pair_id(J.id_of(i), h)], i, D.mor_map[pair_id(h, J.id_of(j))], j)
-             for h, i, j in arrows(J, reverse=side != "end")]
-    out = []
-    for c in C.sorted_objects():
-        for combo in itertools.product(*[C.hom(c, D.obj_map[pair_id(j, j)]) for j in objs]):
-            fam = dict(zip(objs, combo))
-            for u, i, v, j in steps:
-                if C.comp(u, fam[i]) != C.comp(v, fam[j]):
-                    break
-            else:
-                out.append(WedgeData(c, fam, "wedge" if side == "end" else "cowedge"))
-    return out
+
+    def condition(h: str, i: int, j: int):
+        # h: i -> j needs D(id_i, h) . fam_i = D(h, id_j) . fam_j
+        return (D.mor_map[pair_id(J.id_of(objs[i]), h)], i,
+                D.mor_map[pair_id(h, J.id_of(objs[j]))], j)
+
+    due = [[condition(h, i, j) if side == "end" else condition(h, j, i) for h, i, j in squares]
+           for squares in J._squares]
+
+    def wedge(cond, fam) -> bool:
+        u, i, v, j = cond
+        return C.comp(u, fam[i]) == C.comp(v, fam[j])
+
+    return [WedgeData(c, dict(zip(objs, fam)), "wedge" if side == "end" else "cowedge")
+            for c in C.sorted_objects()
+            for fam in search([C.hom(c, D.obj_map[pair_id(j, j)]) for j in objs], due, wedge)]
 
 
 def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[EndResult]:
@@ -335,13 +342,12 @@ def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[E
     if isinstance(D, SetFunctor):
         return end_coend_finset(D, J, side)
     wedges = enumerate_wedges(D, J, side)
-    C = D.cod if side == "end" else opposite(D.cod)
-    cones = [(w.apex, w.components) for w in wedges]
-    for w in wedges:
-        cert = certify_terminal(C, w.apex, w.components, cones)
-        if cert.ok:
-            return EndResult(w.apex, w, cert)
-    return None
+    found = first_terminal(D.cod if side == "end" else opposite(D.cod),
+                           [(w.apex, w.components) for w in wedges])
+    if found is None:
+        return None
+    w = wedges[found[0]]
+    return EndResult(w.apex, w, found[1])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .core import (
     NatTrans,
     Report,
     StructuralError,
-    arrows,
     compose_functors,
     const_diagram,
     fail_report,
@@ -29,6 +28,7 @@ from .core import (
     opposite,
     pair_id,
     product,
+    search,
     split_pair,
     unique_factor,
     whisker_functor_nat,
@@ -102,20 +102,21 @@ def _searched_in(C: FinCat, direction: str) -> FinCat:
 
 
 def enumerate_cones(D: Functor, direction: str) -> list[tuple[str, dict[str, str]]]:
-    """All (apex, legs) in the target category, legs filtered by naturality."""
+    """All (apex, legs) in the target category, apexes in id order and each
+    apex's leg families in product order, searched leg by leg on the
+    schedule J._squares: each arrow is tested once both its ends have a leg."""
     C = _searched_in(D.cod, direction)
     objs = D.dom.sorted_objects()
-    steps = [(D.mor_map[m], a, b) for m, a, b in arrows(D.dom, reverse=direction != LIMIT)]
-    out = []
-    for c in C.sorted_objects():
-        for legs in itertools.product(*[C.hom(c, D.obj_map[j]) for j in objs]):
-            fam = dict(zip(objs, legs))
-            for u, a, b in steps:
-                if C.comp(u, fam[a]) != fam[b]:
-                    break
-            else:
-                out.append((c, fam))
-    return out
+    # a cocone is a cone in C = op(target) over J's arrows reversed
+    due = [[(D.mor_map[m], a, b) if direction == LIMIT else (D.mor_map[m], b, a)
+            for m, a, b in squares] for squares in D.dom._squares]
+
+    def natural(cond, legs) -> bool:
+        u, a, b = cond
+        return C.comp(u, legs[a]) == legs[b]
+
+    return [(c, dict(zip(objs, legs))) for c in C.sorted_objects()
+            for legs in search([C.hom(c, D.obj_map[j]) for j in objs], due, natural)]
 
 
 def _factor_through(C: FinCat, c: str, fam, apex: str, legs):
@@ -141,22 +142,32 @@ def _certify_extremal(D: Functor, direction: str, apex: str, legs: dict[str, str
     return certify_terminal(_searched_in(D.cod, direction), apex, legs, cones)
 
 
+def first_terminal(C: FinCat, cones) -> Optional[tuple[int, Report]]:
+    """The position of the first listed cone that certify_terminal certifies
+    against all of them, with its certificate, or None if none is terminal."""
+    for n, (apex, legs) in enumerate(cones):
+        cert = certify_terminal(C, apex, legs, cones)
+        if cert.ok:
+            return n, cert
+    return None
+
+
 def limit(D: Functor, direction: str = LIMIT) -> Optional[LimitResult]:
     """Terminal cone / initial cocone by exhaustive search; absence is valid."""
     if direction not in (LIMIT, COLIMIT):
         raise StructuralError(f"unknown direction {direction!r}")
     J, C = D.dom, D.cod
-    cones = enumerate_cones(D, direction)
-    for apex, legs in cones:  # already in lexicographic apex order
-        cert = _certify_extremal(D, direction, apex, legs, cones)
-        if cert.ok:
-            if direction == LIMIT:
-                nat = NatTrans(f"lim-cone({D.name})", const_diagram(apex, J, C), D, legs)
-            else:
-                nat = NatTrans(f"colim-cocone({D.name})", D, const_diagram(apex, J, C), legs)
-            return LimitResult(apex, ConeData(apex, nat, "cone" if direction == LIMIT
-                                              else "cocone"), cert)
-    return None
+    cones = enumerate_cones(D, direction)   # already in lexicographic apex order
+    found = first_terminal(_searched_in(C, direction), cones)
+    if found is None:
+        return None
+    (apex, legs), cert = cones[found[0]], found[1]
+    if direction == LIMIT:
+        nat = NatTrans(f"lim-cone({D.name})", const_diagram(apex, J, C), D, legs)
+    else:
+        nat = NatTrans(f"colim-cocone({D.name})", D, const_diagram(apex, J, C), legs)
+    return LimitResult(apex, ConeData(apex, nat, "cone" if direction == LIMIT else "cocone"),
+                       cert)
 
 
 def _induced(C: FinCat, direction: str, src: LimitResult, tgt: LimitResult,
@@ -316,37 +327,36 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
                     legs: dict[str, FinSetMap]) -> Report:
     """Unique factorization of every probe (co)cone, on raw tables.
 
-    Candidate families run in all_maps order, so `checked` and the first
-    counterexample do not depend on how the tables are represented.
+    Probe families are searched leg by leg in all_maps order on J._squares,
+    so `checked` and the first counterexample are those of their product.
     """
     J = D.dom
     objs = J.sorted_objects()
     tables = _tables(D)
-    arrows = [(m.dom, m.cod, tables[m.name]) for m in J.morphisms]
     checked = 0
     signature: dict[tuple, int] = {}
     if direction == LIMIT:
         for e in obj.elements:
             k = tuple(legs[j](e) for j in objs)
             signature[k] = signature.get(k, 0) + 1
+
+    def natural(square, fam) -> bool:
+        m, a, b = square
+        t, fa, fb = tables[m], fam[a], fam[b]
+        if direction == LIMIT:
+            # D(m) . fam_dom = fam_cod, pointwise on the probe
+            return all(t[x] == fb[p] for p, x in fa.items())
+        # fam_cod . D(m) = fam_dom, pointwise on D(dom m)
+        return all(fb[y] == fa[x] for x, y in t.items())
+
     for size in _PROBE_SIZES:
         P = FinSetObj(tuple(f"p{i}" for i in range(size)))
         if direction == LIMIT:
             choices = [[t.table for t in all_maps(P, D.on_obj[j])] for j in objs]
         else:
             choices = [[t.table for t in all_maps(D.on_obj[j], P)] for j in objs]
-        for combo in itertools.product(*choices):
+        for combo in search(choices, J._squares, natural):
             fam = dict(zip(objs, combo))
-            if direction == LIMIT:
-                # D(m) . fam_dom = fam_cod, pointwise on the probe
-                natural = all(all(t[fam[a][p]] == fam[b][p] for p in P.elements)
-                              for a, b, t in arrows)
-            else:
-                # fam_cod . D(m) = fam_dom, pointwise on D(dom m)
-                natural = all(all(fam[b][y] == fam[a][x] for x, y in t.items())
-                              for a, b, t in arrows)
-            if not natural:
-                continue
             checked += 1
             if direction == LIMIT:
                 n = _factor_count_limit(signature, objs, P, fam)
