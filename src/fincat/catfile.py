@@ -226,17 +226,21 @@ class _WorkspaceParser:
 
 
 def parse_workspace(files: list[tuple[str, str]]) -> Workspace:
-    """Build a workspace from (filename, text) pairs; everything validates on load."""
+    """Build a workspace from (filename, text) pairs; one name per kind, all validated on load."""
     merged = {"category": [], "functor": [], "nat": [], "setfunctor": [], "term": []}
     for filename, text in files:
         decls = _WorkspaceParser(text, filename).parse()
         for k, v in decls.items():
             merged[k].extend(v)
+    for kind, entries in merged.items():
+        seen = set()
+        for entry in entries:
+            if entry[0] in seen:
+                raise StructuralError(f"duplicate {kind} {entry[0]}")
+            seen.add(entry[0])
 
     categories: dict[str, FinCat] = {}
     for cname, objects, arrows, compose in merged["category"]:
-        if cname in categories:
-            raise StructuralError(f"duplicate category {cname}")
         C = make_category(cname, objects, arrows, compose)
         rep = validate_category(C)
         if not rep.ok:

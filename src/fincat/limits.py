@@ -27,7 +27,6 @@ from .core import (
     ok_report,
     opposite,
     pair_id,
-    product,
     search,
     split_pair,
     unique_factor,
@@ -433,28 +432,34 @@ class InterchangeWitness:
     report: Report
 
 
-def _iterated_limit_functor(D: Functor, I: FinCat, J: FinCat, direction: str):
-    """Fix the first coordinate: the functor I -> C of per-i (co)limits over J."""
+def _pair_key(flip: bool):
+    """(a, b) -> the id of the product pair: (a,b), or (b,a) when a is in the second factor."""
+    return (lambda a, b: pair_id(b, a)) if flip else pair_id
+
+
+def _iterated_limit_functor(D: Functor, A: FinCat, B: FinCat, direction: str, flip: bool):
+    """Fix one coordinate a of A: the functor A -> C of per-a (co)limits over B."""
     C = D.cod
-    per_i: dict[str, LimitResult] = {}
-    for i in I.objects:
-        Di = Functor(f"{D.name}({i},-)", J, C,
-                     {j: D.obj_map[pair_id(i, j)] for j in J.objects},
-                     {m.name: D.mor_map[pair_id(I.id_of(i), m.name)] for m in J.morphisms})
-        res = limit(Di, direction)
+    key = _pair_key(flip)
+    per: dict[str, LimitResult] = {}
+    for a in A.objects:
+        Da = Functor(f"{D.name}{key(a, '-')}", B, C,
+                     {b: D.obj_map[key(a, b)] for b in B.objects},
+                     {m.name: D.mor_map[key(A.id_of(a), m.name)] for m in B.morphisms})
+        res = limit(Da, direction)
         if res is None:
             return None, None
-        per_i[i] = res
-    obj_map = {i: per_i[i].object for i in I.objects}
+        per[a] = res
+    obj_map = {a: per[a].object for a in A.objects}
     mor_map = {}
-    for m in I.morphisms:
-        move = {j: D.mor_map[pair_id(m.name, J.id_of(j))] for j in J.objects}
-        f = _induced(C, direction, per_i[m.dom], per_i[m.cod], move, J.objects)
+    for m in A.morphisms:
+        move = {b: D.mor_map[key(m.name, B.id_of(b))] for b in B.objects}
+        f = _induced(C, direction, per[m.dom], per[m.cod], move, B.objects)
         if f is None:
             raise StructuralError("iterated limit action not unique")
         mor_map[m.name] = f
-    L = Functor(f"{direction}_J({D.name})", I, C, obj_map, mor_map)
-    return L, per_i
+    L = Functor(f"{direction}_J({D.name})", A, C, obj_map, mor_map)
+    return L, per
 
 
 def interchange_check(D: Functor, I: FinCat, J: FinCat,
@@ -469,20 +474,13 @@ def interchange_check(D: Functor, I: FinCat, J: FinCat,
     joint = limit(D, direction)
     if joint is None:
         raise StructuralError("joint (co)limit missing")
-    LI, per_i = _iterated_limit_functor(D, I, J, direction)
+    LI, per_i = _iterated_limit_functor(D, I, J, direction, flip=False)
     if LI is None:
         raise StructuralError("inner (co)limits over J missing")
     outer = limit(LI, direction)
     if outer is None:
         raise StructuralError("outer (co)limit over I missing")
-    # swap the roles of I and J
-    Dsw = Functor(f"swap({D.name})",
-                  product(J, I), C,
-                  {pair_id(j, i): D.obj_map[pair_id(i, j)]
-                   for i in I.objects for j in J.objects},
-                  {pair_id(n.name, m.name): D.mor_map[pair_id(m.name, n.name)]
-                   for m in I.morphisms for n in J.morphisms})
-    LJ, per_j = _iterated_limit_functor(Dsw, J, I, direction)
+    LJ, per_j = _iterated_limit_functor(D, J, I, direction, flip=True)
     if LJ is None:
         raise StructuralError("inner (co)limits over I missing")
     outer2 = limit(LJ, direction)
@@ -505,9 +503,7 @@ def interchange_check(D: Functor, I: FinCat, J: FinCat,
     # time; the two mediators must be inverse
     for nested, per, A, B, flip, label in ((outer, per_i, I, J, False, "outer-joint"),
                                            (outer2, per_j, J, I, True, "joint-swapped")):
-        def key(a: str, b: str) -> str:
-            return pair_id(b, a) if flip else pair_id(a, b)
-
+        key = _pair_key(flip)
         joint_legs = {key(a, b): Cs.comp(leg, nested.cone.legs.components[a])
                       for a, res in per.items()
                       for b, leg in res.cone.legs.components.items()}
@@ -531,9 +527,7 @@ def interchange_check_finset(D: SetFunctor, I: FinCat, J: FinCat,
     joint = limit_finset(D, direction)
 
     def inner_then_outer(A: FinCat, B: FinCat, flip: bool):
-        def key(a: str, b: str) -> str:
-            return pair_id(b, a) if flip else pair_id(a, b)
-
+        key = _pair_key(flip)
         # the inner (co)limits' certificates would never be read
         per: dict[str, tuple[FinSetObj, dict[str, FinSetMap]]] = {}
         for a in A.objects:

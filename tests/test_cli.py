@@ -7,6 +7,8 @@ import sys
 from contextlib import redirect_stdout
 
 
+import pytest
+
 import fincat
 from fincat.catfile import (
     CatSyntaxError,
@@ -224,6 +226,26 @@ def test_workspace_merging_across_files(tmp_path):
     assert "C" in ws.categories and "F" in ws.functors
     code, out = run("validate", str(a), str(b))
     assert code == 0
+
+
+def test_a_name_declared_twice_is_structural(tmp_path):
+    base = ("category C { objects: x; }\n"
+            "functor F: C -> C { obj x |-> x; }\n"
+            "nat t: F => F { at x: id_x; }\n"
+            "setfunctor X: C -> Set { obj x |-> {e}; }\n"
+            'term s = "t";\n')
+    for kind, line in (("category", "category C { objects: y; }"),
+                       ("functor", "functor F: C -> C { obj x |-> x; }"),
+                       ("nat", "nat t: F => F { at x: id_x; }"),
+                       ("setfunctor", "setfunctor X: C -> Set { obj x |-> {d}; }"),
+                       ("term", 'term s = "t ; t";')):
+        parse_workspace([("one.cat", base)])
+        with pytest.raises(StructuralError, match=f"^duplicate {kind} "):
+            parse_workspace([("one.cat", base), ("two.cat", line + "\n")])
+        path = tmp_path / f"{kind}.cat"
+        path.write_text(base + line + "\n")
+        code, out = run("validate", str(path))
+        assert code == 2 and f"duplicate {kind}" in out, (kind, code, out)
 
 
 def test_cat_syntax_error_carries_position():

@@ -61,6 +61,7 @@ from fincat.randgen import (
     random_representable_sum,
 )
 from fincat.universal import (
+    FROM_OBJECT,
     TO_OBJECT,
     UniversalWitness,
     comma_from_object,
@@ -450,6 +451,29 @@ def test_universal_arrows_to_an_object_match_mirrored_search():
                         assert essentially_unique(c, G, w1, w2) == \
                             ref_essentially_unique_to(G, w1, w2)
     assert found and absent and refuted
+
+
+def test_universal_arrows_from_an_object_match_comma_search():
+    """The certificate-driven search returns the comma category's first
+    initial object, with the Report of a check at every comma object."""
+    found = absent = 0
+    for rng, C in _categories(15, 24):
+        A = random_dag_category(rng, 3, 4, name="A")
+        for G in _sample(rng, enumerate_functors(A, C), 3):
+            for c in C.sorted_objects():
+                comma = comma_from_object(c, G)
+                ext = extremal_object(comma.cat, "initial")
+                w = universal_morphism(c, G)
+                if ext is None:
+                    assert w is None
+                    absent += 1
+                    continue
+                assert (w.vertex, w.arrow, w.direction) == \
+                    (*comma.pairs[ext.object], FROM_OBJECT)
+                assert w.report == ok_report(len(comma.cat.objects))
+                assert w.report == verify_universal(w, c, G)
+                found += 1
+    assert found and absent
 
 
 # ---------------------------------------------------------------------------

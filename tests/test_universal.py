@@ -96,6 +96,27 @@ def test_universal_morphism_pick_and_absent():
     assert universal_morphism("d1", G2) is None
 
 
+def test_universal_arrows_are_found_without_building_a_comma(monkeypatch):
+    from fincat import universal
+    from fincat.adjunction import adjoint_from_universals, validate_adjunction
+
+    def no_comma(*args, **kwargs):
+        raise AssertionError("a comma category was built")
+
+    monkeypatch.setattr(universal, "_build_comma", no_comma)
+    two = walking_arrow()
+    G = pick_object(two, "1", "G")
+    w = universal_morphism("0", G)
+    assert (w.vertex, w.arrow, w.report.ok) == ("*", "a", True)
+    assert universal_morphism("1", G, "to-object").arrow == "id_1"
+    assert universal_morphism("d1", pick_object(discrete(2), "d0", "G2")) is None
+    for side in ("left", "right"):
+        adj = adjoint_from_universals(identity_functor(chain(3)), side)
+        assert validate_adjunction(adj.left, adj.right, adj.hom_iso).ok
+    assert adjoint_from_universals(G, "left") is not None
+    assert adjoint_from_universals(G, "right") is None
+
+
 def test_verify_universal_detects_bad_witness():
     two = walking_arrow()
     G = identity_functor(two)
