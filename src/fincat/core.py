@@ -160,8 +160,11 @@ class Keyed:
     A subclass is a frozen dataclass declared with ``eq=False`` whose
     ``_structure()`` returns a nested tuple of ids that determines the value.
     ``key()`` returns that tuple; ``==`` and ``hash`` compare by it.  Both the
-    key and its hash are cached, which is sound because ``__post_init__``
-    replaces every table by a read-only private copy (``_freeze``).
+    key and its hash are cached in the instance ``__dict__``, which is sound
+    because every table is read-only: ``__post_init__`` replaces it by a
+    private copy (``_freeze``), and a map built valid by construction wraps
+    its fresh table without copying.  The first ``hash`` computes the key
+    (unless ``key()`` already has) and its hash in one step and stores both.
     """
 
     def _structure(self) -> tuple:
@@ -177,15 +180,18 @@ class Keyed:
     def _key(self) -> tuple:
         return self._structure()
 
-    @cached
-    def _hash(self) -> int:
-        return hash(self._key)
-
     def key(self) -> tuple:
         return self._key
 
     def __hash__(self):
-        return self._hash
+        fields = self.__dict__  # frozen: bypass __setattr__
+        h = fields.get("_hash")
+        if h is None:
+            key = fields.get("_key")
+            if key is None:
+                key = fields["_key"] = self._structure()
+            h = fields["_hash"] = hash(key)
+        return h
 
     def __eq__(self, other):
         if self is other:
@@ -509,6 +515,9 @@ def composable_pairs(C: FinCat) -> Iterator[tuple[Mor, Mor]]:
 
 def validate_category(C: FinCat) -> Report:
     """Exhaustively check well-formedness, unit laws and associativity."""
+    if len(set(C.objects)) != len(C.objects):
+        dup = next(a for i, a in enumerate(C.objects) if a in C.objects[:i])
+        raise StructuralError(f"{C.name}: duplicate object id {dup}")
     for a, i in C.identity.items():
         if a not in C.objects:
             raise StructuralError(f"{C.name}: identity table names unknown object {a}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .core import (
@@ -88,7 +89,7 @@ class FinSetMap(Keyed):
         """Composite: self first, then other."""
         if self.cod != other.dom:
             raise StructuralError("maps not composable")
-        return FinSetMap(self.dom, other.cod, {x: other.table[y] for x, y in self.table.items()})
+        return _built_map(self.dom, other.cod, {x: other.table[y] for x, y in self.table.items()})
 
     def is_bijection(self) -> bool:
         return len(set(self.table.values())) == len(self.dom) == len(self.cod)
@@ -96,20 +97,34 @@ class FinSetMap(Keyed):
     def inverse(self) -> FinSetMap:
         if not self.is_bijection():
             raise StructuralError("map is not invertible")
-        return FinSetMap(self.cod, self.dom, {y: x for x, y in self.table.items()})
+        return _built_map(self.cod, self.dom, {y: x for x, y in self.table.items()})
 
     def _structure(self):
-        return (self.dom.key(), self.cod.key(), tuple(sorted(self.table.items())))
+        return (self.dom._key, self.cod._key, tuple(sorted(self.table.items())))
+
+
+def _built_map(dom: FinSetObj, cod: FinSetObj, table: dict[str, str]) -> FinSetMap:
+    """A map whose fresh table is total on dom and lands in cod by construction.
+
+    It skips the check and the copy of ``__post_init__``; the table is still
+    frozen, and the caller must not keep a reference to the dict.
+    """
+    f = object.__new__(FinSetMap)
+    fields = f.__dict__  # frozen: bypass __setattr__
+    fields["dom"] = dom
+    fields["cod"] = cod
+    fields["table"] = MappingProxyType(table)
+    return f
 
 
 def identity_map(X: FinSetObj) -> FinSetMap:
-    return FinSetMap(X, X, {x: x for x in X.elements})
+    return _built_map(X, X, {x: x for x in X.elements})
 
 
 def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
     """Every map X -> Y in lexicographic table order."""
     xs = X.sorted()
-    return [FinSetMap(X, Y, dict(zip(xs, ys)))
+    return [_built_map(X, Y, dict(zip(xs, ys)))
             for ys in itertools.product(Y.sorted(), repeat=len(xs))]
 
 

@@ -53,11 +53,12 @@ class CommaData:
 def _build_comma(name: str, pairs: list[tuple[str, str]], D: FinCat,
                  mor_ok) -> tuple[FinCat, Functor, dict]:
     """Shared builder: objects are pairs, morphisms are D-morphisms passing mor_ok."""
-    obj_ids = {}
+    by_id: dict[str, tuple[str, str]] = {}
     for x, a in pairs:
-        obj_ids[(x, a)] = _pair(x, a)
-    objects = tuple(sorted(obj_ids.values()))
-    by_id = {v: k for k, v in obj_ids.items()}
+        o = _pair(x, a)
+        if by_id.setdefault(o, (x, a)) != (x, a):
+            raise StructuralError(f"{name}: pairs {by_id[o]} and {(x, a)} share the id {o}")
+    objects = tuple(sorted(by_id))
     mors = []
     underlying: dict[str, str] = {}
     for src in objects:

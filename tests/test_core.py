@@ -121,6 +121,13 @@ def test_validate_missing_entry_is_structural():
         validate_category(C)
 
 
+def test_validate_rejects_duplicate_object_ids():
+    C = FinCat("X", ("a", "a"), (Mor("id_a", "a", "a"),), {"a": "id_a"},
+               {("id_a", "id_a"): "id_a"})
+    with pytest.raises(StructuralError, match="duplicate object id a"):
+        validate_category(C)
+
+
 def test_validate_functor_identity_and_collapse():
     two = walking_arrow()
     assert validate_functor(identity_functor(two)).ok

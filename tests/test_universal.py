@@ -5,6 +5,7 @@ from fincat.core import (
     StructuralError,
     compose_functors,
     identity_functor,
+    make_category,
     validate_category,
     validate_functor,
     validate_natural,
@@ -230,6 +231,25 @@ def test_comma_dispatch_and_errors():
         comma_category("weird", G, "0")
     with pytest.raises(StructuralError):
         comma_from_object("missing", G)
+
+
+def _comma_over_comma_names(arrow: str):
+    """Arrows out of c into G: disc{u, "u,v"} -> C, G(u) = p, G("u,v") = q,
+    with arrow: c -> p and w: c -> q."""
+    D = make_category("D", ["u", "u,v"], [], {})
+    C = make_category("C", ["c", "p", "q"], [(arrow, "c", "p"), ("w", "c", "q")], {})
+    G = Functor("G", D, C, {"u": "p", "u,v": "q"}, {"id_u": "id_p", "id_u,v": "id_q"})
+    return comma_from_object("c", G)
+
+
+def test_comma_ids_that_collide_are_structural():
+    # ⟨u,v,w⟩ names both (u, "v,w") and ("u,v", w)
+    with pytest.raises(StructuralError, match="⟨u,v,w⟩"):
+        _comma_over_comma_names("v,w")
+    comma = _comma_over_comma_names("vw")
+    assert comma.cat.objects == ("⟨u,v,w⟩", "⟨u,vw⟩")
+    assert comma.pairs == {"⟨u,v,w⟩": ("u,v", "w"), "⟨u,vw⟩": ("u", "vw")}
+    assert validate_category(comma.cat).ok
 
 
 def test_elements_canonical_family_is_natural():

@@ -7,8 +7,12 @@ import sys
 import pytest
 
 import fincat
-from fincat.core import FinCat, Functor, NatTrans, functor_category, make_category
-from fincat.finset import FinSetMap, FinSetObj, SetFunctor, SetNatTrans
+from fincat.core import (
+    FinCat, Functor, Keyed, NatTrans, StructuralError, functor_category, make_category,
+)
+from fincat.finset import (
+    FinSetMap, FinSetObj, SetFunctor, SetNatTrans, all_maps, identity_map,
+)
 from fincat.fixtures import walking_arrow
 
 SRC = str(pathlib.Path(fincat.__file__).resolve().parent.parent)
@@ -147,3 +151,79 @@ def test_functor_category_index_is_read_only():
     for table in (fc.functors, fc.nats):
         with pytest.raises(TypeError):
             table[next(iter(table))] = None
+
+
+def _maps_built_valid() -> list[FinSetMap]:
+    """Maps from each constructor that skips validation: then, identity_map,
+    inverse and all_maps, on nonempty sets and on the empty set."""
+    X, Y, E = FinSetObj(("x", "y")), FinSetObj(("u", "v", "w")), FinSetObj(())
+    f = FinSetMap(X, Y, {"x": "u", "y": "w"})
+    g = FinSetMap(Y, X, {"u": "y", "v": "x", "w": "y"})
+    swap = FinSetMap(X, X, {"x": "y", "y": "x"})
+    cycle = FinSetMap(Y, Y, {"u": "v", "v": "w", "w": "u"})
+    return [f.then(g), g.then(f), identity_map(Y), identity_map(E),
+            swap.inverse(), cycle.inverse(), FinSetMap(E, E, {}).inverse(),
+            *all_maps(X, Y), *all_maps(E, X), *all_maps(X, E)]
+
+
+def test_maps_built_valid_match_the_public_constructor():
+    built = _maps_built_valid()
+    assert len(built) == 7 + 9 + 1 + 0
+    assert built[5].table == {"v": "u", "w": "v", "u": "w"}
+    for m in built:
+        public = FinSetMap(m.dom, m.cod, dict(m.table))
+        assert m == public and public == m
+        assert hash(m) == hash(public) and m.key() == public.key()
+        with pytest.raises(TypeError):
+            m.table["x"] = "x"
+
+
+def test_the_public_constructor_still_rejects_invalid_tables():
+    X, Y = FinSetObj(("x", "y")), FinSetObj(("u",))
+    for table, message in (({"x": "u"}, "not total at y"),
+                           ({"x": "u", "y": "u", "z": "u"}, "foreign element z"),
+                           ({"x": "u", "y": "v"}, "image v outside codomain")):
+        with pytest.raises(StructuralError, match=message):
+            FinSetMap(X, Y, table)
+    collapse = FinSetMap(X, Y, {"x": "u", "y": "u"})
+    with pytest.raises(StructuralError, match="not composable"):
+        collapse.then(collapse)
+    for not_bijective in (collapse, FinSetMap(X, X, {"x": "x", "y": "x"})):
+        with pytest.raises(StructuralError, match="not invertible"):
+            not_bijective.inverse()
+
+
+def _fresh_values():
+    """One maker per Keyed class; each call returns a fresh, never hashed value,
+    equal to the maker's other values."""
+    C = WALKING_ARROW
+    ident = Functor("I", C, C, {"0": "0", "1": "1"}, {"id_0": "id_0", "id_1": "id_1", "a": "a"})
+    S = SetFunctor("S", C, *_set_functor_inputs())
+    X = S.on_obj["1"]
+    return [
+        lambda: FinSetObj(("x", "y")),
+        lambda: FinSetMap(X, X, {"u": "v", "v": "v"}),
+        lambda: _maps_built_valid()[0],
+        lambda: _arrow(*_arrow_tables()),
+        lambda: Functor("I", C, C, {"0": "0", "1": "1"},
+                        {"id_0": "id_0", "id_1": "id_1", "a": "a"}),
+        lambda: NatTrans("t", ident, ident, {"0": "id_0", "1": "id_1"}),
+        lambda: SetFunctor("S", C, *_set_functor_inputs()),
+        lambda: SetNatTrans("t", S, S, {a: identity_map(V) for a, V in S.on_obj.items()}),
+    ]
+
+
+def test_first_hash_and_first_key_agree_in_either_order():
+    makers = _fresh_values()
+    assert {type(make()) for make in makers} == set(Keyed.__subclasses__())
+    for make in makers:
+        hashed_first, keyed_first = make(), make()
+        h = hash(hashed_first)
+        k = keyed_first.key()
+        assert hashed_first.key() == k and hash(keyed_first) == h
+        assert hash(hashed_first) == h and keyed_first.key() == k
+        # equal values in different cache states compare equal both ways
+        hashed, unhashed = make(), make()
+        hash(hashed)
+        assert hashed == unhashed and unhashed == hashed
+        assert "_hash" in hashed.__dict__ and "_hash" not in unhashed.__dict__
