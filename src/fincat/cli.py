@@ -22,7 +22,7 @@ from .core import (
     product,
 )
 from .diagram import evaluate, normalize, parse_term, pretty, render_svg
-from .finset import SetFunctor, enumerate_set_naturals, hom_functor, yoneda_map
+from .finset import SetFunctor, hom_functor, yoneda_check
 from .kan import (
     LEFT,
     RIGHT,
@@ -197,26 +197,10 @@ def cmd_yoneda_check(ws: Workspace, args) -> dict:
     C = _named(ws.categories, "category", args.C)
     family = [hom_functor(C, c, "covariant") for c in C.sorted_objects()]
     family += [X for X in ws.setfunctors.values() if X.dom == C]
-    checked = 0
-    for c in C.sorted_objects():
-        yc = hom_functor(C, c, "covariant")
-        for X in family:
-            nats = enumerate_set_naturals(yc, X, guard=args.guard)
-            if len(nats) != len(X.on_obj[c]):
-                raise Failure("transformation count mismatch",
-                              {"at": c, "functor": X.name,
-                               "nats": len(nats), "value": len(X.on_obj[c])})
-            for x in X.on_obj[c].sorted():
-                t = yoneda_map("beta", C, c, X, x)
-                if yoneda_map("alpha", C, c, X, t) != x:
-                    raise Failure("round trip broke", {"at": c, "element": x})
-                checked += 1
-            for t in nats:
-                x = yoneda_map("alpha", C, c, X, t)
-                if yoneda_map("beta", C, c, X, x) != t:
-                    raise Failure("round trip broke", {"at": c})
-                checked += 1
-    return {"checked": checked, "functors": len(family)}
+    rep = yoneda_check(C, family, args.guard)
+    if not rep.ok:
+        raise Failure(rep.counterexample.law, rep.counterexample.details)
+    return {"checked": rep.checked, "functors": len(family)}
 
 
 def cmd_density(ws: Workspace, args) -> dict:

@@ -515,9 +515,10 @@ def composable_pairs(C: FinCat) -> Iterator[tuple[Mor, Mor]]:
 
 def validate_category(C: FinCat) -> Report:
     """Exhaustively check well-formedness, unit laws and associativity."""
-    if len(set(C.objects)) != len(C.objects):
-        dup = next(a for i, a in enumerate(C.objects) if a in C.objects[:i])
-        raise StructuralError(f"{C.name}: duplicate object id {dup}")
+    for kind, ids in (("object", C.objects), ("morphism", [m.name for m in C.morphisms])):
+        if len(set(ids)) != len(ids):
+            dup = next(a for i, a in enumerate(ids) if a in ids[:i])
+            raise StructuralError(f"{C.name}: duplicate {kind} id {dup}")
     for a, i in C.identity.items():
         if a not in C.objects:
             raise StructuralError(f"{C.name}: identity table names unknown object {a}")

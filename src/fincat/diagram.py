@@ -334,8 +334,9 @@ def _to_sheet(term: Term, env: Environment) -> _Sheet:
     raise StructuralError(f"not a term: {term!r}")
 
 
-def _thread(sheet: _Sheet, env: Environment) -> list[tuple[tuple[str, ...], str, tuple[str, ...]]]:
-    """Contexts for each layer, recomputed by threading the wire states upward."""
+def _thread(sheet: _Sheet, env: Environment):
+    """Contexts (left, gen, right) for each layer, recomputed by threading the
+    wire states upward, and the top boundary they reach."""
     boundary = list(sheet.bottom)
     out = []
     for layer in sheet.layers:
@@ -348,7 +349,17 @@ def _thread(sheet: _Sheet, env: Environment) -> list[tuple[tuple[str, ...], str,
         right = tuple(boundary[layer.position + 1:])
         out.append((left, layer.gen, right))
         boundary[layer.position] = tgt
-    return out
+    return out, tuple(boundary)
+
+
+def _layered(term: Term, env: Environment):
+    """The typechecked term as one sheet, its layers stably sorted by wire
+    position, with the contexts and top boundary that _thread computes."""
+    typecheck(term, env)
+    sheet = _to_sheet(term, env)
+    sheet = _Sheet(tuple(sorted(sheet.layers, key=lambda l: l.position)),
+                   sheet.bottom, sheet.left)
+    return (sheet, *_thread(sheet, env))
 
 
 def normalize(term: Term, env: Environment) -> Term:
@@ -359,11 +370,7 @@ def normalize(term: Term, env: Environment) -> Term:
     stacked on the same wire keep their order.  The result is idempotent and
     evaluation-preserving.
     """
-    typecheck(term, env)
-    sheet = _to_sheet(term, env)
-    ordered = _Sheet(tuple(sorted(sheet.layers, key=lambda l: l.position)),
-                     sheet.bottom, sheet.left)
-    rows = _thread(ordered, env)
+    sheet, rows, _ = _layered(term, env)
     if not rows:
         if not sheet.bottom:
             return Id(sheet.left)
@@ -393,11 +400,7 @@ def render_svg(term: Term, env: Optional[Environment] = None) -> str:
     """
     if env is None:
         env = Environment({}, {}, {})
-    face = typecheck(term, env)
-    sheet = _to_sheet(term, env)
-    ordered = _Sheet(tuple(sorted(sheet.layers, key=lambda l: l.position)),
-                     sheet.bottom, sheet.left)
-    rows = _thread(ordered, env)
+    sheet, rows, top = _layered(term, env)
 
     n = len(sheet.bottom)
     cell, rowh, margin = 70, 70, 30
@@ -408,7 +411,7 @@ def render_svg(term: Term, env: Optional[Environment] = None) -> str:
     def wx(i: int) -> int:
         return margin + (i + 1) * cell
 
-    regions = [face.left]
+    regions = [sheet.left]
     for w in sheet.bottom:
         regions.append(env.functors[w].cod.name)
     parts = [
@@ -445,10 +448,6 @@ def render_svg(term: Term, env: Optional[Environment] = None) -> str:
     for i, w in enumerate(sheet.bottom):
         parts.append(f'<text x="{wx(i)}" y="{height - margin + 14}" font-size="11" '
                      f'text-anchor="middle">{w}</text>')
-    top = list(sheet.bottom)
-    for layer in ordered.layers:
-        _, tgt, _, _ = _gen_wires(env, layer.gen)
-        top[layer.position] = tgt
     for i, w in enumerate(top):
         parts.append(f'<text x="{wx(i)}" y="{margin - 6}" font-size="11" '
                      f'text-anchor="middle">{w}</text>')

@@ -377,6 +377,32 @@ def yoneda_map(direction: str, C: FinCat, c: str, X: SetFunctor, arg):
     raise StructuralError(f"unknown yoneda direction {direction!r}")
 
 
+def yoneda_check(C: FinCat, family: Iterable[SetFunctor], guard: int | None = None) -> Report:
+    """The Yoneda lemma at every object c of C and X in family: x |-> (p |-> X(p)(x))
+    is a bijection X(c) ~ Nat(C(c,-), X), certified by nat_bijection.
+
+    `checked` counts |X(c)| + |Nat(C(c,-), X)| for each passing pair.
+    """
+    family = list(family)
+    checked = 0
+    for c in C.sorted_objects():
+        yc = hom_functor(C, c, "covariant")
+        for X in family:
+            nats, value = enumerate_set_naturals(yc, X, guard), X.on_obj[c]
+            if len(nats) != len(value):
+                return fail_report(checked, "transformation count mismatch", at=c,
+                                   functor=X.name, nats=len(nats), value=len(value))
+            tried, bad = nat_bijection(yc, X, value.sorted(),
+                                       lambda x, d, p: X.on_mor[p](x), nats)
+            checked += tried
+            if bad is NOT_BIJECTIVE:
+                return fail_report(checked, "round trip broke", at=c)
+            if bad is not None:
+                return fail_report(checked, "round trip broke", at=c, element=bad)
+            checked += len(nats)
+    return ok_report(checked)
+
+
 @dataclass(frozen=True, eq=False)
 class YonedaImage:
     """The Yoneda embedding together with its materialized finite image."""
@@ -390,43 +416,30 @@ class YonedaImage:
 def yoneda_embedding(C: FinCat) -> YonedaImage:
     """c |-> C(-,c) into the finite full image subcategory of presheaves.
 
-    Construction re-derives every hom-set Nat(C(-,c), C(-,d)) by enumeration
-    and confirms it is exactly the image of C(c,d); full faithfulness of the
-    embedding is therefore checked rather than assumed.
+    Full faithfulness is checked rather than assumed: it is the Yoneda lemma
+    in op(C) at the representables, certified by yoneda_check.
     """
-    obj_id = "y[{}]".format
-    mor_id = "y[{}]".format
-    presheaves = {obj_id(c): hom_functor(C, c, "contravariant") for c in C.objects}
-    op = opposite(C)
-    nats: dict[str, SetNatTrans] = {}
-    mors = []
-    for c in C.sorted_objects():
-        yc = presheaves[obj_id(c)]
-        for d in C.sorted_objects():
-            yd = presheaves[obj_id(d)]
-            expected = {}
-            for f in C.hom(c, d):
-                comps = {a: FinSetMap(yc.on_obj[a], yd.on_obj[a],
-                                      {q: C.comp(f, q) for q in C.hom(a, c)})
-                         for a in C.objects}
-                expected[f] = SetNatTrans(mor_id(f), yc, yd, comps)
-            found = enumerate_set_naturals(yc, yd)
-            if len(found) != len(expected) or set(found) != set(expected.values()):
-                raise StructuralError(
-                    f"Yoneda image between {c} and {d}: enumerated transformations "
-                    f"do not match the represented ones")
-            for f, t in expected.items():
-                nats[mor_id(f)] = t
-                mors.append(Mor(mor_id(f), obj_id(c), obj_id(d)))
-    identity = {obj_id(c): mor_id(C.id_of(c)) for c in C.objects}
-    table = {}
-    for m, n in composable_pairs(C):
-        table[(mor_id(m.name), mor_id(n.name))] = mor_id(C.comp(m.name, n.name))
-    image = FinCat(f"y({C.name})", tuple(obj_id(c) for c in C.sorted_objects()),
-                   tuple(sorted(mors, key=lambda m: m.name)), identity, table)
-    emb = Functor(f"yoneda({C.name})", C, image,
-                  {c: obj_id(c) for c in C.objects},
-                  {m.name: mor_id(m.name) for m in C.morphisms})
+    y = "y[{}]".format
+    presheaves = {y(c): hom_functor(C, c, "contravariant") for c in C.objects}
+    rep = yoneda_check(opposite(C), [presheaves[y(d)] for d in C.sorted_objects()])
+    if not rep.ok:
+        raise StructuralError(f"Yoneda image: enumerated transformations do not match "
+                              f"the represented ones: {rep.counterexample}")
+    nats = {}
+    for c, d in itertools.product(C.sorted_objects(), repeat=2):
+        yc, yd = presheaves[y(c)], presheaves[y(d)]
+        for f in C.hom(c, d):
+            nats[y(f)] = SetNatTrans(y(f), yc, yd, {a: FinSetMap(
+                yc.on_obj[a], yd.on_obj[a], {q: C.comp(f, q) for q in C.hom(a, c)})
+                for a in C.objects})
+    image = FinCat(f"y({C.name})", tuple(y(c) for c in C.sorted_objects()),
+                   tuple(sorted((Mor(y(m.name), y(m.dom), y(m.cod)) for m in C.morphisms),
+                                key=lambda m: m.name)),
+                   {y(c): y(C.id_of(c)) for c in C.objects},
+                   {(y(m.name), y(n.name)): y(C.comp(m.name, n.name))
+                    for m, n in composable_pairs(C)})
+    emb = Functor(f"yoneda({C.name})", C, image, {c: y(c) for c in C.objects},
+                  {m.name: y(m.name) for m in C.morphisms})
     return YonedaImage(emb, image, presheaves, nats)
 
 

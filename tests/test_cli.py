@@ -158,6 +158,56 @@ def test_yoneda_density_codensity():
     assert run("codensity", "Kpick", cat("density.cat"))[0] == 0
 
 
+SETFUNCTORS_ON_TWO = """category two {
+  objects: "0", "1";
+  mor a: "0" -> "1";
+}
+setfunctor X: two -> Set {
+  obj "0" |-> {p, q};
+  obj "1" |-> {r};
+  mor a |-> [p -> r, q -> r];
+}
+setfunctor Y: two -> Set {
+  obj "0" |-> {};
+  obj "1" |-> {s, t};
+  mor a |-> [];
+}
+"""
+
+
+def test_yoneda_check_on_setfunctors_and_guard(tmp_path):
+    path = tmp_path / "setfunctors.cat"
+    path.write_text(SETFUNCTORS_ON_TWO)
+    code, out = run("yoneda-check", "two", str(path), "--json")
+    assert code == 0 and json.loads(out)["result"] == {"checked": 16, "functors": 4}
+    code, out = run("yoneda-check", "two", str(path), "--guard", "1", "--json")
+    assert code == 2
+    assert json.loads(out)["message"] == "natural-family enumeration exceeds guard 1"
+
+
+def test_yoneda_check_failures_keep_their_messages(monkeypatch):
+    import fincat.finset as finset
+
+    def payload(*argv):
+        code, out = run("yoneda-check", *argv, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        return {k: doc[k] for k in doc if k not in ("schema", "command", "seed", "exit", "ok")}
+
+    real = finset.enumerate_set_naturals
+    monkeypatch.setattr(finset, "enumerate_set_naturals",
+                        lambda X, Y, guard=None: real(X, Y, guard)[1:])
+    assert payload("two", cat("two.cat")) == {
+        "message": "transformation count mismatch",
+        "at": "0", "functor": "hom(0,-)", "nats": 0, "value": 1}
+    monkeypatch.setattr(finset, "enumerate_set_naturals", real)
+    monkeypatch.setattr(finset, "nat_bijection", lambda *a: (1, "id_0"))
+    assert payload("two", cat("two.cat")) == {
+        "message": "round trip broke", "at": "0", "element": "id_0"}
+    monkeypatch.setattr(finset, "nat_bijection", lambda *a: (1, finset.NOT_BIJECTIVE))
+    assert payload("z2", cat("z2.cat")) == {"message": "round trip broke", "at": "*"}
+
+
 def test_weighted_limit_command():
     code, out = run("weighted-limit", "W", "Fy", cat("weighted.cat"), "--json")
     assert code == 0

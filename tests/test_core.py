@@ -122,10 +122,15 @@ def test_validate_missing_entry_is_structural():
 
 
 def test_validate_rejects_duplicate_object_ids():
-    C = FinCat("X", ("a", "a"), (Mor("id_a", "a", "a"),), {"a": "id_a"},
-               {("id_a", "id_a"): "id_a"})
-    with pytest.raises(StructuralError, match="duplicate object id a"):
-        validate_category(C)
+    ida, f = Mor("id_a", "a", "a"), Mor("f", "a", "a")
+    for objects, morphisms, compose, message in (
+        (("a", "a"), (ida,), {("id_a", "id_a"): "id_a"}, "duplicate object id a"),
+        (("a",), (ida, f, f), {("id_a", "id_a"): "id_a", ("id_a", "f"): "f",
+                               ("f", "id_a"): "f", ("f", "f"): "f"}, "duplicate morphism id f"),
+    ):
+        C = FinCat("X", objects, morphisms, {"a": "id_a"}, compose)
+        with pytest.raises(StructuralError, match=message):
+            validate_category(C)
 
 
 def test_validate_functor_identity_and_collapse():

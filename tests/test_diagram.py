@@ -137,7 +137,7 @@ def anti_normalize(term, env):
     sheet = _to_sheet(term, env)
     ordered = _Sheet(tuple(sorted(sheet.layers, key=lambda l: -l.position)),
                      sheet.bottom, sheet.left)
-    rows = _thread(ordered, env)
+    rows, _ = _thread(ordered, env)
     if not rows:
         return normalize(term, env)
     terms = []

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+import fincat.finset
 from fincat.core import StructuralError, opposite
 from fincat.finset import (
     FinSetMap,
@@ -23,11 +25,13 @@ from fincat.finset import (
     validate_set_functor,
     validate_set_natural,
     vcompose_set,
+    yoneda_check,
     yoneda_embedding,
     yoneda_map,
 )
 from fincat.core import fully_faithful_check
-from fincat.fixtures import chain, terminal_category, walking_arrow, z2_monoid
+from fincat.fixtures import chain, parallel_pair, terminal_category, walking_arrow, z2_monoid
+from fincat.randgen import random_category, random_representable_sum
 
 
 def test_hom_functor_values_on_walking_arrow():
@@ -133,6 +137,27 @@ def test_yoneda_embedding_small_cases():
     composed = vcompose_set(img.nats[f"y[{g}]"], img.nats[f"y[{f}]"])
     assert {a: m.table for a, m in composed.components.items()} == \
            {a: m.table for a, m in img.nats[f"y[{gf}]"].components.items()}
+
+
+def test_yoneda_check_counts_every_element_and_transformation():
+    rng = random.Random(11)
+    cats = [terminal_category(), walking_arrow(), parallel_pair(), z2_monoid(), chain(3)]
+    cats += [random_category(rng, 3, 6) for _ in range(4)]
+    for C in cats:
+        family = [hom_functor(C, c, "covariant") for c in C.sorted_objects()]
+        family.append(random_representable_sum(rng, C))
+        oracle = sum(len(X.on_obj[c]) + len(enumerate_set_naturals(
+            hom_functor(C, c, "covariant"), X)) for c in C.objects for X in family)
+        rep = yoneda_check(C, family)
+        assert rep.ok and rep.checked == oracle, C.name
+
+
+def test_yoneda_embedding_rejects_unrepresented_transformations(monkeypatch):
+    real = enumerate_set_naturals
+    monkeypatch.setattr(fincat.finset, "enumerate_set_naturals",
+                        lambda X, Y, guard=None: real(X, Y, guard)[1:])
+    with pytest.raises(StructuralError, match="do not match the represented"):
+        yoneda_embedding(walking_arrow())
 
 
 def test_tensor_cotensor_sizes_and_adjunction():
