@@ -83,9 +83,8 @@ class Workspace:
     terms: dict[str, Term]
 
     def env(self) -> Environment:
-        env = Environment(dict(self.categories), dict(self.functors), dict(self.nats))
-        env.validate()
-        return env
+        """The diagram environment of the workspace, as validated on load."""
+        return Environment(dict(self.categories), dict(self.functors), dict(self.nats))
 
 
 N = None  # a name place in a _WorkspaceParser.read pattern

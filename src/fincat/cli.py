@@ -14,12 +14,13 @@ import sys
 from .adjunction import adjoint_from_universals, snake_check
 from .catfile import LawViolation, Workspace, load_workspace
 from .core import (
+    FinCat,
     Functor,
     GuardExceeded,
+    Mor,
     StructuralError,
-    opposite,
+    op_product,
     pair_id,
-    product,
 )
 from .diagram import evaluate, normalize, parse_term, pretty, render_svg
 from .finset import SetFunctor, hom_functor, yoneda_check
@@ -85,39 +86,19 @@ def cmd_limit(ws: Workspace, args) -> dict:
 
 
 def _align_bifunctor(B, J):
-    """Rebuild B on the canonical product of op(J) and J.
-
-    Identity morphisms are renamed to the constructed pair ids; everything
-    else must match on the nose.  Returns None when the shapes differ.
-    """
-    if set(B.dom.objects) != {pair_id(a, b) for a in J.objects for b in J.objects}:
+    """B rebuilt on op_product(J), or None when B's source is not op(J) x J
+    up to the names of its identity morphisms."""
+    S = B.dom
+    if set(S.objects) != {pair_id(a, b) for a in J.objects for b in J.objects}:
         return None
-    P = product(opposite(J), J)
-    if B.dom == P:
-        return B
-    if set(m for m in P.sorted_mor_names() if not P.is_identity(m)) != \
-            set(m for m in B.dom.sorted_mor_names() if not B.dom.is_identity(m)):
+    P = op_product(J)
+    to_P = {S.identity[o]: P.identity[o] for o in S.objects}
+    name = {m.name: to_P.get(m.name, m.name) for m in S.morphisms}
+    if FinCat(P.name, S.objects, [Mor(name[m.name], m.dom, m.cod) for m in S.morphisms],
+              P.identity, {(name[g], name[f]): name[h] for (g, f), h in S.compose.items()}) != P:
         return None
-    for m in P.morphisms:
-        if P.is_identity(m.name):
-            continue
-        other = B.dom.mor.get(m.name)
-        if other is None or other.dom != m.dom or other.cod != m.cod:
-            return None
-    for (g, f), h in P.compose.items():
-        if P.is_identity(g) or P.is_identity(f):
-            continue
-        bh = B.dom.compose.get((g, f))
-        if bh is None:
-            return None
-        if P.is_identity(h):
-            if not B.dom.is_identity(bh) or B.dom.mor[bh].dom != P.mor[h].dom:
-                return None
-        elif bh != h:
-            return None
     values = B.on_mor if isinstance(B, SetFunctor) else B.mor_map
-    renamed = {m.name: values[B.dom.id_of(m.dom) if P.is_identity(m.name) else m.name]
-               for m in P.morphisms}
+    renamed = {name[m]: v for m, v in values.items()}
     if isinstance(B, SetFunctor):
         return SetFunctor(B.name, P, B.on_obj, renamed)
     return Functor(B.name, P, B.cod, B.obj_map, renamed)

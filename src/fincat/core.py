@@ -295,6 +295,10 @@ class FinCat(Keyed):
         return op
 
     @cached
+    def _op_product(self) -> FinCat:
+        return product(opposite(self), self)
+
+    @cached
     def _sorted_objects(self) -> tuple[str, ...]:
         return tuple(sorted(self.objects))
 
@@ -315,19 +319,19 @@ class FinCat(Keyed):
     def nonidentity_mor_names(self) -> tuple[str, ...]:
         return self._nonidentity_mor_names
 
-    def is_iso(self, f: str) -> bool:
+    def _inverse(self, f: str) -> Optional[str]:
         m = self.mor[f]
-        for g in self.hom(m.cod, m.dom):
-            if self.comp(g, f) == self.identity[m.dom] and self.comp(f, g) == self.identity[m.cod]:
-                return True
-        return False
+        return next((g for g in self.hom(m.cod, m.dom) if self.comp(g, f) == self.identity[m.dom]
+                     and self.comp(f, g) == self.identity[m.cod]), None)
+
+    def is_iso(self, f: str) -> bool:
+        return self._inverse(f) is not None
 
     def inverse(self, f: str) -> str:
-        m = self.mor[f]
-        for g in self.hom(m.cod, m.dom):
-            if self.comp(g, f) == self.identity[m.dom] and self.comp(f, g) == self.identity[m.cod]:
-                return g
-        raise StructuralError(f"{self.name}: {f} is not invertible")
+        g = self._inverse(f)
+        if g is None:
+            raise StructuralError(f"{self.name}: {f} is not invertible")
+        return g
 
     def _structure(self):
         return (
@@ -667,6 +671,15 @@ def product(C: FinCat, D: FinCat) -> FinCat:
             table[(pair(g.name, gp.name), pair(f.name, fp.name))] = \
                 pair(gf, D.comp(gp.name, fp.name))
     return FinCat(f"{C.name}x{D.name}", objects, tuple(mors), identity, table)
+
+
+def op_product(J: FinCat) -> FinCat:
+    """op(J) x J, the source of every bifunctor whose (co)end is taken over J.
+
+    Computed once per category, so a bifunctor built on it passes the shape
+    check of end_coend by identity.
+    """
+    return J._op_product
 
 
 def pair_id(x: str, y: str) -> str:

@@ -606,10 +606,10 @@ def presheaf_exponential(F: SetFunctor, G: SetFunctor,
     on_mor = {}
     index: dict[tuple[str, str], SetNatTrans] = {}
     per_obj: dict[str, list[SetNatTrans]] = {}
+    base: dict[str, SetFunctor] = {}   # c -> y_c x F
     for c in C.objects:
-        yc = hom_functor(C, c, "contravariant")
-        base = product_set_functor(yc, F)
-        taus = enumerate_set_naturals(base, G, guard)
+        base[c] = product_set_functor(hom_functor(C, c, "contravariant"), F)
+        taus = enumerate_set_naturals(base[c], G, guard)
         per_obj[c] = taus
         ids = []
         for t in taus:
@@ -622,19 +622,17 @@ def presheaf_exponential(F: SetFunctor, G: SetFunctor,
         c, d = m.dom, m.cod
         f = m.name
         table = {}
-        yd = hom_functor(C, d, "contravariant")
-        based = product_set_functor(yd, F)
-        for t in per_obj[c]:
+        for eid, t in zip(on_obj[c].elements, per_obj[c]):
             comps = {}
             for a in C.objects:
                 tbl = {}
                 for p in C.hom(a, d):
                     for u in F.on_obj[a].sorted():
                         tbl[f"({p},{u})"] = t.components[a](f"({C.comp(f, p)},{u})")
-                comps[a] = FinSetMap(based.on_obj[a], G.on_obj[a], tbl)
-            moved = SetNatTrans("m", based, G, comps)
-            table[set_nat_element_id(t)] = set_nat_element_id(moved)
-            index.setdefault((d, set_nat_element_id(moved)), moved)
+                comps[a] = FinSetMap(base[d].on_obj[a], G.on_obj[a], tbl)
+            moved = SetNatTrans("m", base[d], G, comps)
+            table[eid] = set_nat_element_id(moved)
+            index.setdefault((d, table[eid]), moved)
         on_mor[f] = FinSetMap(on_obj[c], on_obj[d], table)
     functor = SetFunctor(f"({G.name}^{F.name})", opC, on_obj, on_mor)
     return PresheafExponential(functor, index)

@@ -37,10 +37,10 @@ from .core import (
     fail_report,
     identity_functor,
     ok_report,
+    op_product,
     opposite,
     opposite_functor,
     pair_id,
-    product,
     search,
     split_pair,
     unique_factor,
@@ -252,8 +252,8 @@ def ran_factor(kr: KanResult, H: Functor, sigma: NatTrans) -> NatTrans:
 # Ends and coends
 
 def _check_bifunctor_shape(D: Union[Functor, SetFunctor], J: FinCat) -> None:
-    want = product(opposite(J), J)
-    if D.dom != want:
+    # an identity test when D was built on op_product(J)
+    if D.dom != op_product(J):
         raise StructuralError("bifunctor must live on op(J) x J")
 
 
@@ -275,11 +275,6 @@ def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
     """Direct Set computation: ends as matching diagonal tuples, coends as
     union-find quotients of the diagonal disjoint union."""
     _check_bifunctor_shape(D, J)
-    return _end_coend_set(D, J, side)
-
-
-def _end_coend_set(D: SetFunctor, J: FinCat, side: str) -> EndResult:
-    """end_coend_finset for a bifunctor already known to live on op(J) x J."""
     objs = J.sorted_objects()
     diagonal = {j: D.on_obj[pair_id(j, j)] for j in objs}
 
@@ -387,9 +382,9 @@ def lan_via_coend(K: Functor, F: SetFunctor) -> CoendKan:
     built classwise.
     """
     C, D = K.dom, K.cod
-    P = product(opposite(C), C)
+    P = op_product(C)
     Kop = opposite_functor(K)
-    per = {d: _end_coend_set(_tensor_bifunctor(_hom_set_functor(d, Kop), F, P), C, "coend")
+    per = {d: end_coend_finset(_tensor_bifunctor(_hom_set_functor(d, Kop), F, P), C, "coend")
            for d in D.objects}
     on_mor = {}
     for m in D.morphisms:
@@ -454,7 +449,7 @@ def coyoneda_witness(F: SetFunctor, d: str) -> CoyonedaWitness:
     if d not in C.objects:
         raise StructuralError(f"unknown object {d}")
     W = hom_functor(C, d, "contravariant")
-    res = _end_coend_set(_tensor_bifunctor(W, F, product(opposite(C), C)), C, "coend")
+    res = end_coend_finset(_tensor_bifunctor(W, F, op_product(C)), C, "coend")
     legs = res.wedge.components
     to_table = {}
     checked = 0
@@ -535,7 +530,7 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     C = W.dom
     if F.dom != C:
         raise StructuralError("weight and diagram must share their category")
-    P = product(opposite(C), C)
+    P = op_product(C)
     decode = {}
     for o in P.objects:
         cp, c = split_pair(o)
@@ -551,7 +546,7 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
                                      for w in W.on_obj[cp1].elements}))
             for eid, t in decode[m.dom].items()})
     B = SetFunctor(f"Set(W-,{F.name}-)", P, on_obj, on_mor)
-    res = _end_coend_set(B, C, "end")
+    res = end_coend_finset(B, C, "end")
     # the end elements are exactly the natural families, enumerated independently
     checked, bad = nat_bijection(
         W, F, res.object.elements,
@@ -571,11 +566,10 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
 
 def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     """colim^W F as the coend of W(c') x F(c); W is a presheaf on op(C)."""
-    opC = W.dom
-    C = opposite(opC)
+    C = opposite(W.dom)
     if F.dom != C:
         raise StructuralError("diagram must live on the base category")
-    res = _end_coend_set(_tensor_bifunctor(W, F, product(opC, C)), C, "coend")
+    res = end_coend_finset(_tensor_bifunctor(W, F, op_product(C)), C, "coend")
     return WeightedResult(res.object, _defining_bijection(
         W, F, res.object, COLIMIT, 0, lambda h, c, w: FinSetMap(
             F.on_obj[c], h.cod, {x: h(res.wedge.components[c](pair_id(w, x)))
@@ -631,7 +625,7 @@ def _weighted_limit_general(W: SetFunctor, F: Functor, side: str) -> WeightedRes
     E = F.cod
     if F.dom != C:
         raise StructuralError("weight and diagram must share their category")
-    P = product(opposite(C), C)
+    P = op_product(C)
     cot_obj: dict[str, str] = {}
     cot_legs: dict[str, dict[str, str]] = {}
     for o in P.objects:

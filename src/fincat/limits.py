@@ -135,12 +135,6 @@ def certify_terminal(C: FinCat, apex: str, legs, cones) -> Report:
     return ok_report(checked)
 
 
-def _certify_extremal(D: Functor, direction: str, apex: str, legs: dict[str, str],
-                      cones: list[tuple[str, dict[str, str]]]) -> Report:
-    """Exhaustive unique-factorization certificate against every enumerated (co)cone."""
-    return certify_terminal(_searched_in(D.cod, direction), apex, legs, cones)
-
-
 def first_terminal(C: FinCat, cones) -> Optional[tuple[int, Report]]:
     """The position of the first listed cone that certify_terminal certifies
     against all of them, with its certificate, or None if none is terminal."""
@@ -419,9 +413,8 @@ def preservation_check(G: Functor, Dg: Functor, direction: str) -> Report:
     GD = compose_functors(G, Dg)
     kappa = whisker_functor_nat(G, src.cone.legs)
     image_apex = G.obj_map[src.object]
-    cones = enumerate_cones(GD, direction)
-    return _certify_extremal(GD, direction, image_apex,
-                             dict(kappa.components), cones)
+    return certify_terminal(_searched_in(GD.cod, direction), image_apex,
+                            dict(kappa.components), enumerate_cones(GD, direction))
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,6 @@ from .finset import (
     enumerate_set_naturals,
     hom_functor,
     set_precompose,
-    yoneda_map,
 )
 
 FROM_OBJECT = "from-object"
@@ -303,7 +302,7 @@ def representability(X: SetFunctor) -> Optional[Representation]:
         for sigma in enumerate_set_naturals(yu, X):
             if not sigma.is_iso():
                 continue
-            eta = yoneda_map("alpha", C, u, X, sigma)
+            eta = sigma.components[u](C.id_of(u))   # the Yoneda element of sigma
             # certify: every (x, a) factors uniquely through eta
             if all(unique_factor(C.hom(u, x), lambda f: X.on_mor[f](eta) == a)[0] is not None
                    for x in C.sorted_objects() for a in X.on_obj[x].sorted()):

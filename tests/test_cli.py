@@ -10,15 +10,26 @@ from contextlib import redirect_stdout
 import pytest
 
 import fincat
+from fincat import catfile, cli, core, diagram, kan
 from fincat.catfile import (
     CatSyntaxError,
     LawViolation,
+    Workspace,
     load_workspace,
     parse_workspace,
     serialize,
 )
 from fincat.cli import main
-from fincat.core import StructuralError, same_structure
+from fincat.core import (
+    Functor,
+    StructuralError,
+    make_category,
+    opposite,
+    product,
+    renamed,
+    same_structure,
+)
+from fincat.finset import FinSetObj, const_set_functor
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -236,6 +247,53 @@ def test_diagram_commands(tmp_path):
     assert svg.read_text().startswith("<?xml")
 
 
+def test_diagram_commands_accept_a_functor_out_of_an_opposite(tmp_path):
+    # op(C) is a source no category block names; terms that never use P still run
+    f = tmp_path / "opfunctor.cat"
+    f.write_text("""category C { objects: x; }
+functor F: C -> C { obj x |-> x; }
+nat t: F => F { at x: id_x; }
+functor P: "op(C)" -> C { obj x |-> x; }
+term tt = "t ; t";
+""")
+    assert run("validate", str(f))[0] == 0
+    code, out = run("diagram-eval", "tt", str(f), "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"components": {"x": "id_x"},
+                                         "source": "F", "target": "F"}
+    code, out = run("diagram-normalize", "tt", str(f), "--json")
+    assert code == 0 and json.loads(out)["result"] == {"normal_form": "t ; t"}
+
+
+VALIDATORS = ("validate_category", "validate_functor", "validate_natural")
+REAL_VALIDATORS = {name: getattr(core, name) for name in VALIDATORS}
+
+
+def _validator_calls(monkeypatch, *argv) -> dict:
+    """Validator calls made by one run of the CLI, by kind."""
+    calls = dict.fromkeys(VALIDATORS, 0)
+
+    def counted(name):
+        def call(value):
+            calls[name] += 1
+            return REAL_VALIDATORS[name](value)
+        return call
+
+    for mod in (core, catfile, diagram):
+        for name in VALIDATORS:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name))
+    assert run(*argv)[0] == 0
+    return calls
+
+
+def test_diagram_commands_use_the_workspace_as_validated_on_load(monkeypatch):
+    loaded = _validator_calls(monkeypatch, "validate", cat("terms.cat"))
+    assert loaded == {"validate_category": 2, "validate_functor": 5, "validate_natural": 4}
+    for command in ("diagram-eval", "diagram-normalize"):
+        assert _validator_calls(monkeypatch, command, "side", cat("terms.cat")) == loaded
+
+
 def test_json_byte_stability():
     for argv in (
         ("kan-left", "K", "F", cat("kan.cat"), "--json", "--seed", "7"),
@@ -265,6 +323,72 @@ def test_end_command_on_tabulated_bifunctor():
     code, out = run("coend", "Bf", cat("bifunctor_poset.cat"), "--json")
     assert code == 0
     assert json.loads(out)["result"]["object"] == "1"
+
+
+def test_end_builds_op_j_times_j_once(monkeypatch):
+    # the shape search and the end share one op(J) x J
+    calls = []
+    real = core.product
+    for mod in (core, cli, kan):
+        if getattr(mod, "product", None) is real:
+            monkeypatch.setattr(mod, "product", lambda *cats: calls.append(cats) or real(*cats))
+    for argv in (("end", "H", cat("bifunctor.cat")), ("coend", "H", cat("bifunctor.cat")),
+                 ("end", "Bf", cat("bifunctor_poset.cat"))):
+        calls.clear()
+        assert run(*argv)[0] == 0
+        assert len(calls) == 1, argv
+
+
+def _shape_workspace() -> str:
+    """J, a parallel pair f, g: 0 -> 1 beside an isolated object 2; S, op(J) x J
+    written out under its own identity names; B: S -> Set and Bt: S -> T, both
+    constant at a point."""
+    J = make_category("J", ["0", "1", "2"], [("f", "0", "1"), ("g", "0", "1")], {})
+    S = renamed(product(opposite(J), J), "S")
+    T = make_category("T", ["t"], [], {})
+    Bt = Functor("Bt", S, T, {o: "t" for o in S.objects}, {m.name: "id_t" for m in S.morphisms})
+    B = const_set_functor(S, FinSetObj(("x",)), "B")
+    return serialize(Workspace({"J": J, "S": S, "T": T}, {"Bt": Bt}, {}, {"B": B}, {}))
+
+
+def _reordered(text: str, block: str) -> str:
+    """text with the clauses of one category block in reverse order."""
+    head, rest = text.split(f"category {block} {{\n")
+    body, tail = rest.split("}\n", 1)
+    return f"{head}category {block} {{\n" + "".join(reversed(body.splitlines(True))) + "}\n" + tail
+
+
+def test_bifunctor_source_must_be_op_j_times_j(tmp_path):
+    text = _shape_workspace()
+    composite = 'compose "(f,id_1)"."(id_1,f)" = "(f,f)";'
+    arrow = 'mor "(f,id_2)": "(1,2)" -> "(0,2)";'
+    assert composite in text and arrow in text
+    mutants = {
+        "composite": text.replace(composite, composite.replace('"(f,f)"', '"(f,g)"')),
+        "endpoint": text.replace(arrow, arrow.replace('-> "(0,2)"', '-> "(2,2)"')),
+        "missing": "".join(line for line in text.splitlines(True) if '"(f,id_2)"' not in line),
+    }
+    f = tmp_path / "shape.cat"
+    for kind, mutant in mutants.items():
+        f.write_text(mutant)
+        assert run("validate", str(f))[0] == 0, kind
+        for argv in (("end", "B"), ("coend", "B"), ("end", "Bt"), ("coend", "Bt")):
+            code, out = run(*argv, str(f))
+            assert code == 2, (kind, argv)
+            assert "bifunctor source is not op(J) x J for any workspace category J" in out
+    # the same arrows and composites declared in another order
+    for name, block, text in (("B", "S", text), ("Bt", "S", text),
+                              ("H", "homshape", (CORPUS / "bifunctor.cat").read_text()),
+                              ("Bf", "homshape2", (CORPUS / "bifunctor_poset.cat").read_text())):
+        g = tmp_path / "reordered.cat"
+        g.write_text(_reordered(text, block))
+        f.write_text(text)
+        assert g.read_text() != text
+        for command in ("end", "coend"):
+            for flags in ((), ("--json",)):
+                code, out = run(command, name, str(f), *flags)
+                assert code == 0, (name, command)
+                assert run(command, name, str(g), *flags) == (code, out)
 
 
 def test_workspace_merging_across_files(tmp_path):

@@ -49,7 +49,7 @@ from fincat.kan import (
 )
 from fincat.limits import (
     COLIMIT,
-    _certify_extremal,
+    certify_terminal,
     enumerate_cones,
     interchange_check,
     limit,
@@ -134,7 +134,7 @@ def test_colimit_matches_mirrored_cocone_search():
             cocones = enumerate_cones(D, COLIMIT)
             assert cocones == ref_enumerate_cocones(D)
             for apex, legs in cocones:
-                rep = _certify_extremal(D, COLIMIT, apex, legs, cocones)
+                rep = certify_terminal(opposite(D.cod), apex, legs, cocones)
                 assert rep == ref_certify_cocone(D, apex, legs, cocones)
                 refuted += not rep.ok
             res, ref = limit(D, COLIMIT), ref_colimit(D)

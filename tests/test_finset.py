@@ -213,6 +213,20 @@ def test_presheaf_exponential_self_hom_on_walking_arrow():
     assert validate_set_functor(exp.functor).ok
 
 
+def test_presheaf_exponential_builds_each_base_once(monkeypatch):
+    # y_c x F is built once per object c, not again for each arrow into c
+    calls = []
+    real = fincat.finset.product_set_functor
+    monkeypatch.setattr(fincat.finset, "product_set_functor",
+                        lambda *args: calls.append(args) or real(*args))
+    for C in (walking_arrow(), chain(3), parallel_pair()):
+        F = hom_functor(C, "1", "contravariant")
+        calls.clear()
+        exp = presheaf_exponential(F, F)
+        assert len(calls) == len(C.objects)
+        assert validate_set_functor(exp.functor).ok
+
+
 def test_nat_bijection_outcomes():
     # Yoneda on the walking arrow: x in Y(0) |-> (p |-> Y(p)(x)), onto Nat(hom(0,-), Y)
     two = walking_arrow()

@@ -22,7 +22,7 @@ from fincat.finset import (
 )
 from fincat.fixtures import chain, discrete, walking_arrow
 from fincat.kan import kan_universal_check, kan_pointwise, LEFT
-from fincat.limits import LIMIT, limit, enumerate_cones, _certify_extremal
+from fincat.limits import LIMIT, certify_terminal, limit, enumerate_cones
 from fincat.universal import UniversalWitness, verify_universal
 
 
@@ -95,7 +95,7 @@ def test_limit_essential_uniqueness_on_multi_candidate_search():
     D = Functor("empty", E, C, {}, {})
     cones = enumerate_cones(D, LIMIT)
     winners = [apex for apex, legs in cones
-               if _certify_extremal(D, LIMIT, apex, legs, cones).ok]
+               if certify_terminal(C, apex, legs, cones).ok]
     assert sorted(winners) == ["t1", "t2"]
     res = limit(D, LIMIT)
     assert res.object == "t1"   # lexicographic tie-break

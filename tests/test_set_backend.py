@@ -10,7 +10,7 @@ import itertools
 import random
 from collections.abc import Mapping
 
-from fincat import kan
+from fincat import core, kan
 from fincat.core import (
     Keyed,
     StructuralError,
@@ -646,17 +646,17 @@ def test_induced_set_map_stops_at_a_missing_or_repeated_limit_element():
 
 
 # ---------------------------------------------------------------------------
-# The coend formula builds op(C) x C once per call
+# The coend formula builds op(C) x C once per category
 
 def test_coend_formula_builds_one_product_category(monkeypatch):
     calls = []
-    real = kan.product
-    monkeypatch.setattr(kan, "product", lambda *cats: calls.append(cats) or real(*cats))
+    real = core.product
+    monkeypatch.setattr(core, "product", lambda *cats: calls.append(cats) or real(*cats))
     C = walking_arrow()
     K = enumerate_functors(C, chain(3))[-1]
     F = hom_functor(C, "0", "covariant")
     assert lan_via_coend(K, F).report.ok
     assert len(calls) == 1
-    calls.clear()
+    # the same category: op(C) x C is not built again
     assert coyoneda_witness(F, "1").report.ok
     assert len(calls) == 1
