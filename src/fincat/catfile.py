@@ -313,8 +313,11 @@ def parse_workspace(files: list[tuple[str, str]]) -> Workspace:
 def load_workspace(paths: list[str]) -> Workspace:
     files = []
     for p in paths:
-        with open(p, "r", encoding="utf8") as fh:
-            files.append((p, fh.read()))
+        try:
+            with open(p, "r", encoding="utf8") as fh:
+                files.append((p, fh.read()))
+        except UnicodeDecodeError as err:
+            raise StructuralError(f"{p}: not UTF-8 text (byte offset {err.start})") from None
     return parse_workspace(files)
 
 

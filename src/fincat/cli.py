@@ -8,10 +8,10 @@ byte-identical output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .adjunction import adjoint_from_universals, snake_check
 from .catfile import LawViolation, Workspace, load_workspace
 from .core import (
     FinCat,
@@ -24,16 +24,6 @@ from .core import (
 )
 from .diagram import evaluate, normalize, parse_term, pretty, render_svg
 from .finset import SetFunctor, hom_functor, yoneda_check
-from .kan import (
-    LEFT,
-    RIGHT,
-    codensity_monad,
-    density_check,
-    end_coend,
-    kan_pointwise,
-    weighted_limit,
-)
-from .limits import COLIMIT, LIMIT, limit, limit_finset
 
 SCHEMA = "fincat-report/1"
 
@@ -67,6 +57,7 @@ def _diagram_by_name(ws: Workspace, name: str):
 
 
 def cmd_limit(ws: Workspace, args) -> dict:
+    from .limits import COLIMIT, LIMIT, limit, limit_finset
     D = _diagram_by_name(ws, args.diagram)
     direction = LIMIT if args.command == "limit" else COLIMIT
     if isinstance(D, SetFunctor):
@@ -114,6 +105,7 @@ def _shape_of_bifunctor(ws: Workspace, B):
 
 
 def cmd_end(ws: Workspace, args) -> dict:
+    from .kan import end_coend
     B = _diagram_by_name(ws, args.bifunctor)
     J, B = _shape_of_bifunctor(ws, B)
     side = "end" if args.command == "end" else "coend"
@@ -129,6 +121,7 @@ def cmd_end(ws: Workspace, args) -> dict:
 
 
 def cmd_kan(ws: Workspace, args) -> dict:
+    from .kan import LEFT, RIGHT, kan_pointwise
     K = _named(ws.functors, "functor", args.K)
     F = _diagram_by_name(ws, args.F)
     side = LEFT if args.command == "kan-left" else RIGHT
@@ -148,6 +141,7 @@ def cmd_kan(ws: Workspace, args) -> dict:
 
 
 def cmd_adjoint_of(ws: Workspace, args) -> dict:
+    from .adjunction import adjoint_from_universals, snake_check
     G = _named(ws.functors, "functor", args.G)
     adj = adjoint_from_universals(G, side=args.side)
     if adj is None:
@@ -163,6 +157,7 @@ def cmd_adjoint_of(ws: Workspace, args) -> dict:
 
 
 def cmd_snake(ws: Workspace, args) -> dict:
+    from .adjunction import snake_check
     try:
         F, G = ws.functors[args.F], ws.functors[args.G]
         eta, eps = ws.nats[args.eta], ws.nats[args.eps]
@@ -185,6 +180,7 @@ def cmd_yoneda_check(ws: Workspace, args) -> dict:
 
 
 def cmd_density(ws: Workspace, args) -> dict:
+    from .kan import density_check
     rep = density_check(_named(ws.functors, "functor", args.K))
     if not rep.ok:
         raise Failure("not dense", {"report": rep.to_json()})
@@ -192,6 +188,7 @@ def cmd_density(ws: Workspace, args) -> dict:
 
 
 def cmd_codensity(ws: Workspace, args) -> dict:
+    from .kan import codensity_monad
     m = codensity_monad(_named(ws.functors, "functor", args.K))
     if m is None:
         raise Failure("codensity monad absent (right extension missing)", {})
@@ -204,6 +201,8 @@ def cmd_codensity(ws: Workspace, args) -> dict:
 
 
 def cmd_weighted_limit(ws: Workspace, args) -> dict:
+    from .kan import weighted_limit
+    from .limits import COLIMIT, LIMIT
     W = _named(ws.setfunctors, "setfunctor", args.W)
     F = _diagram_by_name(ws, args.F)
     side = LIMIT if args.side == "limit" else COLIMIT
@@ -290,6 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per process, built on first use; like it, each handler's own
+# modules are imported only when the handler runs
+_parser = functools.cache(build_parser)
+
+
 def emit(args, payload: dict, code: int) -> int:
     if args.json:
         doc = {"schema": SCHEMA, "command": args.command, "seed": args.seed,
@@ -304,8 +308,7 @@ def emit(args, payload: dict, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         ws = load_workspace(args.files)
         handler, _ = COMMANDS[args.command]

@@ -92,10 +92,15 @@ def _tokenize(text: str):
     return tokens
 
 
+# parentheses nested deeper than this are rejected before they exhaust the stack
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.text = text
 
     def peek(self):
@@ -138,8 +143,13 @@ class _Parser:
         tok = self.peek()
         ln, col = self.where()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise DiagramSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", ln, col)
             self.take("(")
+            self.depth += 1
             inner = self.term()
+            self.depth -= 1
             self.take(")")
             return inner
         if tok is None:

@@ -4,7 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 
 import pytest
@@ -32,6 +32,7 @@ from fincat.core import (
 from fincat.finset import FinSetObj, const_set_functor
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
+SRC = str(pathlib.Path(fincat.__file__).resolve().parent.parent)
 
 
 def run(*argv):
@@ -308,6 +309,41 @@ def test_json_byte_stability():
         assert json.loads(a[1])["schema"] == "fincat-report/1"
 
 
+def _exit_of(parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of a parse that ends the program, as help and
+    usage errors do."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        parse(list(argv))
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+def test_the_shared_parser_answers_like_a_fresh_one():
+    usage_error = ("limit", "--seed", "x", cat("pair_diagram.cat"))
+    for argv in [("--help",), usage_error, ("nope",)] + [(c, "--help") for c in cli.COMMANDS]:
+        fresh = _exit_of(lambda a: cli.build_parser().parse_args(a), argv)
+        assert _exit_of(main, argv) == fresh, argv
+        assert fresh[0] == (2 if argv[-1] != "--help" else 0)
+    # after a usage error the same parser answers every argv as before
+    ok = ("limit", "D", cat("pair_diagram.cat"), "--json")
+    before = run(*ok)
+    assert _exit_of(main, usage_error) == _exit_of(main, usage_error)
+    assert run(*ok) == before
+
+
+def test_a_command_imports_only_its_own_modules():
+    unused = ("fincat.adjunction", "fincat.kan", "fincat.limits", "fincat.universal")
+    program = f"""import contextlib, io, sys
+from fincat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["validate", {cat("two.cat")!r}])
+print(code, [m for m in {unused!r} if m in sys.modules])
+"""
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout == "0 []\n", proc.stderr
+
+
 def test_corpus_covers_every_subcommand():
     # exercised above: validate, limit, colimit, end, coend, kan-left,
     # kan-right, adjoint-of, snake, yoneda-check, density, codensity,
@@ -478,14 +514,39 @@ def test_declared_unit_violation_is_flagged(tmp_path):
     assert doc["report"]["counterexample"]["law"] == "unit"
 
 
-def _run_cli_process(tmp_path, text: str, *command: str) -> subprocess.CompletedProcess:
+def _run_cli_process(tmp_path, text: str | bytes, *command: str) -> subprocess.CompletedProcess:
     f = tmp_path / "input.cat"
-    f.write_text(text)
-    src = str(pathlib.Path(fincat.__file__).resolve().parent.parent)
+    if isinstance(text, bytes):
+        f.write_bytes(text)
+    else:
+        f.write_text(text)
     return subprocess.run([sys.executable, "-m", "fincat.cli", *(command or ("validate",)),
                            str(f)],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": SRC})
+
+
+def test_a_file_that_is_not_utf8_is_structural(tmp_path):
+    text = (CORPUS / "two.cat").read_bytes()
+    for data, offset in ((b"\xff\xfe" + text, 0), (text + b"# \xe9\n", len(text) + 2)):
+        proc = _run_cli_process(tmp_path, data)
+        assert proc.returncode == 2
+        assert f"input.cat: not UTF-8 text (byte offset {offset})" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_terms_are_a_syntax_error(tmp_path):
+    deep = "(" * 400 + "s" + ")" * 400
+    where = (f"parentheses nested deeper than {diagram.MAX_NESTING}"
+             f" at line 1, column {diagram.MAX_NESTING + 1}")
+    code, out = run("diagram-eval", deep, cat("terms.cat"), "--json")
+    assert code == 2
+    assert json.loads(out)["message"] == where
+    proc = _run_cli_process(tmp_path, (CORPUS / "terms.cat").read_text()
+                            + f'term deep = "{deep}";\n')
+    assert proc.returncode == 2
+    assert where in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_arrow_to_undeclared_object_is_structural(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from fincat.core import Functor
 from fincat.diagram import (
+    MAX_NESTING,
     DiagramSyntaxError,
     DiagramTypeError,
     Generator,
@@ -43,6 +44,16 @@ def test_parse_errors_carry_position():
         parse_term("(alpha")
     with pytest.raises(DiagramSyntaxError):
         parse_term("alpha beta")
+
+
+def test_nesting_is_bounded_with_a_position():
+    assert parse_term("(" * MAX_NESTING + "alpha" + ")" * MAX_NESTING) == Generator("alpha")
+    # one level too deep, on the second line, and far past the interpreter's stack
+    for depth in (MAX_NESTING + 1, 2000):
+        with pytest.raises(DiagramSyntaxError) as e:
+            parse_term("beta ;\n" + "(" * depth + "alpha" + ")" * depth)
+        assert (e.value.line, e.value.col) == (2, MAX_NESTING + 1)
+        assert f"nested deeper than {MAX_NESTING}" in str(e.value)
 
 
 def test_pretty_parse_round_trip():
