@@ -31,7 +31,7 @@ from .core import (
     validate_functor,
     validate_natural,
 )
-from .diagram import Environment, Term, parse_term, pretty
+from .diagram import DiagramSyntaxError, Environment, Term, parse_term, pretty
 from .finset import FinSetMap, FinSetObj, SetFunctor, validate_set_functor
 
 
@@ -216,12 +216,13 @@ class _WorkspaceParser:
                 {f: dict(pairs) for f, pairs in got["mor"]})
 
     def parse_term(self):
+        line = self.toks[self.pos - 1].line  # of the `term` keyword
         tname, = self.read(N, "=")
         body = self.take()
         if not (body.startswith('"') and body.endswith('"')):
             self.reject("term body must be a quoted string")
         self.take(";")
-        return tname, body[1:-1]
+        return tname, body[1:-1], f"{self.file}:{line}"
 
 
 def parse_workspace(files: list[tuple[str, str]]) -> Workspace:
@@ -304,8 +305,11 @@ def parse_workspace(files: list[tuple[str, str]]) -> Workspace:
         setfunctors[xname] = X
 
     terms: dict[str, Term] = {}
-    for tname, body in merged["term"]:
-        terms[tname] = parse_term(body)
+    for tname, body, where in merged["term"]:
+        try:
+            terms[tname] = parse_term(body)
+        except DiagramSyntaxError as err:  # its line and column are inside the body
+            raise StructuralError(f"{where}: term {tname}: {err}") from None
 
     return Workspace(categories, functors, nats, setfunctors, terms)
 

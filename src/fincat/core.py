@@ -299,6 +299,10 @@ class FinCat(Keyed):
         return product(opposite(self), self)
 
     @cached
+    def _ints(self) -> IntView:
+        return IntView(self)
+
+    @cached
     def _sorted_objects(self) -> tuple[str, ...]:
         return tuple(sorted(self.objects))
 
@@ -345,6 +349,56 @@ class FinCat(Keyed):
         return f"FinCat({self.name!r}, {len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
 
+class IntView:
+    """A category's ids as ints, for the inner loops of validate_category and
+    of the functor and transformation searches; built once per category.
+
+    Morphisms are numbered in sorted id order, so int order is id order and
+    the hom tuples `homs[(a, b)]` keep C.hom's order.  An id met only as an
+    identity or a composite gets the next int, so two ints are equal exactly
+    when their ids are, even in a malformed table.  rows[g][f] is the int of
+    g after f for every composable pair with an entry, in C._into order;
+    `missing` is the first composable pair without one.  rows[-1] is empty:
+    it stands for an id the category does not have, so a lookup through it
+    misses, as FinCat.comp would.
+    """
+
+    def __init__(self, C: FinCat):
+        names = self.names = sorted([m.name for m in C.morphisms])
+        num = self.num = {m: i for i, m in enumerate(names)}
+        for i in C.identity.values():
+            if num.setdefault(i, len(names)) == len(names):
+                names.append(i)
+        into = self.into = {}  # C._into as ints
+        for m in C.morphisms:
+            into.setdefault(m.cod, []).append(num[m.name])
+        rows: list[dict[int, int]] = [{} for _ in names]
+        missing = None
+        comp = C.compose
+        for g in C.morphisms:
+            gn = g.name
+            row = rows[num[gn]]
+            for fi in into.get(g.dom, ()):
+                h = comp.get((gn, names[fi]))
+                if h is None:
+                    missing = missing or (gn, names[fi])
+                    continue
+                row[fi] = hi = num.setdefault(h, len(names))
+                if hi == len(names):
+                    names.append(h)
+        self.missing = missing
+        # the rows of the ids met only as composites, and rows[-1]: all empty
+        self.rows = rows + [{}] * (len(names) - len(rows) + 1)
+        self._morphisms = C.morphisms
+
+    @cached
+    def homs(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        table: dict[tuple[str, str], list[int]] = {}
+        for m in self._morphisms:
+            table.setdefault((m.dom, m.cod), []).append(self.num[m.name])
+        return {k: tuple(sorted(v)) for k, v in table.items()}
+
+
 def same_structure(a: FinCat, b: FinCat) -> bool:
     """Structural equality ignoring the category name."""
     return a.key() == b.key()
@@ -368,6 +422,11 @@ class Functor(Keyed):
 
     def __post_init__(self):
         self._freeze("obj_map", "mor_map")
+
+    @cached
+    def _obj_images(self) -> tuple[str, ...]:
+        """The images of the domain's objects, in sorted object order."""
+        return tuple(self.obj_map[a] for a in self.dom.sorted_objects())
 
     def _structure(self):
         return (self.dom.key(), self.cod.key(),
@@ -518,58 +577,63 @@ def composable_pairs(C: FinCat) -> Iterator[tuple[Mor, Mor]]:
 
 
 def validate_category(C: FinCat) -> Report:
-    """Exhaustively check well-formedness, unit laws and associativity."""
+    """Exhaustively check well-formedness, unit laws and associativity.
+
+    The structural pass reads the ids; the completeness pass is the build of
+    C._ints (cached on C), and the unit and associativity passes look
+    composites up in its int rows.  Counterexamples name ids, never ints.
+    """
     for kind, ids in (("object", C.objects), ("morphism", [m.name for m in C.morphisms])):
         if len(set(ids)) != len(ids):
             dup = next(a for i, a in enumerate(ids) if a in ids[:i])
             raise StructuralError(f"{C.name}: duplicate {kind} id {dup}")
+    objects, mor = set(C.objects), C.mor
     for a, i in C.identity.items():
-        if a not in C.objects:
+        if a not in objects:
             raise StructuralError(f"{C.name}: identity table names unknown object {a}")
-        if i not in C.mor:
+        if i not in mor:
             raise StructuralError(f"{C.name}: identity {i} of {a} is not a morphism")
     for m in C.morphisms:
-        if m.dom not in C.objects or m.cod not in C.objects:
+        if m.dom not in objects or m.cod not in objects:
             raise StructuralError(f"{C.name}: morphism {m.name} has unresolved endpoints")
     for a in C.objects:
         if a not in C.identity:
             raise StructuralError(f"{C.name}: object {a} has no identity morphism")
     for (g, f), h in C.compose.items():
-        if g not in C.mor or f not in C.mor or h not in C.mor:
+        mg, mf, mh = mor.get(g), mor.get(f), mor.get(h)
+        if mg is None or mf is None or mh is None:
             raise StructuralError(f"{C.name}: composition entry ({g},{f})={h} has unresolved ids")
-        if C.mor[f].cod != C.mor[g].dom:
+        if mf.cod != mg.dom:
             raise StructuralError(f"{C.name}: composition entry for non-composable pair ({g},{f})")
-        if C.mor[h].dom != C.mor[f].dom or C.mor[h].cod != C.mor[g].cod:
+        if mh.dom != mf.dom or mh.cod != mg.cod:
             raise StructuralError(f"{C.name}: composite {h} of ({g},{f}) has wrong endpoints")
 
-    checked = 0
     for a, i in C.identity.items():
-        if not (C.mor[i].dom == a and C.mor[i].cod == a):
-            return fail_report(checked, "identity-endpoints", object=a, identity=i)
-    comp, into = C.compose, C._into
-    # g -> (f, g.f) for each f into g's domain, in _into order
-    after: dict[str, list[tuple[str, str]]] = {}
-    for g, f in composable_pairs(C):
-        gf = comp.get((g.name, f.name))
-        if gf is None:
-            raise StructuralError(
-                f"{C.name}: incomplete composition table, missing ({g.name},{f.name})")
-        after.setdefault(g.name, []).append((f.name, gf))
-        checked += 1
+        if not (mor[i].dom == a and mor[i].cod == a):
+            return fail_report(0, "identity-endpoints", object=a, identity=i)
+    # the completeness pass builds C's int rows, and the passes below run on them
+    V = C._ints
+    if V.missing is not None:
+        raise StructuralError(
+            f"{C.name}: incomplete composition table, missing ({V.missing[0]},{V.missing[1]})")
+    names, num, rows = V.names, V.num, V.rows
+    checked = len(C.compose)  # one entry per composable pair, by the passes above
     for m in C.morphisms:
-        if C.comp(m.name, C.identity[m.dom]) != m.name:
+        k = num[m.name]
+        if rows[k][num[C.identity[m.dom]]] != k:
             return fail_report(checked, "unit", morphism=m.name, side="right")
-        if C.comp(C.identity[m.cod], m.name) != m.name:
+        if rows[num[C.identity[m.cod]]][k] != k:
             return fail_report(checked, "unit", morphism=m.name, side="left")
     # every lookup below is of a composable pair, present by the pass above
     for h in C.morphisms:
-        hn = h.name
-        for g in into.get(h.dom, ()):
-            hg = comp[(hn, g.name)]
-            for fn, gf in after.get(g.name, ()):
-                checked += 1
-                if comp[(hn, gf)] != comp[(hg, fn)]:
-                    return fail_report(checked, "associativity", h=hn, g=g.name, f=fn)
+        hrow = rows[num[h.name]]
+        for g in V.into.get(h.dom, ()):
+            grow, hgrow = rows[g], rows[hrow[g]]
+            for f, gf in grow.items():
+                if hrow[gf] != hgrow[f]:
+                    return fail_report(checked + 1 + list(grow).index(f), "associativity",
+                                       h=h.name, g=names[g], f=names[f])
+            checked += len(grow)
     return ok_report(checked)
 
 
@@ -709,23 +773,26 @@ def _assignment(table: Mapping[str, str], keys) -> str:
     return ";".join(f"{k}↦{table[k]}" for k in keys)
 
 
-def _nat_id(fid: str, gid: str, components: Mapping[str, str], objs) -> str:
-    return f"{fid}=>{gid}:[{_assignment(components, objs)}]"
+def _nat_prefix(fid: str, gid: str) -> str:
+    """The head of the id of a transformation fid => gid; its `a↦m` pieces
+    and a closing `]` follow."""
+    return f"{fid}=>{gid}:["
 
 
-def _functor_id(obj_map: Mapping[str, str], objs, mor_map: Mapping[str, str], gens) -> str:
-    obj = _assignment(obj_map, objs)
+def _functor_id(obj: str, mor_map: Mapping[str, str], gens) -> str:
+    """A functor's id from its object assignment `obj` and its generators' images."""
     return obj + "|" + _assignment(mor_map, gens) if gens else obj
 
 
 def canonical_functor_id(F: Functor) -> str:
     """Stable cross-run object id for a functor inside a functor category."""
-    return _functor_id(F.obj_map, sorted(F.obj_map), F.mor_map, F.dom.nonidentity_mor_names())
+    return _functor_id(_assignment(F.obj_map, sorted(F.obj_map)), F.mor_map,
+                       F.dom.nonidentity_mor_names())
 
 
 def canonical_nat_id(alpha: NatTrans) -> str:
-    return _nat_id(canonical_functor_id(alpha.src), canonical_functor_id(alpha.tgt),
-                   alpha.components, sorted(alpha.components))
+    return (_nat_prefix(canonical_functor_id(alpha.src), canonical_functor_id(alpha.tgt))
+            + _assignment(alpha.components, sorted(alpha.components)) + "]")
 
 
 def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[Functor]:
@@ -736,7 +803,10 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
     between its ends' images; for each such assignment one assigns C's
     identities their images and then the generators (C's non-identity
     morphisms) in name order, testing each composable pair (g, f, g.f) of C
-    on the step that assigns its last member.
+    on the step that assigns its last member.  The generator search runs on
+    D._ints: its candidates are int hom tuples and each test is a lookup in
+    D's int rows, and the images are turned back into ids only for the
+    functors it finds.
     """
     guard = DEFAULT_GUARD if guard is None else guard
     objs = C.sorted_objects()
@@ -751,41 +821,65 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
     pairs = [(slot[g.name], slot[f.name], slot[C.comp(g.name, f.name)])
              for g, f in composable_pairs(C)]
     composites = schedule(len(slot), ((p, p) for p in pairs))
+    V = D._ints
+    names, num, rows, homs = V.names, V.num, V.rows, V.homs
+
+    def composes(p, v) -> bool:
+        try:
+            return rows[v[p[0]]][v[p[1]]] == v[p[2]]
+        except KeyError:  # no entry: D.comp raises it by name
+            return D.comp(names[v[p[0]]], names[v[p[1]]]) == names[v[p[2]]]
+
     out: list[Functor] = []
     # an object assignment must give each morphism of C a non-empty hom-set
     for choice in search([d_objs] * len(objs), C._squares,
                          lambda square, v: bool(D.hom(v[square[1]], v[square[2]]))):
         obj_map = dict(zip(objs, choice))
-        homs = [(D.id_of(x),) for x in choice] + [D.hom(obj_map[a], obj_map[b]) for a, b in ends]
-        for images in search(homs, composites, lambda p, v: D.comp(v[p[0]], v[p[1]]) == v[p[2]]):
-            mor_map = dict(zip(slot, images))
-            out.append(Functor(_functor_id(obj_map, objs, mor_map, gens), C, D, obj_map, mor_map))
+        obj_id = _assignment(obj_map, objs)
+        choices = [(num[D.id_of(x)],) for x in choice] + \
+            [homs.get((obj_map[a], obj_map[b]), ()) for a, b in ends]
+        for images in search(choices, composites, composes):
+            mor_map = dict(zip(slot, [names[u] for u in images]))
+            out.append(Functor(_functor_id(obj_id, mor_map, gens), C, D, obj_map, mor_map))
     out.sort(key=lambda F: F.name)
     return out
 
 
-def _nat_trans(F: Functor, G: Functor, fid: str, gid: str) -> list[tuple[str, NatTrans]]:
-    """The natural transformations F => G with their canonical ids, in id order,
-    given the ids fid and gid of F and G.
+def _nat_trans(F: Functor, G: Functor, prefix: str,
+               pieces=None) -> list[tuple[str, tuple[int, ...], NatTrans]]:
+    """The natural transformations F => G in id order, each with its id and
+    its components as ints of D._ints in sorted object order.
 
-    Components are searched object by object in sorted order over D's
-    hom-sets, each morphism's naturality square tested once on a path, when
-    the later of its two ends gets its component (the schedule C._squares).
+    Components are searched object by object in sorted order over D's int
+    hom tuples, each morphism's naturality square tested once on a path, when
+    the later of its two ends gets its component (the schedule C._squares),
+    by two lookups in D's int rows.  An id is prefix, then the `a↦m` pieces
+    of the components, pieces[i][u] for the i-th object and int u, then `]`;
+    given no pieces, those of the candidate components are formatted.
     """
     C, D = F.dom, F.cod
     objs = C.sorted_objects()
-    homs = [D.hom(F.obj_map[a], G.obj_map[a]) for a in objs]
+    V = D._ints
+    names, num, rows = V.names, V.num, V.rows
+    choices = [V.homs.get(xy, ()) for xy in zip(F._obj_images, G._obj_images)]
+    if not all(choices):
+        return []
+    if pieces is None:
+        pieces = [{u: f"{a}↦{names[u]}" for u in us} for a, us in zip(objs, choices)]
     Fm, Gm = F.mor_map, G.mor_map
 
     def natural(square, v) -> bool:
         m, a, b = square
-        return D.comp(Gm[m], v[a]) == D.comp(v[b], Fm[m])
+        try:  # an image D lacks reads the empty rows[-1]
+            return rows[num.get(Gm[m], -1)][v[a]] == rows[v[b]][num.get(Fm[m], -1)]
+        except KeyError:  # no entry: D.comp raises it by name
+            return D.comp(Gm[m], names[v[a]]) == D.comp(names[v[b]], Fm[m])
 
     out = []
-    for family in search(homs, C._squares, natural):
-        comps = dict(zip(objs, family))
-        out.append((_nat_id(fid, gid, comps, objs), NatTrans("t", F, G, comps)))
-    out.sort(key=lambda p: p[0])
+    for family in search(choices, C._squares, natural):
+        tid = prefix + ";".join([p[u] for p, u in zip(pieces, family)]) + "]"
+        out.append((tid, family, NatTrans("t", F, G, dict(zip(objs, [names[u] for u in family])))))
+    out.sort(key=lambda t: t[0])
     return out
 
 
@@ -795,7 +889,8 @@ def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
     if F.dom != G.dom or F.cod != G.cod:
         raise StructuralError(
             f"{F.name}=>{G.name}: source and target functors are not parallel")
-    return [t for _, t in _nat_trans(F, G, canonical_functor_id(F), canonical_functor_id(G))]
+    prefix = _nat_prefix(canonical_functor_id(F), canonical_functor_id(G))
+    return [t for _, _, t in _nat_trans(F, G, prefix)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -815,31 +910,44 @@ def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorC
     """The category of functors C -> D and all natural transformations between them.
 
     Objects are the functors of enumerate_functors, whose names are their
-    canonical ids; each transformation and each composite is named once from
-    those names and its components, without building a NatTrans for it.
+    canonical ids.  Transformations come from _nat_trans on D._ints, and each
+    identity and composite is named from the same `a↦m` pieces, formatted
+    once per call, and one prefix per pair of functors, without building a
+    NatTrans for it.  A composite's components are looked up in D's int rows
+    in C.objects order, as vcompose takes them.
     """
     fs = enumerate_functors(C, D, guard)
     objs = C.sorted_objects()
+    V = D._ints
+    names, rows = V.names, V.rows
+    pieces = [[f"{a}↦{u}" for u in names] for a in objs]
+    prefix = [[_nat_prefix(F.name, G.name) for G in fs] for F in fs]
     nats: dict[str, NatTrans] = {}
     mors = []
-    into: dict[str, list[Mor]] = {}
-    for F in fs:
-        for G in fs:
-            for tid, t in _nat_trans(F, G, F.name, G.name):
+    ends = []  # per transformation: its source and target index and its components
+    into: list[list[int]] = [[] for _ in fs]  # per functor: the transformations into it
+    for i, F in enumerate(fs):
+        for j, G in enumerate(fs):
+            for tid, family, t in _nat_trans(F, G, prefix[i][j], pieces):
                 nats[tid] = t
-                m = Mor(tid, F.name, G.name)
-                mors.append(m)
-                into.setdefault(G.name, []).append(m)
-    identity = {F.name: _nat_id(F.name, F.name,
-                                {a: D.id_of(F.obj_map[a]) for a in objs}, objs)
-                for F in fs}
+                into[j].append(len(mors))
+                mors.append(Mor(tid, F.name, G.name))
+                ends.append((i, j, family))
+    identity = {F.name: prefix[i][i] + ";".join(
+                    [p[V.num[D.id_of(x)]] for p, x in zip(pieces, F._obj_images)]) + "]"
+                for i, F in enumerate(fs)}
     table = {}
-    for m in mors:
-        beta = nats[m.name].components
-        for n in into.get(m.dom, ()):
-            alpha = nats[n.name].components
-            table[(m.name, n.name)] = _nat_id(
-                n.dom, m.cod, {a: D.comp(beta[a], alpha[a]) for a in C.objects}, objs)
+    for m, (j, k, beta) in zip(mors, ends):
+        after = [rows[b] for b in beta]
+        for n in into[j]:
+            i, _, alpha = ends[n]
+            try:
+                comps = [p[r[a]] for p, r, a in zip(pieces, after, alpha)]
+            except KeyError:  # no entry: D.comp raises the first in C.objects order
+                for a in C.objects:
+                    D.comp(nats[m.name].components[a], nats[mors[n].name].components[a])
+                raise
+            table[(m.name, mors[n].name)] = prefix[i][k] + ";".join(comps) + "]"
     cat = FinCat(f"[{C.name},{D.name}]", tuple(F.name for F in fs),
                  tuple(mors), identity, table)
     return FunctorCategory(cat, {F.name: F for F in fs}, nats)

@@ -549,6 +549,18 @@ def test_deeply_nested_terms_are_a_syntax_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_bad_term_in_a_file_names_the_file_line_and_term(tmp_path):
+    deep = "(" * 400 + "s" + ")" * 400
+    text = (CORPUS / "terms.cat").read_text()
+    line = text.count("\n") + 2  # the `term` line, after one blank line
+    proc = _run_cli_process(tmp_path, text + f'\nterm\n  deep =\n  "{deep}";\n', "validate", "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["message"] == (
+        f"{tmp_path / 'input.cat'}:{line}: term deep: parentheses nested deeper than"
+        f" {diagram.MAX_NESTING} at line 1, column {diagram.MAX_NESTING + 1}")
+    assert "Traceback" not in proc.stderr
+
+
 def test_arrow_to_undeclared_object_is_structural(tmp_path):
     proc = _run_cli_process(tmp_path, "category C { objects: a; mor f: a -> b; }\n")
     assert proc.returncode == 2

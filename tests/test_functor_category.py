@@ -266,16 +266,22 @@ def _validated(validate, C: FinCat):
 # ---------------------------------------------------------------------------
 # Tests
 
+def _functor_category_rows(cat, functors, nats):
+    return (cat.name, cat.objects, cat.morphisms, list(cat.identity.items()),
+            list(cat.compose.items()), list(functors), _functor_rows(functors.values()),
+            list(nats), _nat_rows(nats.values()))
+
+
 def _compare_functor_category(fc, ref):
-    cat, functors, nats = ref
-    assert fc.cat.name == cat.name and fc.cat.objects == cat.objects
-    assert fc.cat.morphisms == cat.morphisms
-    assert list(fc.cat.identity.items()) == list(cat.identity.items())
-    assert list(fc.cat.compose.items()) == list(cat.compose.items())
-    assert list(fc.functors) == list(functors)
-    assert _functor_rows(fc.functors.values()) == _functor_rows(functors.values())
-    assert list(fc.nats) == list(nats)
-    assert _nat_rows(fc.nats.values()) == _nat_rows(nats.values())
+    assert _functor_category_rows(fc.cat, fc.functors, fc.nats) == _functor_category_rows(*ref)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the StructuralError it raises."""
+    try:
+        return fn(*args)
+    except StructuralError as e:
+        return ("StructuralError", str(e))
 
 
 def test_functor_category_matches_reference():
@@ -321,3 +327,115 @@ def test_enumerate_nat_trans_rejects_functors_that_are_not_parallel():
     with pytest.raises(StructuralError, match="not parallel"):
         enumerate_nat_trans(F, H)
 
+
+
+def _edited(D: FinCat, entries=None, drop=()) -> FinCat:
+    """D with some composition entries replaced and some removed."""
+    table = {**D.compose, **(entries or {})}
+    for pair in drop:
+        del table[pair]
+    return FinCat(D.name + "!", D.objects, D.morphisms, D.identity, table)
+
+
+def _square() -> FinCat:
+    """Two paths 0 -> 1 -> 3 (f then g) and 0 -> 2 -> 3 (h then k), both d."""
+    return make_category("Sq", ["0", "1", "2", "3"],
+                         [("f", "0", "1"), ("g", "1", "3"), ("h", "0", "2"), ("k", "2", "3"),
+                          ("d", "0", "3")],
+                         {("g", "f"): "d", ("k", "h"): "d"})
+
+
+def test_targets_that_break_the_int_view_match_the_reference():
+    """Composites that are no morphism of D (equal ids must stay equal and
+    unequal ones unequal), missing entries that a naturality square reaches,
+    and missing entries that only a composite of two transformations reaches:
+    the four functions give the reference's results or raise its
+    StructuralError for the same pair, in sources whose objects are listed in
+    and out of sorted order."""
+    sq, c3 = _square(), chain(3)
+    targets = {
+        "one ghost": _edited(sq, {("g", "f"): "ghost"}),
+        "equal ghosts": _edited(sq, {("g", "f"): "ghost", ("k", "h"): "ghost"}),
+        "unequal ghosts": _edited(sq, {("g", "f"): "ghost", ("k", "h"): "ghost2"}),
+        "chain ghost": _edited(c3, {("c12", "c01"): "ghost"}),
+        "square missing": _edited(sq, drop=[("k", "h")]),
+        "chain missing": _edited(c3, drop=[("c12", "c01")]),
+        "composite missing": _edited(chain(4), drop=[("c12", "c01"), ("c23", "c12")]),
+    }
+    sources = [terminal_category(), walking_arrow(), discrete(2), chain(3),
+               make_category("2r", ["1", "0"], [("a", "0", "1")], {}),
+               make_category("disc2r", ["d1", "d0"], [], {})]
+    seen = set()
+    for label, D in targets.items():
+        assert _outcome(validate_category, D) == _outcome(ref_validate_category, D)
+        for C in sources:
+            fs = _outcome(enumerate_functors, C, D)
+            ref_fs = _outcome(ref_enumerate_functors, C, D)
+            if isinstance(fs, tuple):
+                assert fs == ref_fs == _outcome(functor_category, C, D), (label, C.name)
+                seen.add(("functor error", label))
+                continue
+            assert _functor_rows(fs) == _functor_rows(ref_fs), (label, C.name)
+            for F in fs:
+                for G in fs:
+                    got = _outcome(enumerate_nat_trans, F, G)
+                    assert got == _outcome(ref_enumerate_nat_trans, F, G)
+                    if isinstance(got, tuple):
+                        seen.add(("nat error", label))
+                    elif len(got) and label == "equal ghosts" and F.mor_map.get("a") == "f":
+                        seen.add("natural through a ghost")
+            fc = _outcome(functor_category, C, D)
+            ref = _outcome(ref_functor_category, C, D)
+            if isinstance(fc, tuple):
+                assert fc == ref, (label, C.name)
+                seen.add(("functor category error", label))
+                continue
+            _compare_functor_category(fc, ref)
+            got = _outcome(validate_category, fc.cat)
+            assert got == _outcome(ref_validate_category, fc.cat), (label, C.name)
+    assert "natural through a ghost" in seen
+    assert {("functor error", "chain missing"), ("nat error", "square missing"),
+            ("nat error", "chain missing"),
+            ("functor category error", "composite missing")} <= seen, seen
+    # the two ghosts of a square are unequal ids, so no arrow f => k is natural
+    F = Functor("F", walking_arrow(), targets["unequal ghosts"], {"0": "0", "1": "1"},
+                {"id_0": "id_0", "id_1": "id_1", "a": "f"})
+    G = Functor("G", walking_arrow(), targets["unequal ghosts"], {"0": "2", "1": "3"},
+                {"id_0": "id_2", "id_1": "id_3", "a": "k"})
+    assert enumerate_nat_trans(F, G) == ref_enumerate_nat_trans(F, G) == []
+    G2 = Functor("G", walking_arrow(), targets["equal ghosts"], G.obj_map, G.mor_map)
+    F2 = Functor("F", walking_arrow(), targets["equal ghosts"], F.obj_map, F.mor_map)
+    assert [t.components for t in enumerate_nat_trans(F2, G2)] == [{"0": "h", "1": "g"}]
+    # a map whose image is no id of D reaches FinCat.comp's error, by name
+    F3 = Functor("F", walking_arrow(), c3, {"0": "0", "1": "1"},
+                 {"id_0": "id_0", "id_1": "id_1", "a": "c01"})
+    G3 = Functor("G", walking_arrow(), c3, F3.obj_map, {**F3.mor_map, "a": "nowhere"})
+    assert _outcome(enumerate_nat_trans, F3, G3) == _outcome(ref_enumerate_nat_trans, F3, G3) \
+        == ("StructuralError", "chain3: no composition entry for nowhere after id_0")
+
+
+def _one_object(*entries) -> FinCat:
+    """The monoid {1, s, t} with xy = x for x, y in {s, t}, then the given
+    entries over it."""
+    M = make_category("M", ["*"], [("s", "*", "*"), ("t", "*", "*")],
+                      {("s", "s"): "s", ("s", "t"): "s", ("t", "s"): "t", ("t", "t"): "t"})
+    return _edited(M, dict(entries))
+
+
+def test_validate_category_counterexamples_carry_ids():
+    cases = {
+        ("unit", "right"): _one_object((("t", "id_*"), "s")),
+        ("unit", "left"): _one_object((("id_*", "t"), "s")),
+        ("associativity", None): _one_object((("s", "t"), "id_*")),
+    }
+    for (law, side), C in cases.items():
+        got = validate_category(C)
+        assert got == ref_validate_category(C)
+        assert not got.ok and got.counterexample.law == law
+        details = got.counterexample.details
+        assert all(type(v) is str for v in details.values())
+        if law == "unit":
+            assert details == {"morphism": "t", "side": side}
+        else:
+            assert set(details) == {"h", "g", "f"} and set(details.values()) <= set(C.mor)
+        assert got.checked == ref_validate_category(C).checked
