@@ -862,8 +862,6 @@ def _nat_trans(F: Functor, G: Functor, prefix: str,
     V = D._ints
     names, num, rows = V.names, V.num, V.rows
     choices = [V.homs.get(xy, ()) for xy in zip(F._obj_images, G._obj_images)]
-    if not all(choices):
-        return []
     if pieces is None:
         pieces = [{u: f"{a}↦{names[u]}" for u in us} for a, us in zip(objs, choices)]
     Fm, Gm = F.mor_map, G.mor_map
@@ -944,9 +942,9 @@ def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorC
             try:
                 comps = [p[r[a]] for p, r, a in zip(pieces, after, alpha)]
             except KeyError:  # no entry: D.comp raises the first in C.objects order
-                for a in C.objects:
-                    D.comp(nats[m.name].components[a], nats[mors[n].name].components[a])
-                raise
+                gf = {a: D.comp(nats[m.name].components[a], nats[mors[n].name].components[a])
+                      for a in C.objects}
+                comps = [f"{a}↦{gf[a]}" for a in objs]
             table[(m.name, mors[n].name)] = prefix[i][k] + ";".join(comps) + "]"
     cat = FinCat(f"[{C.name},{D.name}]", tuple(F.name for F in fs),
                  tuple(mors), identity, table)

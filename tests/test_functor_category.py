@@ -328,7 +328,6 @@ def test_enumerate_nat_trans_rejects_functors_that_are_not_parallel():
         enumerate_nat_trans(F, H)
 
 
-
 def _edited(D: FinCat, entries=None, drop=()) -> FinCat:
     """D with some composition entries replaced and some removed."""
     table = {**D.compose, **(entries or {})}
@@ -423,19 +422,12 @@ def _one_object(*entries) -> FinCat:
 
 
 def test_validate_category_counterexamples_carry_ids():
-    cases = {
-        ("unit", "right"): _one_object((("t", "id_*"), "s")),
-        ("unit", "left"): _one_object((("id_*", "t"), "s")),
-        ("associativity", None): _one_object((("s", "t"), "id_*")),
-    }
-    for (law, side), C in cases.items():
+    cases = [
+        (_one_object((("t", "id_*"), "s")), 9, "unit", {"morphism": "t", "side": "right"}),
+        (_one_object((("id_*", "t"), "s")), 9, "unit", {"morphism": "t", "side": "left"}),
+        (_one_object((("s", "t"), "id_*")), 24, "associativity", {"h": "s", "g": "s", "f": "t"}),
+    ]
+    for C, checked, law, details in cases:
         got = validate_category(C)
-        assert got == ref_validate_category(C)
-        assert not got.ok and got.counterexample.law == law
-        details = got.counterexample.details
-        assert all(type(v) is str for v in details.values())
-        if law == "unit":
-            assert details == {"morphism": "t", "side": side}
-        else:
-            assert set(details) == {"h", "g", "f"} and set(details.values()) <= set(C.mor)
-        assert got.checked == ref_validate_category(C).checked
+        assert got == ref_validate_category(C) == fail_report(checked, law, **details)
+        assert all(type(v) is str for v in got.counterexample.details.values())
