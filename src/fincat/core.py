@@ -285,10 +285,10 @@ class FinCat(Keyed):
     def _opposite(self) -> FinCat:
         name = self.name[3:-1] if self.name.startswith("op(") and self.name.endswith(")") \
             else f"op({self.name})"
-        op = FinCat(name, self.objects,
-                    tuple(Mor(m.name, m.cod, m.dom) for m in self.morphisms),
-                    self.identity,
-                    {(f, g): h for (g, f), h in self.compose.items()})
+        op = _built_cat(name, self.objects,
+                        tuple(Mor(m.name, m.cod, m.dom) for m in self.morphisms),
+                        self.identity,
+                        {(f, g): h for (g, f), h in self.compose.items()})
         # a weak way back: a strong one would make every category with an
         # opposite a reference cycle, freed only by the cycle collector
         op.__dict__["_opposite_of"] = weakref.ref(self)  # frozen: bypass __setattr__
@@ -347,6 +347,17 @@ class FinCat(Keyed):
 
     def __repr__(self):
         return f"FinCat({self.name!r}, {len(self.objects)} objects, {len(self.morphisms)} morphisms)"
+
+
+def _built_cat(name: str, objects: tuple[str, ...], morphisms: tuple[Mor, ...],
+               identity: Mapping[str, str], compose: dict[tuple[str, str], str]) -> FinCat:
+    """A category from tuples, a read-only identity table and a fresh compose
+    dict, wrapped without the copies of ``__post_init__``; the caller must
+    not keep a reference to the dict."""
+    C = object.__new__(FinCat)
+    C.__dict__.update(name=name, objects=objects, morphisms=morphisms,  # frozen: bypass __setattr__
+                      identity=identity, compose=MappingProxyType(compose))
+    return C
 
 
 class IntView:

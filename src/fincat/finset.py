@@ -8,6 +8,7 @@ explicit invertible map, never by cardinality.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -67,6 +68,8 @@ class FinSetMap(Keyed):
     cod: FinSetObj
     table: Mapping[str, str]
 
+    _ys = None  # a listed map's images of dom.sorted(); see all_maps
+
     def __post_init__(self):
         self._freeze("table")
         if self.table.keys() == self.dom._members and \
@@ -86,9 +89,28 @@ class FinSetMap(Keyed):
         return self.table[x]
 
     def then(self, other: FinSetMap) -> FinSetMap:
-        """Composite: self first, then other."""
-        if self.cod != other.dom:
+        """Composite: self first, then other.
+
+        When self came from all_maps and a list of all_maps(self.dom,
+        other.cod) is registered, the composite is that list's map, found by
+        its index: the base-|other.cod| digits of the index are the positions
+        in other.cod.sorted() of other's images of self's images.  It equals
+        the map built otherwise, table order included, since a listed table is
+        in sorted-domain order.  Any other map pays one lookup for this.
+        """
+        if self.cod is not other.dom and self.cod != other.dom:
             raise StructuralError("maps not composable")
+        ys = self._ys
+        if ys is not None:
+            ref = self.dom._hom_sets.get(id(other.cod))
+            hom = ref() if ref is not None else None
+            if hom is not None:
+                pos, base, table, k = hom.pos, hom.base, other.table, 0
+                for y in ys:
+                    k = k * base + pos[table[y]]
+                listed = hom.maps[k]()
+                if listed is not None:
+                    return listed
         return _built_map(self.dom, other.cod, {x: other.table[y] for x, y in self.table.items()})
 
     def is_bijection(self) -> bool:
@@ -121,11 +143,65 @@ def identity_map(X: FinSetObj) -> FinSetMap:
     return _built_map(X, X, {x: x for x in X.elements})
 
 
+class _Hom:
+    """One all_maps list X -> cod, held by each of its maps: cod, the position
+    of each element in cod.sorted(), and weak references to the maps in order."""
+
+    __slots__ = ("cod", "pos", "base", "maps", "__weakref__")
+
+    def __init__(self, cod: FinSetObj):
+        self.cod = cod
+        self.pos = {y: i for i, y in enumerate(cod.sorted())}
+        self.base = len(cod)
+
+
+class _HomRef(weakref.ref):
+    """The domain's weak reference to a _Hom; its callback drops the entry."""
+
+    __slots__ = ("owner", "cod_id")
+
+
+def _drop_hom(ref: _HomRef) -> None:
+    # only X's registry holds ref, so a replaced ref is freed unfired
+    X = ref.owner()
+    if X is not None:
+        del X._hom_sets[ref.cod_id]
+
+
 def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
-    """Every map X -> Y in lexicographic table order."""
+    """Every map X -> Y in lexicographic table order: map k has the base-|Y|
+    digits of k as positions in Y.sorted() of its images of X.sorted().
+
+    The list is registered as the hom-set X -> Y, so that FinSetMap.then
+    returns its maps instead of building equal ones.  Each listed map holds a
+    record with Y (which keeps id(Y) unique), the positions in Y.sorted() and
+    weak references to the maps; X holds, keyed by id(Y), a weak reference
+    to the record, dropped when the record dies.  So the registration lasts
+    while the caller keeps any map of the list, and no reference cycle is
+    made.  A later call for the same X and Y replaces it.
+    """
     xs = X.sorted()
-    return [_built_map(X, Y, dict(zip(xs, ys)))
-            for ys in itertools.product(Y.sorted(), repeat=len(xs))]
+    hom = _Hom(Y)
+    maps = []
+    for ys in itertools.product(Y.sorted(), repeat=len(xs)):
+        f = _built_map(X, Y, dict(zip(xs, ys)))
+        fields = f.__dict__  # frozen: bypass __setattr__
+        fields["_ys"] = ys
+        fields["_hom"] = hom
+        maps.append(f)
+    if not maps:
+        return maps
+    hom.maps = list(map(weakref.ref, maps))
+    ref = _HomRef(hom, _drop_hom)
+    ref.owner, ref.cod_id = weakref.ref(X), id(Y)
+    X.__dict__.setdefault("_hom_sets", {})[id(Y)] = ref
+    return maps
+
+
+def all_tables(X: FinSetObj, Y: FinSetObj) -> list[dict[str, str]]:
+    """The tables of all_maps(X, Y), in its order, with no map built."""
+    xs = X.sorted()
+    return [dict(zip(xs, ys)) for ys in itertools.product(Y.sorted(), repeat=len(xs))]
 
 
 @dataclass(frozen=True, eq=False)

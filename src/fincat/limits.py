@@ -38,7 +38,7 @@ from .finset import (
     SetFunctor,
     SetNatTrans,
     _tables,
-    all_maps,
+    all_tables,
     const_set_functor,
 )
 
@@ -320,7 +320,7 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
                     legs: dict[str, FinSetMap]) -> Report:
     """Unique factorization of every probe (co)cone, on raw tables.
 
-    Probe families are searched leg by leg in all_maps order on J._squares,
+    Probe families are searched leg by leg in all_tables order on J._squares,
     so `checked` and the first counterexample are those of their product.
     """
     J = D.dom
@@ -345,9 +345,9 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
     for size in _PROBE_SIZES:
         P = FinSetObj(tuple(f"p{i}" for i in range(size)))
         if direction == LIMIT:
-            choices = [[t.table for t in all_maps(P, D.on_obj[j])] for j in objs]
+            choices = [all_tables(P, D.on_obj[j]) for j in objs]
         else:
-            choices = [[t.table for t in all_maps(D.on_obj[j], P)] for j in objs]
+            choices = [all_tables(D.on_obj[j], P) for j in objs]
         for combo in search(choices, J._squares, natural):
             fam = dict(zip(objs, combo))
             checked += 1

@@ -1,11 +1,29 @@
 """Shared fixtures for the diagram-calculus tests and the acceptance suite."""
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 from fincat.core import Functor, NatTrans, identity_functor, renamed
 from fincat.diagram import Environment, Generator, HComp, Id, VComp, typecheck
 from fincat.fixtures import terminal_category, walking_arrow
+
+
+def freed_by_refcount(make) -> bool:
+    """Whether the values make() returns are freed by reference counting alone:
+    with the cycle collector off, a weak reference to each dies once the list
+    that make() returned is deleted."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        values = make()
+        refs = [weakref.ref(v) for v in values]
+        del values
+        return all(r() is None for r in refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def fixture_env() -> Environment:

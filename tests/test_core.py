@@ -1,5 +1,4 @@
 import itertools
-import weakref
 
 import pytest
 
@@ -41,6 +40,7 @@ from fincat.fixtures import (
     walking_arrow,
     z2_monoid,
 )
+from helpers import freed_by_refcount
 
 
 def brute_force_law_check(C: FinCat):
@@ -174,13 +174,13 @@ def test_opposite_involution_and_shape():
 
 
 def test_opposite_is_computed_once_and_its_opposite_is_the_category():
-    two = walking_arrow()
-    op = opposite(two)
-    assert opposite(two) is op and opposite(op) is two
+    def make():
+        two = walking_arrow()
+        op = opposite(two)
+        assert opposite(two) is op and opposite(op) is two
+        return [two, op]
     # the way back is weak, so no reference cycle keeps either category alive
-    gone = weakref.ref(two)
-    del two, op
-    assert gone() is None
+    assert freed_by_refcount(make)
     # an opposite that outlives its category still has a structural opposite
     op = opposite(walking_arrow())
     assert same_structure(opposite(op), walking_arrow()) and opposite(opposite(op)) is op

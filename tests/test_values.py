@@ -14,6 +14,7 @@ from fincat.finset import (
     FinSetMap, FinSetObj, SetFunctor, SetNatTrans, all_maps, identity_map,
 )
 from fincat.fixtures import walking_arrow
+from helpers import freed_by_refcount
 
 SRC = str(pathlib.Path(fincat.__file__).resolve().parent.parent)
 WALKING_ARROW = walking_arrow()
@@ -191,6 +192,75 @@ def test_the_public_constructor_still_rejects_invalid_tables():
     for not_bijective in (collapse, FinSetMap(X, X, {"x": "x", "y": "x"})):
         with pytest.raises(StructuralError, match="not invertible"):
             not_bijective.inverse()
+
+
+def _is_listed(f: FinSetMap, maps: list[FinSetMap]) -> bool:
+    return any(f is m for m in maps)
+
+
+def test_listed_composites_are_the_maps_built_otherwise():
+    # sizes 0-3, elements declared out of sorted order
+    sets = [FinSetObj(()), FinSetObj(("b",)), FinSetObj(("y", "x")), FinSetObj(("w", "u", "v"))]
+    homs = {(i, j): all_maps(X, Y) for i, X in enumerate(sets) for j, Y in enumerate(sets)}
+    composites = 0
+    for (i, j), fs in homs.items():
+        for k in range(len(sets)):
+            for f in fs:
+                for g in homs[(j, k)]:
+                    c = f.then(g)
+                    built = FinSetMap(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
+                    assert c == built and hash(c) == hash(built) and c.key() == built.key()
+                    assert tuple(c.table.items()) == tuple(built.table.items())
+                    assert c.dom is f.dom and c.cod is g.cod
+                    assert _is_listed(c, homs[(i, k)])
+                    composites += 1
+    assert composites == 4 + 24 + 210 + 1440
+
+
+def test_unlisted_maps_compose_as_before():
+    X, Y, Z = FinSetObj(("c", "a", "b")), FinSetObj(("q", "p")), FinSetObj(("s", "r"))
+    to_z, g = all_maps(X, Z), all_maps(Y, Z)[2]
+    # a validated table keeps its own order, and the composite is built
+    f = FinSetMap(X, Y, {"c": "p", "a": "q", "b": "p"})
+    c = f.then(g)
+    assert list(c.table.items()) == [("c", "s"), ("a", "r"), ("b", "s")]
+    assert not _is_listed(c, to_z) and c == to_z[3]
+    # a codomain equal to the listed one but another object gets no listed map
+    Z2 = FinSetObj(("r", "s"))
+    g2 = FinSetMap(Y, Z2, dict(g.table))
+    f = all_maps(X, Y)[3]
+    c = f.then(g2)
+    assert c.cod is Z2 and c == FinSetMap(X, Z2, {"a": "s", "b": "r", "c": "r"})
+    assert not _is_listed(c, to_z) and _is_listed(f.then(g), to_z)
+    # once Z2 has a list of its own, composites into Z2 come from it
+    to_z2 = all_maps(X, Z2)
+    assert _is_listed(f.then(g2), to_z2) and _is_listed(f.then(g), to_z)
+
+
+def test_a_hom_set_list_lives_as_long_as_one_of_its_maps():
+    X, Y = FinSetObj(("a", "b")), FinSetObj(("p", "q"))
+    f, idy = all_maps(X, Y)[1], all_maps(Y, Y)[1]
+    # all_maps(X, Y) is gone but for f: composites are built again
+    c = f.then(all_maps(Y, Y)[2])
+    assert c is not f and c == FinSetMap(X, Y, {"a": "q", "b": "p"})
+    assert f.then(idy) is f
+    # a newer list replaces the entry, and the older one's death leaves it
+    old = all_maps(X, Y)
+    new = all_maps(X, Y)
+    del old
+    assert _is_listed(f.then(idy), new)
+    # the record, its maps and the set's entry go by reference counting alone
+    def make():
+        maps = all_maps(X, Y) + all_maps(Y, X)
+        return [*maps, maps[0]._hom, maps[-1]._hom]
+    del f, c, idy, new
+    assert freed_by_refcount(make) and X._hom_sets == {} and Y._hom_sets == {}
+    # and so do the sets with their lists
+    def make_sets():
+        X, Y = FinSetObj(("a", "b")), FinSetObj(("p",))
+        maps = all_maps(X, Y) + all_maps(Y, X) + all_maps(X, X)
+        return [X, Y, *maps, maps[0].then(maps[1])]
+    assert freed_by_refcount(make_sets)
 
 
 def _fresh_values():
