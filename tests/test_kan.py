@@ -1,9 +1,18 @@
 
+import random
+
 from fincat.core import (
+    Counterexample,
+    FinCat,
     Functor,
     NatTrans,
+    Report,
+    StructuralError,
+    compose_functors,
+    enumerate_functors,
     enumerate_nat_trans,
     identity_functor,
+    make_category,
     opposite,
     pair_id,
     product,
@@ -28,6 +37,7 @@ from fincat.fixtures import (
     terminal_category,
     walking_arrow,
     bang,
+    z2_monoid,
 )
 from fincat.kan import (
     LEFT,
@@ -45,6 +55,7 @@ from fincat.kan import (
     weighted_limit,
 )
 from fincat.limits import COLIMIT, LIMIT, limit_finset
+from fincat.randgen import random_dag_category, random_preorder_category
 
 
 def two_elt_functor_on_one():
@@ -112,6 +123,192 @@ def test_kan_universal_check_fincat_and_perturbation():
     if validate_functor(Lbad).ok and dict(Lbad.mor_map) != dict(L.mor_map):
         rep = kan_universal_check(Lbad, eta, K, F, LEFT)
         assert not rep.ok
+
+
+
+# ---------------------------------------------------------------------------
+# kan_universal_check: pinned Reports and a name-based reference
+
+def ref_kan_universal_check(L, eta, K, F, side=LEFT, H_family=None):
+    """Every sigma scanned against every transformation between L and H, by name."""
+    D, E = K.cod, F.cod
+    Es = E if side == LEFT else opposite(E)
+    partial = H_family is not None
+    checked = 0
+    for H in enumerate_functors(D, E) if H_family is None else H_family:
+        HK = compose_functors(H, K)
+        sigmas = enumerate_nat_trans(F, HK) if side == LEFT else enumerate_nat_trans(HK, F)
+        between = enumerate_nat_trans(L, H) if side == LEFT else enumerate_nat_trans(H, L)
+        for sigma in sigmas:
+            checked += 1
+            count = sum(all(Es.comp(sb.components[K.obj_map[c]], eta.components[c])
+                            == sigma.components[c] for c in K.dom.objects) for sb in between)
+            if count != 1:
+                return Report(False, checked,
+                              Counterexample("kan-universal", {"H": H.name, "count": count}),
+                              partial)
+    return Report(True, checked, None, partial)
+
+
+def _kan_outcome(*args, **kwargs):
+    """kan_universal_check(*args, **kwargs), or the message of its StructuralError."""
+    try:
+        return kan_universal_check(*args, **kwargs)
+    except StructuralError as e:
+        return ("StructuralError", str(e))
+
+
+def _named_functor(C, D, name):
+    return next(F for F in enumerate_functors(C, D) if F.name == name)
+
+
+def _refuted(checked, H, count, partial=False):
+    return Report(False, checked, Counterexample("kan-universal", {"H": H, "count": count}),
+                  partial)
+
+
+def _perturbed_unit(K, F, side, c, h):
+    """The pointwise extension of F along K with its (co)unit's component at c set to h."""
+    kr = kan_pointwise(K, F, side)
+    t = kr.unit_or_counit
+    assert kr.certificate.ok and t.components[c] != h
+    return kr.extension, NatTrans(t.name, t.src, t.tgt, {**t.components, c: h})
+
+
+def test_kan_universal_check_reports_are_pinned():
+    two, pp, d2, c3 = walking_arrow(), parallel_pair(), discrete(2), chain(3)
+    F = _named_functor(two, pp, "0↦0;1↦1|a↦u")
+    # perturbed units, on each side
+    K = _named_functor(two, two, "0↦0;1↦0|a↦id_0")
+    L, bad = _perturbed_unit(K, F, LEFT, "0", "v")
+    assert kan_universal_check(L, bad, K, F, LEFT) == _refuted(1, "0↦1;1↦1|a↦id_1", 0)
+    K = _named_functor(two, two, "0↦1;1↦1|a↦id_1")
+    R, bad = _perturbed_unit(K, F, RIGHT, "1", "v")
+    assert kan_universal_check(R, bad, K, F, RIGHT) == _refuted(1, "0↦0;1↦0|a↦id_0", 0)
+    # an L and eta that are not universal: two mediators, and a later H with none
+    K = _named_functor(two, d2, "0↦d1;1↦d1|a↦id_d1")
+    F = _named_functor(two, pp, "0↦0;1↦0|a↦id_0")
+    L = _named_functor(d2, pp, "d0↦0;d1↦0")
+    eta = NatTrans("eta", F, compose_functors(L, K), {"0": "id_0", "1": "id_0"})
+    assert kan_universal_check(L, eta, K, F, LEFT) == _refuted(4, "d0↦1;d1↦0", 2)
+    K = _named_functor(two, c3, "0↦0;1↦0|a↦id_0")
+    F = _named_functor(two, c3, "0↦1;1↦1|a↦id_1")
+    R = _named_functor(c3, c3, "0↦0;1↦2;2↦2|c01↦c02;c02↦c02;c12↦id_2")
+    eps = NatTrans("eps", compose_functors(R, K), F, {"0": "c01", "1": "c01"})
+    assert kan_universal_check(R, eps, K, F, RIGHT) == \
+        _refuted(7, "0↦1;1↦1;2↦1|c01↦id_1;c02↦id_1;c12↦id_1", 0)
+
+
+def test_kan_universal_check_on_a_supplied_family_is_partial():
+    two, pp, d2 = walking_arrow(), parallel_pair(), discrete(2)
+    K = _named_functor(two, d2, "0↦d1;1↦d1|a↦id_d1")
+    F = _named_functor(two, pp, "0↦0;1↦0|a↦id_0")
+    L = _named_functor(d2, pp, "d0↦0;d1↦0")
+    eta = NatTrans("eta", F, compose_functors(L, K), {"0": "id_0", "1": "id_0"})
+    Hs = enumerate_functors(d2, pp)
+    assert kan_universal_check(L, eta, K, F, LEFT, H_family=Hs[::-1]) == \
+        _refuted(1, "d0↦1;d1↦1", 2, partial=True)
+    assert kan_universal_check(L, eta, K, F, LEFT, H_family=Hs[:2]) == \
+        Report(True, 3, None, True)
+
+
+def _without(C: FinCat, *pairs) -> FinCat:
+    return FinCat(C.name + "!", C.objects, C.morphisms, C.identity,
+                  {k: v for k, v in C.compose.items() if k not in pairs})
+
+
+def _at_one(E, obj):
+    return Functor(obj, terminal_category(), E, {"*": obj}, {"id_*": E.id_of(obj)})
+
+
+def test_kan_universal_check_on_a_target_with_a_missing_entry():
+    """The StructuralError of the first missing composite met, with its
+    message; a mediator test that fails at one object does not read the
+    composites at the objects after it."""
+    E = _without(chain(3), ("c12", "c01"))
+    one = identity_functor(terminal_category())
+    F, L = _at_one(E, "0"), _at_one(E, "1")
+    eta = NatTrans("eta", F, L, {"*": "c01"})
+    assert kan_universal_check(L, eta, one, F, LEFT) == _refuted(1, "*↦0", 0)
+    assert _kan_outcome(L, eta, one, F, LEFT, H_family=[_at_one(E, "2")]) == \
+        ("StructuralError", "chain3!: no composition entry for c12 after c01")
+    R, G = _at_one(E, "1"), _at_one(E, "2")
+    eps = NatTrans("eps", R, G, {"*": "c12"})
+    assert _kan_outcome(R, eps, one, G, RIGHT, H_family=[_at_one(E, "0")]) == \
+        ("StructuralError", "op(chain3!): no composition entry for c01 after c12")
+    # w.u is missing; every sigma d0 -> x fails at d0, before d1 reads w.u
+    E = _without(make_category("E", ["0", "1", "2"],
+                               [("u", "0", "1"), ("v", "0", "1"), ("w", "1", "2"),
+                                ("x", "0", "2"), ("y", "0", "2")],
+                               {("w", "u"): "x", ("w", "v"): "y"}), ("w", "u"))
+    d2 = discrete(2)
+    K = identity_functor(d2)
+    at = {x: Functor(x, d2, E, {"d0": x, "d1": x}, {"id_d0": f"id_{x}", "id_d1": f"id_{x}"})
+          for x in ("0", "1", "2")}
+    eta = NatTrans("eta", at["0"], at["1"], {"d0": "v", "d1": "u"})
+    assert kan_universal_check(at["1"], eta, K, at["0"], LEFT, H_family=[at["2"]]) == \
+        _refuted(1, "2", 0, partial=True)
+
+
+def _kan_cases(seeds: int):
+    """(L, eta, K, F, side, a few functors K.cod -> F.cod): pointwise
+    extensions, their (co)units perturbed, and arbitrary functors with a
+    transformation, over random categories and targets with one composition
+    entry removed."""
+    for seed in range(seeds):
+        rng = random.Random(5100 + seed)
+        pick = [lambda n: random_dag_category(rng, 3, 5, name=n),
+                lambda n: random_preorder_category(rng, 3, name=n), lambda n: z2_monoid()]
+        C, D, E = (rng.choice(pick)(n) for n in "CDE")
+        targets = [E]
+        gaps = sorted(k for k in E.compose if not E.is_identity(k[0]) and not E.is_identity(k[1]))
+        if gaps:
+            targets.append(_without(E, rng.choice(gaps)))
+        Ks = enumerate_functors(C, D)
+        for E in targets:
+            try:
+                Fs, Ls, Hs = (enumerate_functors(C, E), enumerate_functors(D, E),
+                              enumerate_functors(D, E)[::-1][:3])
+            except StructuralError:
+                continue
+            for side in (LEFT, RIGHT):
+                K, F = rng.choice(Ks), rng.choice(Fs)
+                try:
+                    kr = kan_pointwise(K, F, side)
+                except StructuralError:
+                    kr = None
+                if kr is not None and kr.extension is not None:
+                    t = kr.unit_or_counit
+                    yield kr.extension, t, K, F, side, Hs
+                    c = rng.choice(sorted(t.components))
+                    for h in E.hom(t.src.obj_map[c], t.tgt.obj_map[c]):
+                        if h != t.components[c]:
+                            yield kr.extension, NatTrans(t.name, t.src, t.tgt,
+                                                         {**t.components, c: h}), K, F, side, Hs
+                L = rng.choice(Ls)
+                LK = compose_functors(L, K)
+                try:
+                    etas = enumerate_nat_trans(F, LK) if side == LEFT \
+                        else enumerate_nat_trans(LK, F)
+                except StructuralError:
+                    continue
+                for eta in etas[:2]:
+                    yield L, eta, K, F, side, Hs
+
+
+def test_kan_universal_check_matches_reference():
+    seen = set()
+    for L, eta, K, F, side, Hs in _kan_cases(40):
+        for family in (None, Hs):
+            got = _kan_outcome(L, eta, K, F, side, H_family=family)
+            try:
+                want = ref_kan_universal_check(L, eta, K, F, side, family)
+            except StructuralError as e:
+                want = ("StructuralError", str(e))
+            assert got == want, (L, eta, K, F, side)
+            seen.add("error" if isinstance(got, tuple) else
+                     "ok" if got.ok else f"count {min(got.counterexample.details['count'], 2)}")
+    assert {"ok", "count 0", "count 2", "error"} <= seen, seen
 
 
 def test_kan_right_side_and_reconstruction():
