@@ -67,7 +67,7 @@ def cmd_limit(ws: Workspace, args) -> dict:
         return {"kind": "finset", "size": len(res.object),
                 "elements": list(res.object.sorted()),
                 "report": res.certificate.to_json()}
-    res = limit(D, direction)
+    res = limit(D, direction, args.guard)
     if res is None:
         raise Failure(f"{args.command} of {args.diagram} verified absent",
                       {"diagram": args.diagram})
@@ -109,7 +109,7 @@ def cmd_end(ws: Workspace, args) -> dict:
     B = _diagram_by_name(ws, args.bifunctor)
     J, B = _shape_of_bifunctor(ws, B)
     side = "end" if args.command == "end" else "coend"
-    res = end_coend(B, J, side)
+    res = end_coend(B, J, side, args.guard)
     if res is None:
         raise Failure(f"{side} of {args.bifunctor} verified absent", {})
     if isinstance(B, SetFunctor):

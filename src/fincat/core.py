@@ -85,15 +85,22 @@ def schedule(slots: int, constraints) -> list[list]:
     return due
 
 
-def search(choices, due, holds) -> Iterator[tuple]:
+def search(choices, due, holds, guard: int | None = None,
+           what: str = "search") -> Iterator[tuple]:
     """Every family with values[i] from choices[i] that meets every scheduled
     constraint, depth first in itertools.product order, so that output order,
     `checked` counts and first counterexamples are a product filter's.
 
+    choices[i] is a sequence, or a function of the values list that returns
+    slot i's candidates given the prefix values[:i] (a later slot's entry is
+    stale); a static empty slot ends the search before any test.
     holds(payload, values) tests one constraint on the slots assigned so far:
     those of due[0] once before the first step, those of due[i + 1] once on
     each path, right after slot i is assigned, so a failing prefix is pruned
-    at once (forward checking, Haralick & Elliott 1980).
+    at once (forward checking, Haralick & Elliott 1980).  Given a guard, a
+    slot's candidates are charged once each time the slot starts on a prefix,
+    and GuardExceeded, naming `what` and the charge, ends a search whose
+    charge passes the guard.
     """
     values = [None] * len(choices)
     for c in due[0]:
@@ -104,8 +111,14 @@ def search(choices, due, holds) -> Iterator[tuple]:
     if not choices:
         yield ()
         return
+    dynamic = list(map(callable, choices))
+    cands = choices[0](values) if dynamic[0] else choices[0]
+    used = len(cands)
+    if guard is not None and used > guard:
+        raise GuardExceeded(f"{what} exceeds guard {guard}: {used} candidates charged")
     # untried[i]: the candidates for slot i not yet tried after the current prefix
-    untried = [iter(choices[0])]
+    untried = [iter(cands)]
+    last = len(choices) - 1
     i = 0
     while i >= 0:
         tests = due[i + 1]
@@ -120,9 +133,14 @@ def search(choices, due, holds) -> Iterator[tuple]:
             untried.pop()  # slot i is exhausted: back up to slot i - 1
             i -= 1
             continue
-        if i + 1 < len(choices):
+        if i < last:
             i += 1
-            untried.append(iter(choices[i]))
+            cands = choices[i](values) if dynamic[i] else choices[i]
+            if guard is not None:
+                used += len(cands)
+                if used > guard:
+                    raise GuardExceeded(f"{what} exceeds guard {guard}: {used} candidates charged")
+            untried.append(iter(cands))
         else:
             yield tuple(values)
 
@@ -246,6 +264,11 @@ class FinCat(Keyed):
         pos = {a: i for i, a in enumerate(self._sorted_objects)}
         ends = [(m.name, pos[m.dom], pos[m.cod]) for m in self.morphisms]
         return schedule(len(pos), (((a, b), (m, a, b)) for m, a, b in ends))
+
+    @cached
+    def _pair_squares(self) -> list[list[tuple[str, int, int]]]:
+        """_squares for a search whose first two slots pick a pair of functors."""
+        return [[], []] + [[(m, a + 2, b + 2) for m, a, b in sq] for sq in self._squares]
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         """Morphism ids from a to b, lexicographically sorted."""
@@ -809,15 +832,14 @@ def canonical_nat_id(alpha: NatTrans) -> str:
 def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[Functor]:
     """All functors C -> D, each named by its canonical id, in id order.
 
-    Two searches: one assigns objects, on the schedule C._squares, keeping
-    an assignment only if every morphism of C has a non-empty hom-set
-    between its ends' images; for each such assignment one assigns C's
-    identities their images and then the generators (C's non-identity
-    morphisms) in name order, testing each composable pair (g, f, g.f) of C
-    on the step that assigns its last member.  The generator search runs on
-    D._ints: its candidates are int hom tuples and each test is a lookup in
-    D's int rows, and the images are turned back into ids only for the
-    functors it finds.
+    One search on D._ints.  Its first slots assign C's objects in sorted
+    order, and an assignment is dropped as soon as some morphism of C has an
+    empty hom-set between its ends' images.  The next slots assign C's
+    identities, each its one candidate, then the generators (C's
+    non-identity morphisms) in name order, whose candidates are the int hom
+    tuples between the images of their ends; each composable pair (g, f, g.f)
+    of C is tested, by a lookup in D's int rows, on the step that assigns its
+    last member.  Images are turned back into ids only for the functors found.
     """
     guard = DEFAULT_GUARD if guard is None else guard
     objs = C.sorted_objects()
@@ -826,80 +848,120 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
         raise GuardExceeded(
             f"functor enumeration {C.name} -> {D.name} exceeds guard {guard}")
     gens = C.nonidentity_mor_names()
-    ends = [(C.mor[f].dom, C.mor[f].cod) for f in gens]
-    # the generator search's slots: each identity (one candidate), then gens
-    slot = {f: i for i, f in enumerate([C.id_of(a) for a in objs] + list(gens))}
-    pairs = [(slot[g.name], slot[f.name], slot[C.comp(g.name, f.name)])
-             for g, f in composable_pairs(C)]
-    composites = schedule(len(slot), ((p, p) for p in pairs))
+    n = len(objs)
+    pos = {a: k for k, a in enumerate(objs)}
+    # the morphism slots, after the n object slots: each identity, then gens
+    slot = {f: n + k for k, f in enumerate([C.id_of(a) for a in objs] + list(gens))}
     V = D._ints
     names, num, rows, homs = V.names, V.num, V.rows, V.homs
 
-    def composes(p, v) -> bool:
+    def image(a: int, b: int):
+        return lambda v: homs.get((v[a], v[b]), ())
+
+    choices = [d_objs] * n + [lambda v, a=k: (num[D.id_of(v[a])],) for k in range(n)] + \
+        [image(pos[C.mor[f].dom], pos[C.mor[f].cod]) for f in gens]
+    # an object pair (a, b, None) needs a non-empty hom-set from a's image to b's
+    ends = sorted({(pos[m.dom], pos[m.cod], None) for m in C.morphisms})
+    pairs = [(slot[g.name], slot[f.name], slot[C.comp(g.name, f.name)])
+             for g, f in composable_pairs(C)]
+    due = schedule(len(choices), [(p[:2], p) for p in ends] + [(p, p) for p in pairs])
+
+    def holds(p, v) -> bool:
+        g, f, gf = p
+        if gf is None:
+            return (v[g], v[f]) in homs
         try:
-            return rows[v[p[0]]][v[p[1]]] == v[p[2]]
+            return rows[v[g]][v[f]] == v[gf]
         except KeyError:  # no entry: D.comp raises it by name
-            return D.comp(names[v[p[0]]], names[v[p[1]]]) == names[v[p[2]]]
+            return D.comp(names[v[g]], names[v[f]]) == names[v[gf]]
 
     out: list[Functor] = []
-    # an object assignment must give each morphism of C a non-empty hom-set
-    for choice in search([d_objs] * len(objs), C._squares,
-                         lambda square, v: bool(D.hom(v[square[1]], v[square[2]]))):
-        obj_map = dict(zip(objs, choice))
-        obj_id = _assignment(obj_map, objs)
-        choices = [(num[D.id_of(x)],) for x in choice] + \
-            [homs.get((obj_map[a], obj_map[b]), ()) for a, b in ends]
-        for images in search(choices, composites, composes):
-            mor_map = dict(zip(slot, [names[u] for u in images]))
-            out.append(Functor(_functor_id(obj_id, mor_map, gens), C, D, obj_map, mor_map))
+    last = None
+    for family in search(choices, due, holds):
+        if family[:n] != last:
+            last = family[:n]
+            obj_map = dict(zip(objs, last))
+            obj_id = _assignment(obj_map, objs)
+        mor_map = dict(zip(slot, [names[u] for u in family[n:]]))
+        out.append(Functor(_functor_id(obj_id, mor_map, gens), C, D, obj_map, mor_map))
     out.sort(key=lambda F: F.name)
     return out
 
 
-def _nat_trans(F: Functor, G: Functor, prefix: str,
-               pieces=None) -> list[tuple[str, tuple[int, ...], NatTrans]]:
-    """The natural transformations F => G in id order, each with its id and
-    its components as ints of D._ints in sorted object order.
+def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
+    """The natural transformations F => G, for F in Fs and G in Gs (functors
+    C -> D), as (i, j, the components at C's objects in sorted order, as ints
+    of D._ints), found by one search in (i, j) order; a pair that is not
+    parallel is a StructuralError.
 
-    Components are searched object by object in sorted order over D's int
-    hom tuples, each morphism's naturality square tested once on a path, when
-    the later of its two ends gets its component (the schedule C._squares),
-    by two lookups in D's int rows.  An id is prefix, then the `a↦m` pieces
-    of the components, pieces[i][u] for the i-th object and int u, then `]`;
-    given no pieces, those of the candidate components are formatted.
+    Slot 0 picks Fs[i], slot 1 Gs[j] among those for which every object has
+    a candidate component, and the next slots the components, from D's int
+    hom tuples.  Each morphism's naturality square is tested once on a path,
+    when the later of its two ends gets its component (the schedule
+    C._squares, shifted by two), by two lookups in D's int rows.
     """
-    C, D = F.dom, F.cod
-    objs = C.sorted_objects()
+    if not (Fs and Gs):
+        return []
+    C, D = Fs[0].dom, Fs[0].cod
+    for X in (*Fs, *Gs):
+        if (X.dom is not C or X.cod is not D) and (X.dom != C or X.cod != D):
+            F, G = next((F, G) for F in Fs for G in Gs if F.dom != G.dom or F.cod != G.cod)
+            raise StructuralError(
+                f"{F.name}=>{G.name}: source and target functors are not parallel")
     V = D._ints
-    names, num, rows = V.names, V.num, V.rows
-    choices = [V.homs.get(xy, ()) for xy in zip(F._obj_images, G._obj_images)]
-    if pieces is None:
-        pieces = [{u: f"{a}↦{names[u]}" for u in us} for a, us in zip(objs, choices)]
-    Fm, Gm = F.mor_map, G.mor_map
+    names, num, rows, homs = V.names, V.num, V.rows, V.homs
+    src, tgt = [F._obj_images for F in Fs], [G._obj_images for G in Gs]
+    # a pair with an empty slot is skipped before any of its squares is tested
+    has = homs.__contains__
+    pairs = [[j for j, y in enumerate(tgt) if all(map(has, zip(x, y)))] for x in src]
+
+    def component(k: int):
+        return lambda v: homs[src[v[0]][k], tgt[v[1]][k]]
+
+    choices = [range(len(Fs)), lambda v: pairs[v[0]]] + \
+        [component(k) for k in range(len(src[0]))]
 
     def natural(square, v) -> bool:
         m, a, b = square
+        Fm, Gm = Fs[v[0]].mor_map, Gs[v[1]].mor_map
         try:  # an image D lacks reads the empty rows[-1]
             return rows[num.get(Gm[m], -1)][v[a]] == rows[v[b]][num.get(Fm[m], -1)]
         except KeyError:  # no entry: D.comp raises it by name
             return D.comp(Gm[m], names[v[a]]) == D.comp(names[v[b]], Fm[m])
 
-    out = []
-    for family in search(choices, C._squares, natural):
-        tid = prefix + ";".join([p[u] for p, u in zip(pieces, family)]) + "]"
-        out.append((tid, family, NatTrans("t", F, G, dict(zip(objs, [names[u] for u in family])))))
-    out.sort(key=lambda t: t[0])
+    return list(search(choices, C._pair_squares, natural))
+
+
+class _Pieces(dict):
+    """The `a↦m` pieces of transformation ids at one object a, keyed by the
+    int of m, each formatted on first use."""
+
+    def __init__(self, a: str, names: list[str]):
+        self.a, self.names = a, names
+
+    def __missing__(self, u: int) -> str:
+        piece = self[u] = f"{self.a}↦{self.names[u]}"
+        return piece
+
+
+def _nat_pieces(objs, names) -> list[_Pieces]:
+    return [_Pieces(a, names) for a in objs]
+
+
+def _in_id_order(families, pieces) -> list[tuple[str, tuple[int, ...]]]:
+    """Each family of _nat_families with the tail of its id (its pieces,
+    joined, then `]`), pair by pair in id order."""
+    out = [(";".join([p[u] for p, u in zip(pieces, t[2:])]) + "]", t) for t in families]
+    out.sort(key=lambda e: (e[1][0], e[1][1], e[0]))
     return out
 
 
 def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
     """All natural transformations F => G by backtracking with naturality
     pruning, in canonical id order."""
-    if F.dom != G.dom or F.cod != G.cod:
-        raise StructuralError(
-            f"{F.name}=>{G.name}: source and target functors are not parallel")
-    prefix = _nat_prefix(canonical_functor_id(F), canonical_functor_id(G))
-    return [t for _, _, t in _nat_trans(F, G, prefix)]
+    objs, names = F.dom.sorted_objects(), F.cod._ints.names
+    return [NatTrans("t", F, G, dict(zip(objs, [names[u] for u in t[2:]])))
+            for _, t in _in_id_order(_nat_families([F], [G]), _nat_pieces(objs, names))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -919,29 +981,28 @@ def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorC
     """The category of functors C -> D and all natural transformations between them.
 
     Objects are the functors of enumerate_functors, whose names are their
-    canonical ids.  Transformations come from _nat_trans on D._ints, and each
-    identity and composite is named from the same `a↦m` pieces, formatted
-    once per call, and one prefix per pair of functors, without building a
-    NatTrans for it.  A composite's components are looked up in D's int rows
-    in C.objects order, as vcompose takes them.
+    canonical ids.  Transformations come from one _nat_families search over
+    every pair of functors, and each identity and composite is named from the
+    same `a↦m` pieces, formatted once per call, and one prefix per pair of
+    functors, without building a NatTrans for it.  A composite's components
+    are looked up in D's int rows in C.objects order, as vcompose takes them.
     """
     fs = enumerate_functors(C, D, guard)
     objs = C.sorted_objects()
     V = D._ints
     names, rows = V.names, V.rows
-    pieces = [[f"{a}↦{u}" for u in names] for a in objs]
+    pieces = _nat_pieces(objs, names)
     prefix = [[_nat_prefix(F.name, G.name) for G in fs] for F in fs]
     nats: dict[str, NatTrans] = {}
     mors = []
     ends = []  # per transformation: its source and target index and its components
     into: list[list[int]] = [[] for _ in fs]  # per functor: the transformations into it
-    for i, F in enumerate(fs):
-        for j, G in enumerate(fs):
-            for tid, family, t in _nat_trans(F, G, prefix[i][j], pieces):
-                nats[tid] = t
-                into[j].append(len(mors))
-                mors.append(Mor(tid, F.name, G.name))
-                ends.append((i, j, family))
+    for tail, (i, j, *family) in _in_id_order(_nat_families(fs, fs), pieces):
+        tid = prefix[i][j] + tail
+        nats[tid] = NatTrans("t", fs[i], fs[j], dict(zip(objs, [names[u] for u in family])))
+        into[j].append(len(mors))
+        mors.append(Mor(tid, fs[i].name, fs[j].name))
+        ends.append((i, j, family))
     identity = {F.name: prefix[i][i] + ";".join(
                     [p[V.num[D.id_of(x)]] for p, x in zip(pieces, F._obj_images)]) + "]"
                 for i, F in enumerate(fs)}

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
+    DEFAULT_GUARD,
     Counterexample,
     FinCat,
     Functor,
@@ -32,6 +33,9 @@ from .core import (
     Report,
     StructuralError,
     compose_functors,
+    _in_id_order,
+    _nat_families,
+    _nat_pieces,
     enumerate_functors,
     enumerate_nat_trans,
     fail_report,
@@ -198,6 +202,15 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     For every candidate H and every comparison transformation, exactly one
     mediating transformation must exist.  Supplying H_family switches to a
     probe run, flagged as partial in the report.
+
+    Both families of each H are int families of core._nat_families, the
+    comparisons sorted into id order by `a↦m` pieces formatted once per call.
+    Each mediator's image (its component at K(c) composed with eta_c, for
+    every c) is counted once in a table, so that each comparison is one
+    lookup with unique_factor's count.  Where a composite of the table has no
+    int entry (a table with a missing or stray entry, a component outside
+    E), that H is checked by unique_factor's scan by name, which stops at an
+    object's first mismatch, so any StructuralError is the one it raises.
     """
     D, E = K.cod, F.cod
     # the right-handed property is the left-handed one in op(E), where every
@@ -206,18 +219,48 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     partial = H_family is not None
     if H_family is None:
         H_family = enumerate_functors(D, E, guard)
+    V = E._ints
+    names, num, rows = V.names, V.num, V.rows
+    c_objs, d_objs = K.dom.sorted_objects(), D.sorted_objects()
+    pieces = _nat_pieces(c_objs, names)
+    slot = {d: 2 + k for k, d in enumerate(d_objs)}  # of a component in a family over D
+
+    def images(between) -> dict[tuple[int, ...], int]:
+        at = [slot[K.obj_map[c]] for c in c_objs]
+        etas = [num.get(eta.components[c], -1) for c in c_objs]
+        table: dict[tuple[int, ...], int] = {}
+        for sb in between:
+            if side == LEFT:
+                image = tuple([rows[sb[a]][e] for a, e in zip(at, etas)])
+            else:
+                image = tuple([rows[e][sb[a]] for a, e in zip(at, etas)])
+            table[image] = table.get(image, 0) + 1
+        return table
+
     checked = 0
     for H in H_family:
         HK = compose_functors(H, K)
-        sigmas = enumerate_nat_trans(F, HK) if side == LEFT else enumerate_nat_trans(HK, F)
-        between = enumerate_nat_trans(L, H) if side == LEFT else enumerate_nat_trans(H, L)
-        for sigma in sigmas:
+        sigmas = _in_id_order(_nat_families([F], [HK]) if side == LEFT
+                              else _nat_families([HK], [F]), pieces)
+        between = _nat_families([L], [H]) if side == LEFT else _nat_families([H], [L])
+        if not sigmas:
+            continue
+        try:
+            table = images(between)
+            counts = [table.get(sigma[2:], 0) for _, sigma in sigmas]
+        except KeyError:
+            mediators = [{d: names[u] for d, u in zip(d_objs, sb[2:])} for sb in between]
+            counts = []
+            for _, sigma in sigmas:
+                target = {c: names[u] for c, u in zip(c_objs, sigma[2:])}
+                counts.append(unique_factor(
+                    mediators, lambda sb: all(Es.comp(sb[K.obj_map[c]], eta.components[c])
+                                              == target[c] for c in K.dom.objects))[1])
+                if counts[-1] != 1:
+                    break
+        for count in counts:
             checked += 1
-            sb, count = unique_factor(
-                between,
-                lambda sb: all(Es.comp(sb.components[K.obj_map[c]], eta.components[c])
-                               == sigma.components[c] for c in K.dom.objects))
-            if sb is None:
+            if count != 1:
                 return Report(False, checked,
                               Counterexample("kan-universal", {"H": H.name, "count": count}),
                               partial)
@@ -297,11 +340,15 @@ def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
     raise StructuralError(f"unknown side {side!r}")
 
 
-def enumerate_wedges(D: Functor, J: FinCat, side: str) -> list[WedgeData]:
+def enumerate_wedges(D: Functor, J: FinCat, side: str,
+                     guard: int | None = None) -> list[WedgeData]:
     """All (co)wedges of a bifunctor valued in a finite category, apexes in
-    id order and each apex's families in product order, searched component by
-    component on the schedule J._squares: each arrow is tested once both its
-    ends have a component.
+    id order and each apex's families in product order, by one search: slot
+    0 is the apex, among those with a non-empty hom-set to every D(j, j),
+    and slot k + 1 the component at J's k-th object, on the schedule
+    J._squares shifted by one: each arrow is tested once both its ends have
+    a component.  The search draws on `guard` (default
+    DEFAULT_GUARD) and raises GuardExceeded past it.
 
     A cowedge is a wedge read in the opposite target with J's arrows reversed.
     """
@@ -311,32 +358,47 @@ def enumerate_wedges(D: Functor, J: FinCat, side: str) -> list[WedgeData]:
 
     def condition(h: str, i: int, j: int):
         # h: i -> j needs D(id_i, h) . fam_i = D(h, id_j) . fam_j
-        return (D.mor_map[pair_id(J.id_of(objs[i]), h)], i,
-                D.mor_map[pair_id(h, J.id_of(objs[j]))], j)
+        return (D.mor_map[pair_id(J.id_of(objs[i]), h)], i + 1,
+                D.mor_map[pair_id(h, J.id_of(objs[j]))], j + 1)
 
-    due = [[condition(h, i, j) if side == "end" else condition(h, j, i) for h, i, j in squares]
-           for squares in J._squares]
+    due = [[]] + [[condition(h, i, j) if side == "end" else condition(h, j, i)
+                   for h, i, j in squares] for squares in J._squares]
+    homs, compose, targets = C._homs, C.compose, [D.obj_map[pair_id(j, j)] for j in objs]
+
+    def component(x: str):
+        return lambda v: homs[v[0], x]
 
     def wedge(cond, fam) -> bool:
         u, i, v, j = cond
-        return C.comp(u, fam[i]) == C.comp(v, fam[j])
+        try:
+            return compose[u, fam[i]] == compose[v, fam[j]]
+        except KeyError:  # no entry: C.comp raises the first by name
+            return C.comp(u, fam[i]) == C.comp(v, fam[j])
 
-    return [WedgeData(c, dict(zip(objs, fam)), "wedge" if side == "end" else "cowedge")
-            for c in C.sorted_objects()
-            for fam in search([C.hom(c, D.obj_map[pair_id(j, j)]) for j in objs], due, wedge)]
+    # an apex with an empty hom-set to some D(j, j) is skipped before any test
+    apexes = C.sorted_objects()
+    for x in targets:
+        apexes = [c for c in apexes if (c, x) in homs]
+    choices = [apexes] + [component(x) for x in targets]
+    found = list(search(choices, due, wedge, DEFAULT_GUARD if guard is None else guard,
+                        f"{side} wedge search over {D.name}"))
+    return [WedgeData(fam[0], dict(zip(objs, fam[1:])), "wedge" if side == "end" else "cowedge")
+            for fam in found]
 
 
-def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[EndResult]:
+def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str,
+              guard: int | None = None) -> Optional[EndResult]:
     """Terminal wedge / initial cowedge.
 
     Set-valued bifunctors take the direct path; tabulated targets search the
-    category of (co)wedges and certify unique factorization exhaustively.
+    category of (co)wedges, drawing on `guard` as in enumerate_wedges, and
+    certify unique factorization exhaustively.
     """
     if side not in ("end", "coend"):
         raise StructuralError(f"unknown side {side!r}")
     if isinstance(D, SetFunctor):
         return end_coend_finset(D, J, side)
-    wedges = enumerate_wedges(D, J, side)
+    wedges = enumerate_wedges(D, J, side, guard)
     found = first_terminal(D.cod if side == "end" else opposite(D.cod),
                            [(w.apex, w.components) for w in wedges])
     if found is None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .core import (
+    DEFAULT_GUARD,
     FinCat,
     Functor,
     NatTrans,
@@ -100,22 +101,42 @@ def _searched_in(C: FinCat, direction: str) -> FinCat:
     return C if direction == LIMIT else opposite(C)
 
 
-def enumerate_cones(D: Functor, direction: str) -> list[tuple[str, dict[str, str]]]:
+def enumerate_cones(D: Functor, direction: str,
+                    guard: int | None = None) -> list[tuple[str, dict[str, str]]]:
     """All (apex, legs) in the target category, apexes in id order and each
-    apex's leg families in product order, searched leg by leg on the
-    schedule J._squares: each arrow is tested once both its ends have a leg."""
+    apex's leg families in product order, by one search: slot 0 is the apex,
+    among those with a non-empty hom-set to every D(j), and slot k + 1 the
+    leg at J's k-th object, from the hom-set out of the apex, on the
+    schedule J._squares shifted by one: each arrow is tested once both its
+    ends have a leg.  The search draws on `guard` (default
+    DEFAULT_GUARD) and raises GuardExceeded past it."""
     C = _searched_in(D.cod, direction)
     objs = D.dom.sorted_objects()
     # a cocone is a cone in C = op(target) over J's arrows reversed
-    due = [[(D.mor_map[m], a, b) if direction == LIMIT else (D.mor_map[m], b, a)
-            for m, a, b in squares] for squares in D.dom._squares]
+    due = [[]] + [[(D.mor_map[m], a + 1, b + 1) if direction == LIMIT
+                   else (D.mor_map[m], b + 1, a + 1) for m, a, b in squares]
+                  for squares in D.dom._squares]
+    homs, compose, targets = C._homs, C.compose, [D.obj_map[j] for j in objs]
+
+    def leg(x: str):
+        return lambda v: homs[v[0], x]
 
     def natural(cond, legs) -> bool:
         u, a, b = cond
-        return C.comp(u, legs[a]) == legs[b]
+        try:
+            return compose[u, legs[a]] == legs[b]
+        except KeyError:  # no entry: C.comp raises it by name
+            return C.comp(u, legs[a]) == legs[b]
 
-    return [(c, dict(zip(objs, legs))) for c in C.sorted_objects()
-            for legs in search([C.hom(c, D.obj_map[j]) for j in objs], due, natural)]
+    # an apex with an empty hom-set to some D(j) is skipped before any test
+    apexes = C.sorted_objects()
+    for x in targets:
+        apexes = [c for c in apexes if (c, x) in homs]
+    choices = [apexes] + [leg(x) for x in targets]
+    # families stay tuples until the search ends: one the guard stops builds no dicts
+    found = list(search(choices, due, natural, DEFAULT_GUARD if guard is None else guard,
+                        f"{direction} cone search over {D.name}"))
+    return [(legs[0], dict(zip(objs, legs[1:]))) for legs in found]
 
 
 def _factor_through(C: FinCat, c: str, fam, apex: str, legs):
@@ -145,12 +166,14 @@ def first_terminal(C: FinCat, cones) -> Optional[tuple[int, Report]]:
     return None
 
 
-def limit(D: Functor, direction: str = LIMIT) -> Optional[LimitResult]:
-    """Terminal cone / initial cocone by exhaustive search; absence is valid."""
+def limit(D: Functor, direction: str = LIMIT,
+          guard: int | None = None) -> Optional[LimitResult]:
+    """Terminal cone / initial cocone by exhaustive search; absence is valid.
+    The cone search draws on `guard`, as in enumerate_cones."""
     if direction not in (LIMIT, COLIMIT):
         raise StructuralError(f"unknown direction {direction!r}")
     J, C = D.dom, D.cod
-    cones = enumerate_cones(D, direction)   # already in lexicographic apex order
+    cones = enumerate_cones(D, direction, guard)   # already in lexicographic apex order
     found = first_terminal(_searched_in(C, direction), cones)
     if found is None:
         return None
@@ -381,7 +404,7 @@ def limit_functor(J: FinCat, C: FinCat, direction: str = LIMIT,
     fc = fc or functor_category(J, C, guard)
     lims: dict[str, LimitResult] = {}
     for Did in fc.cat.objects:
-        res = limit(fc.functors[Did], direction)
+        res = limit(fc.functors[Did], direction, guard)
         if res is None:
             return LimitFunctorResult(None, {}, missing=Did)
         lims[Did] = res
@@ -403,18 +426,20 @@ def limit_functor(J: FinCat, C: FinCat, direction: str = LIMIT,
 # ---------------------------------------------------------------------------
 # Preservation and interchange
 
-def preservation_check(G: Functor, Dg: Functor, direction: str) -> Report:
-    """Does G send the chosen (co)limit of Dg to a (co)limit of G after Dg?"""
+def preservation_check(G: Functor, Dg: Functor, direction: str,
+                       guard: int | None = None) -> Report:
+    """Does G send the chosen (co)limit of Dg to a (co)limit of G after Dg?
+    Each cone search draws on `guard`, as in enumerate_cones."""
     if Dg.cod != G.dom:
         raise StructuralError("diagram does not land in the functor's domain")
-    src = limit(Dg, direction)
+    src = limit(Dg, direction, guard)
     if src is None:
         raise StructuralError(f"diagram {Dg.name} has no {direction} to preserve")
     GD = compose_functors(G, Dg)
     kappa = whisker_functor_nat(G, src.cone.legs)
     image_apex = G.obj_map[src.object]
     return certify_terminal(_searched_in(GD.cod, direction), image_apex,
-                            dict(kappa.components), enumerate_cones(GD, direction))
+                            dict(kappa.components), enumerate_cones(GD, direction, guard))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,14 @@
-"""Shared fixtures for the diagram-calculus tests and the acceptance suite."""
+"""Shared fixtures for the diagram-calculus tests, the acceptance suite and
+the enumeration tests."""
 from __future__ import annotations
 
 import gc
 import random
 import weakref
 
-from fincat.core import Functor, NatTrans, identity_functor, renamed
+from fincat.core import FinCat, Functor, NatTrans, identity_functor, make_category, renamed
 from fincat.diagram import Environment, Generator, HComp, Id, VComp, typecheck
-from fincat.fixtures import terminal_category, walking_arrow
+from fincat.fixtures import chain, terminal_category, walking_arrow
 
 
 def freed_by_refcount(make) -> bool:
@@ -89,3 +90,36 @@ def random_term(rng: random.Random, env: Environment, max_gens: int = 6):
         face = typecheck(term, env)
         gens += cg
     return term
+
+
+def edited(D: FinCat, entries=None, drop=()) -> FinCat:
+    """D with some composition entries replaced and some removed."""
+    table = {**D.compose, **(entries or {})}
+    for pair in drop:
+        del table[pair]
+    return FinCat(D.name + "!", D.objects, D.morphisms, D.identity, table)
+
+
+def square_category() -> FinCat:
+    """Two paths 0 -> 1 -> 3 (f then g) and 0 -> 2 -> 3 (h then k), both d."""
+    return make_category("Sq", ["0", "1", "2", "3"],
+                         [("f", "0", "1"), ("g", "1", "3"), ("h", "0", "2"), ("k", "2", "3"),
+                          ("d", "0", "3")],
+                         {("g", "f"): "d", ("k", "h"): "d"})
+
+
+def int_view_breakers() -> dict[str, FinCat]:
+    """Targets whose tables break core.IntView's assumptions: composites that
+    are no morphism (equal ids must stay equal and unequal ones unequal),
+    missing entries that a naturality square reaches, and missing entries
+    that only a composite of two transformations reaches."""
+    sq, c3 = square_category(), chain(3)
+    return {
+        "one ghost": edited(sq, {("g", "f"): "ghost"}),
+        "equal ghosts": edited(sq, {("g", "f"): "ghost", ("k", "h"): "ghost"}),
+        "unequal ghosts": edited(sq, {("g", "f"): "ghost", ("k", "h"): "ghost2"}),
+        "chain ghost": edited(c3, {("c12", "c01"): "ghost"}),
+        "square missing": edited(sq, drop=[("k", "h")]),
+        "chain missing": edited(c3, drop=[("c12", "c01")]),
+        "composite missing": edited(chain(4), drop=[("c12", "c01"), ("c23", "c12")]),
+    }

@@ -617,3 +617,37 @@ def test_setfunctor_with_stray_entries_is_structural(tmp_path):
         assert proc.returncode == 2, clause
         assert message in proc.stdout
         assert "Traceback" not in proc.stderr
+
+
+def _cyclic_group_diagram() -> str:
+    """Z/6 as a one-object category, the discrete category on 9 objects, and
+    a diagram D between them: 6^9 leg families and no arrow to prune them."""
+    names = ["id_o"] + [f"g{k}" for k in range(1, 6)]
+    lines = ["category Z6 {", "  objects: o;"] + [f"  mor g{k}: o -> o;" for k in range(1, 6)]
+    lines += [f"  compose g{a}.g{b} = {names[(a + b) % 6]};"
+              for a in range(1, 6) for b in range(1, 6)]
+    lines += ["}", "category N9 {", "  objects: " + ", ".join(f"n{k}" for k in range(9)) + ";",
+              "}", "functor D: N9 -> Z6 {"] + [f"  obj n{k} |-> o;" for k in range(9)] + ["}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_an_unbounded_cone_search_ends_at_the_guard(tmp_path):
+    f = tmp_path / "z6.cat"
+    f.write_text(_cyclic_group_diagram())
+    for guard, charged in (("100", 103), (None, 1000003)):
+        argv = ["limit", "D", str(f), "--json"] + (["--guard", guard] if guard else [])
+        proc = subprocess.run([sys.executable, "-m", "fincat.cli", *argv],
+                              capture_output=True, text=True, timeout=10,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["message"] == (
+            f"limit cone search over D exceeds guard {guard or 1000000}:"
+            f" {charged} candidates charged")
+    # the guard reaches the colimit, end and coend searches too
+    code, out = run("colimit", "D", str(f), "--guard", "100", "--json")
+    assert code == 2 and "colimit cone search over D exceeds guard 100" in out
+    for side in ("end", "coend"):
+        code, out = run(side, "Bf", cat("bifunctor_poset.cat"), "--guard", "1", "--json")
+        assert code == 2
+        assert json.loads(out)["message"] == \
+            f"{side} wedge search over Bf exceeds guard 1: 2 candidates charged"

@@ -38,6 +38,7 @@ from fincat.fixtures import (
     z2_monoid,
 )
 from fincat.randgen import random_dag_category, random_preorder_category
+from helpers import edited, int_view_breakers
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +329,6 @@ def test_enumerate_nat_trans_rejects_functors_that_are_not_parallel():
         enumerate_nat_trans(F, H)
 
 
-def _edited(D: FinCat, entries=None, drop=()) -> FinCat:
-    """D with some composition entries replaced and some removed."""
-    table = {**D.compose, **(entries or {})}
-    for pair in drop:
-        del table[pair]
-    return FinCat(D.name + "!", D.objects, D.morphisms, D.identity, table)
-
-
-def _square() -> FinCat:
-    """Two paths 0 -> 1 -> 3 (f then g) and 0 -> 2 -> 3 (h then k), both d."""
-    return make_category("Sq", ["0", "1", "2", "3"],
-                         [("f", "0", "1"), ("g", "1", "3"), ("h", "0", "2"), ("k", "2", "3"),
-                          ("d", "0", "3")],
-                         {("g", "f"): "d", ("k", "h"): "d"})
-
-
 def test_targets_that_break_the_int_view_match_the_reference():
     """Composites that are no morphism of D (equal ids must stay equal and
     unequal ones unequal), missing entries that a naturality square reaches,
@@ -351,16 +336,8 @@ def test_targets_that_break_the_int_view_match_the_reference():
     the four functions give the reference's results or raise its
     StructuralError for the same pair, in sources whose objects are listed in
     and out of sorted order."""
-    sq, c3 = _square(), chain(3)
-    targets = {
-        "one ghost": _edited(sq, {("g", "f"): "ghost"}),
-        "equal ghosts": _edited(sq, {("g", "f"): "ghost", ("k", "h"): "ghost"}),
-        "unequal ghosts": _edited(sq, {("g", "f"): "ghost", ("k", "h"): "ghost2"}),
-        "chain ghost": _edited(c3, {("c12", "c01"): "ghost"}),
-        "square missing": _edited(sq, drop=[("k", "h")]),
-        "chain missing": _edited(c3, drop=[("c12", "c01")]),
-        "composite missing": _edited(chain(4), drop=[("c12", "c01"), ("c23", "c12")]),
-    }
+    c3 = chain(3)
+    targets = int_view_breakers()
     sources = [terminal_category(), walking_arrow(), discrete(2), chain(3),
                make_category("2r", ["1", "0"], [("a", "0", "1")], {}),
                make_category("disc2r", ["d1", "d0"], [], {})]
@@ -418,7 +395,7 @@ def _one_object(*entries) -> FinCat:
     entries over it."""
     M = make_category("M", ["*"], [("s", "*", "*"), ("t", "*", "*")],
                       {("s", "s"): "s", ("s", "t"): "s", ("t", "s"): "t", ("t", "t"): "t"})
-    return _edited(M, dict(entries))
+    return edited(M, dict(entries))
 
 
 def test_validate_category_counterexamples_carry_ids():

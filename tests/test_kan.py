@@ -212,6 +212,15 @@ def test_kan_universal_check_on_a_supplied_family_is_partial():
         Report(True, 3, None, True)
 
 
+
+def test_kan_universal_check_rejects_an_extension_into_another_category():
+    two, c3 = walking_arrow(), chain(3)
+    K, F = identity_functor(two), enumerate_functors(two, c3)[0]
+    L = enumerate_functors(two, chain(2))[0]
+    message = "0↦0;1↦0|a↦id_0=>0↦0;1↦0|a↦id_0: source and target functors are not parallel"
+    for side in (LEFT, RIGHT):
+        assert _kan_outcome(L, None, K, F, side) == ("StructuralError", message)
+
 def _without(C: FinCat, *pairs) -> FinCat:
     return FinCat(C.name + "!", C.objects, C.morphisms, C.identity,
                   {k: v for k, v in C.compose.items() if k not in pairs})

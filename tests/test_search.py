@@ -1,25 +1,43 @@
 """The family search and the enumerations that run on it.
 
 core.search is checked directly against a filtered itertools.product, with
-every constraint call counted.  Cones, wedges, Set natural transformations
-and the Set (co)limit certificate are compared whole against the product
-filters they replaced, kept here as references; functors and tabulated
-transformations are compared in tests/test_functor_category.py.
+every constraint call counted, and, where slot candidates depend on the
+prefix, against a filter over the flattened product.  Cones, wedges, Set
+natural transformations and the Set (co)limit certificate are compared whole
+against the product filters they replaced, kept here as references; the
+one-search enumerations (functors, functor categories, cones and wedges)
+also against the per-pair and per-apex searches they replaced, on targets
+that break the int view too.  Functors and tabulated transformations are
+compared with product references in tests/test_functor_category.py.
 """
 import itertools
 import random
 from collections import Counter
 
+import pytest
+
 import fincat.core as core
 from fincat.core import (
     FinCat,
     Functor,
+    GuardExceeded,
+    Mor,
+    NatTrans,
+    StructuralError,
+    canonical_functor_id,
+    canonical_nat_id,
+    composable_pairs,
     enumerate_functors,
+    functor_category,
+    identity_nat,
+    make_category,
+    op_product,
     opposite,
     pair_id,
     product,
     schedule,
     search,
+    vcompose,
 )
 from fincat.finset import (
     FinSetMap,
@@ -42,12 +60,14 @@ from fincat.fixtures import (
 from fincat.kan import enumerate_wedges
 from fincat.limits import COLIMIT, LIMIT, _certify_finset, enumerate_cones, limit_finset
 from fincat.randgen import (
+    random_category,
     random_dag_category,
     random_preorder_category,
     random_representable_sum,
     random_set_diagram,
     random_set_functor_on_free,
 )
+from helpers import int_view_breakers, square_category
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +157,98 @@ def ref_certify_finset(D: SetFunctor, direction: str, obj: FinSetObj, legs):
                 return core.fail_report(checked, "limit-factorization",
                                         probe=str(P.sorted()), count=n)
     return core.ok_report(checked)
+
+
+# The per-apex and per-pair searches that one search per family replaced
+
+def per_apex_cones(D: Functor, direction: str):
+    C = D.cod if direction == LIMIT else opposite(D.cod)
+    objs = D.dom.sorted_objects()
+    due = [[(D.mor_map[m], a, b) if direction == LIMIT else (D.mor_map[m], b, a)
+            for m, a, b in squares] for squares in D.dom._squares]
+
+    def natural(cond, legs):
+        u, a, b = cond
+        return C.comp(u, legs[a]) == legs[b]
+
+    return [(c, dict(zip(objs, legs))) for c in C.sorted_objects()
+            for legs in search([C.hom(c, D.obj_map[j]) for j in objs], due, natural)]
+
+
+def per_apex_wedges(D: Functor, J: FinCat, side: str):
+    C = D.cod if side == "end" else opposite(D.cod)
+    objs = J.sorted_objects()
+
+    def condition(h, i, j):
+        return (D.mor_map[pair_id(J.id_of(objs[i]), h)], i,
+                D.mor_map[pair_id(h, J.id_of(objs[j]))], j)
+
+    due = [[condition(h, i, j) if side == "end" else condition(h, j, i) for h, i, j in squares]
+           for squares in J._squares]
+
+    def wedge(cond, fam):
+        u, i, v, j = cond
+        return C.comp(u, fam[i]) == C.comp(v, fam[j])
+
+    return [(c, dict(zip(objs, fam))) for c in C.sorted_objects()
+            for fam in search([C.hom(c, D.obj_map[pair_id(j, j)]) for j in objs], due, wedge)]
+
+
+def two_search_functors(C: FinCat, D: FinCat):
+    """Object assignments first, then one generator search for each, by name."""
+    objs, d_objs = C.sorted_objects(), D.sorted_objects()
+    gens = C.nonidentity_mor_names()
+    slot = {f: i for i, f in enumerate([C.id_of(a) for a in objs] + list(gens))}
+    pairs = [(slot[g.name], slot[f.name], slot[C.comp(g.name, f.name)])
+             for g, f in composable_pairs(C)]
+    composites = schedule(len(slot), ((p, p) for p in pairs))
+    out = []
+    for choice in search([d_objs] * len(objs), C._squares,
+                         lambda square, v: bool(D.hom(v[square[1]], v[square[2]]))):
+        obj_map = dict(zip(objs, choice))
+        choices = [(D.id_of(x),) for x in choice] + \
+            [D.hom(obj_map[C.dom(f)], obj_map[C.cod(f)]) for f in gens]
+        for images in search(choices, composites,
+                             lambda p, v: D.comp(v[p[0]], v[p[1]]) == v[p[2]]):
+            F = Functor("F", C, D, obj_map, dict(zip(slot, images)))
+            out.append(Functor(canonical_functor_id(F), C, D, obj_map, F.mor_map))
+    out.sort(key=lambda F: F.name)
+    return out
+
+
+def per_pair_functor_category(C: FinCat, D: FinCat):
+    """(objects, morphisms, transformations, identities, composites), with one
+    search over the components for each pair of functors, by name."""
+    fs = two_search_functors(C, D)
+    objs = C.sorted_objects()
+    nats, mors = {}, []
+    for F in fs:
+        for G in fs:
+            def natural(square, v, F=F, G=G):
+                m, a, b = square
+                return D.comp(G.mor_map[m], v[a]) == D.comp(v[b], F.mor_map[m])
+
+            found = [NatTrans("t", F, G, dict(zip(objs, fam))) for fam in search(
+                [D.hom(x, y) for x, y in zip(F._obj_images, G._obj_images)], C._squares, natural)]
+            for t in sorted(found, key=canonical_nat_id):
+                nats[canonical_nat_id(t)] = t
+                mors.append(Mor(canonical_nat_id(t), F.name, G.name))
+    identity = {F.name: canonical_nat_id(identity_nat(F)) for F in fs}
+    composites = {(b.name, a.name): canonical_nat_id(vcompose(nats[b.name], nats[a.name]))
+                  for b in mors for a in mors if a.cod == b.dom}
+    return [F.name for F in fs], mors, _nat_rows(nats), identity, composites
+
+
+def _nat_rows(nats):
+    return [(tid, t.src.name, t.tgt.name, tuple(t.components.items())) for tid, t in nats.items()]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the StructuralError it raises."""
+    try:
+        return fn(*args)
+    except StructuralError as e:
+        return ("StructuralError", str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +382,118 @@ def test_constraints_on_no_slot_run_before_the_first_step():
     assert list(search([], schedule(0, [((), "fail")]), holds)) == []
 
 
-def test_functor_search_prunes_object_assignments_before_the_generators(monkeypatch):
-    calls = []
+def _random_dependent_problem(rng: random.Random):
+    """A problem whose slots are static lists or functions of the prefix."""
+    choices, constraints = _random_problem(rng)
+    for i in range(len(choices)):
+        if rng.random() < 0.6:
+            base, step = rng.randint(0, 2), rng.randint(1, 3)
+            choices[i] = (lambda i, base, step: lambda v: list(
+                range(base + sum(v[:i]) % step)))(i, base, step)
+    return choices, constraints
 
-    def counting(choices, due, holds):
+
+def _flattened(choices, prefix=()):
+    """Every family of a dependent product, in lexicographic candidate order."""
+    i = len(prefix)
+    if i == len(choices):
+        yield prefix
+        return
+    slot = choices[i]
+    for v in (slot(list(prefix) + [None] * (len(choices) - i)) if callable(slot) else slot):
+        yield from _flattened(choices, prefix + (v,))
+
+
+def test_search_with_prefix_dependent_slots_matches_a_filter_over_the_flattened_product():
+    rng = random.Random(32)
+    dynamic = found = 0
+    for _ in range(600):
+        choices, constraints = _random_dependent_problem(rng)
+        calls, starts = Counter(), Counter()
+
+        def holds(c, values):
+            n, read, _ = c
+            calls[n, tuple(values[:max(read, default=-1) + 1])] += 1
+            return _passes(c, values)
+
+        def counted(i, slot):
+            def start(values):
+                starts[i, tuple(values[:i])] += 1
+                return slot(values)
+            return start
+
+        watched = [counted(i, c) if callable(c) else c for i, c in enumerate(choices)]
+        got = list(search(watched, schedule(len(choices), constraints), holds))
+        want = [v for v in _flattened(choices) if all(_passes(c, v) for _, c in constraints)]
+        # same families in the same order: the same `checked` count and first
+        # counterexample for any test run over them
+        assert got == want
+        assert all(k == 1 for k in calls.values()), calls
+        assert all(k == 1 for k in starts.values()), starts
+        dynamic += bool(starts)
+        found += len(got)
+    assert dynamic > 200 and found > 300
+
+
+def _charge(choices, due, holds):
+    """The candidates of every slot start of a search, by brute force: each
+    prefix that passes its tests starts the next slot once."""
+    total, prefixes = 0, [()]
+    for i, slot in enumerate(choices):
+        nxt = []
+        for p in prefixes:
+            values = list(p) + [None] * (len(choices) - i)
+            cands = slot(values) if callable(slot) else slot
+            total += len(cands)
+            for v in cands:
+                values[i] = v
+                if all(holds(c, values) for c in due[i + 1]):
+                    nxt.append(p + (v,))
+        prefixes = nxt
+    return total
+
+
+def test_the_guard_charges_each_slot_start_once_and_names_the_search():
+    rng = random.Random(33)
+    tripped = 0
+    for _ in range(300):
+        choices, constraints = _random_dependent_problem(rng)
+        due = schedule(len(choices), constraints)
+        if not all(choices) or not all(_passes(c, [None] * len(choices)) for c in due[0]):
+            continue  # ends before any slot starts
+        total = _charge(choices, due, lambda c, v: _passes(c, v))
+        want = list(search(choices, due, _passes))
+        assert list(search(choices, due, _passes, total, "probe")) == want
+        if total:
+            with pytest.raises(GuardExceeded) as err:
+                list(search(choices, due, _passes, total - 1, "probe"))
+            assert str(err.value) == f"probe exceeds guard {total - 1}: {total} candidates charged"
+            tripped += 1
+    assert tripped > 100
+
+
+def test_functor_search_prunes_object_assignments_before_the_generators(monkeypatch):
+    calls, starts = [], Counter()
+
+    def counting(choices, due, holds, *args):
         calls.append(len(choices))
-        return search(choices, due, holds)
+
+        def counted(i, slot):
+            def start(values):
+                starts[i] += 1
+                return slot(values)
+            return start
+
+        choices = [counted(i, c) if callable(c) else c for i, c in enumerate(choices)]
+        return search(choices, due, holds, *args)
 
     monkeypatch.setattr(core, "search", counting)
     fs = enumerate_functors(chain(4), chain(4))
-    # one object search, then one generator search per assignment it passes:
-    # the 35 monotone maps, each the object part of exactly one functor
-    assert calls[0] == 4 and len(calls) - 1 <= 35
-    assert len(fs) == 35
+    # one search: 4 object slots, then 4 identities and 6 generators; the
+    # first identity slot starts once per object assignment that passes, one
+    # for each of the 35 monotone maps, each the object part of one functor
+    assert calls == [14]
+    assert starts[4] == 35 and len(fs) == 35
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +547,93 @@ def test_set_limit_certificate_matches_product_filter():
                 assert _certify_finset(D, direction, *wrong) == want, (seed, direction)
                 failures += not want.ok
     assert failures > 40
+
+
+def _left_zero() -> FinCat:
+    """The monoid {1, a, b} with xy = x for x, y in {a, b}."""
+    return make_category("M", ["*"], [("a", "*", "*"), ("b", "*", "*")],
+                         {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"})
+
+
+def _non_thin_dags(count: int):
+    rng = random.Random(6100)
+    found = []
+    while len(found) < count:
+        C = random_dag_category(rng, 3, 6, name="N")
+        if any(len(C.hom(a, b)) > 1 for a in C.objects for b in C.objects):
+            found.append(C)
+    return found
+
+
+def _one_search_targets():
+    """Monoids (one from randgen), non-thin DAGs, and targets that break the int view."""
+    monoid = next(C for C in (random_category(random.Random(s), 3, name="R") for s in range(50))
+                  if len(C.objects) == 1 and len(C.morphisms) > 1)
+    return [("randgen monoid", monoid), ("left zero", _left_zero())] + \
+        [(f"non-thin {k}", C) for k, C in enumerate(_non_thin_dags(3))] + \
+        list(int_view_breakers().items())
+
+
+def _one_search_sources():
+    return [terminal_category(), walking_arrow(), discrete(2), parallel_pair(), chain(3),
+            make_category("2r", ["1", "0"], [("a", "0", "1")], {})]
+
+
+def _diagrams_into(J: FinCat, C: FinCat) -> list[Functor]:
+    """The functors J -> C, or, where a missing entry of C stops their
+    search, those into C's table before the entry was removed, read in C."""
+    try:
+        return enumerate_functors(J, C)
+    except StructuralError:
+        base = {"Sq!": square_category(), "chain3!": chain(3), "chain4!": chain(4)}[C.name]
+        return [Functor(F.name, J, C, F.obj_map, F.mor_map) for F in enumerate_functors(J, base)]
+
+
+def test_one_search_functors_and_functor_categories_match_per_pair_searches():
+    seen = Counter()
+    for label, D in _one_search_targets():
+        for C in _one_search_sources():
+            fs = _outcome(enumerate_functors, C, D)
+            ref = _outcome(two_search_functors, C, D)
+            if isinstance(fs, tuple):
+                assert fs == ref, (label, C.name)
+                seen["functor error"] += 1
+                continue
+            assert [(F.name, F.key()) for F in fs] == [(F.name, F.key()) for F in ref]
+            if len(fs) > 12:
+                continue
+            fc = _outcome(functor_category, C, D)
+            want = _outcome(per_pair_functor_category, C, D)
+            if isinstance(fc, tuple):
+                assert fc == want, (label, C.name)
+                seen["category error"] += 1
+                continue
+            got = (list(fc.cat.objects), list(fc.cat.morphisms), _nat_rows(fc.nats),
+                   dict(fc.cat.identity), dict(fc.cat.compose))
+            assert got == want, (label, C.name)
+            seen["compared"] += 1
+            seen["transformations"] += len(fc.nats)
+    assert seen["compared"] > 30 and seen["transformations"] > 300, seen
+    assert seen["functor error"] and seen["category error"], seen
+
+
+def test_one_search_cones_and_wedges_match_per_apex_searches():
+    seen = Counter()
+    for label, C in _one_search_targets():
+        for J in _one_search_sources():
+            for D in _diagrams_into(J, C)[:6]:
+                for direction in (LIMIT, COLIMIT):
+                    got = _outcome(enumerate_cones, D, direction)
+                    assert got == _outcome(per_apex_cones, D, direction), (label, D, direction)
+                    seen["cone error" if isinstance(got, tuple) else "cones"] += 1
+        for J in (terminal_category(), walking_arrow(), discrete(2)):
+            for B in _diagrams_into(op_product(J), C)[:6]:
+                for side in ("end", "coend"):
+                    got = _outcome(enumerate_wedges, B, J, side)
+                    want = _outcome(per_apex_wedges, B, J, side)
+                    if not isinstance(got, tuple):
+                        got = [(w.apex, w.components) for w in got]
+                    assert got == want, (label, B, side)
+                    seen["wedge error" if isinstance(got, tuple) else "wedges"] += 1
+    assert seen["cones"] > 200 and seen["wedges"] > 100, seen
+    assert seen["cone error"] and seen["wedge error"], seen
