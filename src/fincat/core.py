@@ -266,6 +266,24 @@ class FinCat(Keyed):
         return schedule(len(pos), (((a, b), (m, a, b)) for m, a, b in ends))
 
     @cached
+    def _functor_slots(self) -> tuple[dict[str, int], list[tuple[int, int]], list[list]]:
+        """The plan of every functor search out of this category (see
+        enumerate_functors): the slot of each identity and then of each
+        generator, after one slot per object in sorted order; the object
+        slots of each generator's ends; and the schedule, on which an object
+        pair (a, b, None) needs a non-empty hom-set between the images and a
+        composable pair (g, f, g.f) of slots must compose."""
+        objs, gens = self._sorted_objects, self._nonidentity_mor_names
+        n = len(objs)
+        pos = {a: k for k, a in enumerate(objs)}
+        slot = {f: n + k for k, f in enumerate([self.id_of(a) for a in objs] + list(gens))}
+        ends = sorted({(pos[m.dom], pos[m.cod], None) for m in self.morphisms})
+        pairs = [(slot[g.name], slot[f.name], slot[self.comp(g.name, f.name)])
+                 for g, f in composable_pairs(self)]
+        due = schedule(n + len(slot), [(p[:2], p) for p in ends] + [(p, p) for p in pairs])
+        return slot, [(pos[self.mor[f].dom], pos[self.mor[f].cod]) for f in gens], due
+
+    @cached
     def _pair_squares(self) -> list[list[tuple[str, int, int]]]:
         """_squares for a search whose first two slots pick a pair of functors."""
         return [[], []] + [[(m, a + 2, b + 2) for m, a, b in sq] for sq in self._squares]
@@ -848,10 +866,8 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
         raise GuardExceeded(
             f"functor enumeration {C.name} -> {D.name} exceeds guard {guard}")
     gens = C.nonidentity_mor_names()
+    slot, gen_ends, due = C._functor_slots
     n = len(objs)
-    pos = {a: k for k, a in enumerate(objs)}
-    # the morphism slots, after the n object slots: each identity, then gens
-    slot = {f: n + k for k, f in enumerate([C.id_of(a) for a in objs] + list(gens))}
     V = D._ints
     names, num, rows, homs = V.names, V.num, V.rows, V.homs
 
@@ -859,12 +875,7 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
         return lambda v: homs.get((v[a], v[b]), ())
 
     choices = [d_objs] * n + [lambda v, a=k: (num[D.id_of(v[a])],) for k in range(n)] + \
-        [image(pos[C.mor[f].dom], pos[C.mor[f].cod]) for f in gens]
-    # an object pair (a, b, None) needs a non-empty hom-set from a's image to b's
-    ends = sorted({(pos[m.dom], pos[m.cod], None) for m in C.morphisms})
-    pairs = [(slot[g.name], slot[f.name], slot[C.comp(g.name, f.name)])
-             for g, f in composable_pairs(C)]
-    due = schedule(len(choices), [(p[:2], p) for p in ends] + [(p, p) for p in pairs])
+        [image(a, b) for a, b in gen_ends]
 
     def holds(p, v) -> bool:
         g, f, gf = p
