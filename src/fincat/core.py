@@ -955,10 +955,6 @@ class _Pieces(dict):
         return piece
 
 
-def _nat_pieces(objs, names) -> list[_Pieces]:
-    return [_Pieces(a, names) for a in objs]
-
-
 def _in_id_order(families, pieces) -> list[tuple[str, tuple[int, ...]]]:
     """Each family of _nat_families with the tail of its id (its pieces,
     joined, then `]`), pair by pair in id order."""
@@ -972,7 +968,8 @@ def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
     pruning, in canonical id order."""
     objs, names = F.dom.sorted_objects(), F.cod._ints.names
     return [NatTrans("t", F, G, dict(zip(objs, [names[u] for u in t[2:]])))
-            for _, t in _in_id_order(_nat_families([F], [G]), _nat_pieces(objs, names))]
+            for _, t in _in_id_order(_nat_families([F], [G]),
+                                     [_Pieces(a, names) for a in objs])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -1002,7 +999,7 @@ def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorC
     objs = C.sorted_objects()
     V = D._ints
     names, rows = V.names, V.rows
-    pieces = _nat_pieces(objs, names)
+    pieces = [_Pieces(a, names) for a in objs]
     prefix = [[_nat_prefix(F.name, G.name) for G in fs] for F in fs]
     nats: dict[str, NatTrans] = {}
     mors = []

@@ -25,17 +25,17 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
-    DEFAULT_GUARD,
     Counterexample,
+    DEFAULT_GUARD,
     FinCat,
     Functor,
     NatTrans,
     Report,
     StructuralError,
-    compose_functors,
+    _Pieces,
     _in_id_order,
     _nat_families,
-    _nat_pieces,
+    compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
     fail_report,
@@ -222,7 +222,7 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     V = E._ints
     names, num, rows = V.names, V.num, V.rows
     c_objs, d_objs = K.dom.sorted_objects(), D.sorted_objects()
-    pieces = _nat_pieces(c_objs, names)
+    pieces = [_Pieces(a, names) for a in c_objs]
     slot = {d: 2 + k for k, d in enumerate(d_objs)}  # of a component in a family over D
 
     def images(between) -> dict[tuple[int, ...], int]:
