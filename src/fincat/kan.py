@@ -203,14 +203,14 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     mediating transformation must exist.  Supplying H_family switches to a
     probe run, flagged as partial in the report.
 
-    Both families of each H are int families of core._nat_families, the
-    comparisons sorted into id order by `a↦m` pieces formatted once per call.
-    Each mediator's image (its component at K(c) composed with eta_c, for
-    every c) is counted once in a table, so that each comparison is one
-    lookup with unique_factor's count.  Where a composite of the table has no
-    int entry (a table with a missing or stray entry, a component outside
-    E), that H is checked by unique_factor's scan by name, which stops at an
-    object's first mismatch, so any StructuralError is the one it raises.
+    Both families of each H come from core._nat_families, the comparisons
+    sorted into id order by `a↦m` pieces formatted once per call.  Each
+    mediator's image (its component at K(c) after eta_c, for every c) is
+    counted once, so each comparison is one lookup with unique_factor's
+    count.  Where an image has no int entry (a missing or stray entry of E, a
+    component outside it), that H is scanned by name as unique_factor does,
+    stopping at a comparison's first mismatch, so any StructuralError is the
+    one the scan raises.
     """
     D, E = K.cod, F.cod
     # the right-handed property is the left-handed one in op(E), where every
@@ -224,19 +224,6 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     c_objs, d_objs = K.dom.sorted_objects(), D.sorted_objects()
     pieces = [_Pieces(a, names) for a in c_objs]
     slot = {d: 2 + k for k, d in enumerate(d_objs)}  # of a component in a family over D
-
-    def images(between) -> dict[tuple[int, ...], int]:
-        at = [slot[K.obj_map[c]] for c in c_objs]
-        etas = [num.get(eta.components[c], -1) for c in c_objs]
-        table: dict[tuple[int, ...], int] = {}
-        for sb in between:
-            if side == LEFT:
-                image = tuple([rows[sb[a]][e] for a, e in zip(at, etas)])
-            else:
-                image = tuple([rows[e][sb[a]] for a, e in zip(at, etas)])
-            table[image] = table.get(image, 0) + 1
-        return table
-
     checked = 0
     for H in H_family:
         HK = compose_functors(H, K)
@@ -246,13 +233,18 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
         if not sigmas:
             continue
         try:
-            table = images(between)
-            counts = [table.get(sigma[2:], 0) for _, sigma in sigmas]
+            ends = [(slot[K.obj_map[c]], num.get(eta.components[c], -1)) for c in c_objs]
+            images: dict[tuple[int, ...], int] = {}
+            for sb in between:
+                image = tuple([rows[sb[a]][e] if side == LEFT else rows[e][sb[a]]
+                               for a, e in ends])
+                images[image] = images.get(image, 0) + 1
+            counts = [images.get(sigma[2:], 0) for _, sigma in sigmas]
         except KeyError:
-            mediators = [{d: names[u] for d, u in zip(d_objs, sb[2:])} for sb in between]
+            mediators = [dict(zip(d_objs, [names[u] for u in sb[2:]])) for sb in between]
             counts = []
             for _, sigma in sigmas:
-                target = {c: names[u] for c, u in zip(c_objs, sigma[2:])}
+                target = dict(zip(c_objs, [names[u] for u in sigma[2:]]))
                 counts.append(unique_factor(
                     mediators, lambda sb: all(Es.comp(sb[K.obj_map[c]], eta.components[c])
                                               == target[c] for c in K.dom.objects))[1])
