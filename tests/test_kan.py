@@ -221,6 +221,28 @@ def test_kan_universal_check_rejects_an_extension_into_another_category():
     for side in (LEFT, RIGHT):
         assert _kan_outcome(L, None, K, F, side) == ("StructuralError", message)
 
+
+def test_kan_universal_check_on_a_complete_table_reads_no_composite_by_name(monkeypatch):
+    """Mediators and comparisons meet in the int view on either side; only
+    a table the view lacks sends a check to the scan by name."""
+    two, c3, pp = walking_arrow(), chain(3), parallel_pair()
+    cases = []
+    for side in (LEFT, RIGHT):
+        K = identity_functor(c3)
+        kr = kan_pointwise(K, K, side)
+        cases.append((kr.extension, kr.unit_or_counit, K, K, side))
+        K = _named_functor(two, two, "0↦0;1↦0|a↦id_0" if side == LEFT else "0↦1;1↦1|a↦id_1")
+        F = _named_functor(two, pp, "0↦0;1↦1|a↦u")
+        cases.append((*_perturbed_unit(K, F, side, "0" if side == LEFT else "1", "v"), K, F, side))
+    want = [ref_kan_universal_check(*case) for case in cases]
+    assert [r.ok for r in want] == [True, False, True, False]
+
+    def by_name(self, g, f):
+        raise AssertionError(f"{g} after {f} read by name")
+
+    monkeypatch.setattr(FinCat, "comp", by_name)
+    assert [kan_universal_check(*case) for case in cases] == want
+
 def _without(C: FinCat, *pairs) -> FinCat:
     return FinCat(C.name + "!", C.objects, C.morphisms, C.identity,
                   {k: v for k, v in C.compose.items() if k not in pairs})

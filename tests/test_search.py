@@ -28,6 +28,7 @@ from fincat.core import (
     canonical_nat_id,
     composable_pairs,
     enumerate_functors,
+    enumerate_nat_trans,
     functor_category,
     identity_nat,
     make_category,
@@ -216,21 +217,27 @@ def two_search_functors(C: FinCat, D: FinCat):
     return out
 
 
+def per_pair_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
+    """One search over the components of F => G, by name, in id order."""
+    D = F.cod
+
+    def natural(square, v):
+        m, a, b = square
+        return D.comp(G.mor_map[m], v[a]) == D.comp(v[b], F.mor_map[m])
+
+    found = [NatTrans("t", F, G, dict(zip(F.dom.sorted_objects(), fam))) for fam in search(
+        [D.hom(x, y) for x, y in zip(F._obj_images, G._obj_images)], F.dom._squares, natural)]
+    return sorted(found, key=canonical_nat_id)
+
+
 def per_pair_functor_category(C: FinCat, D: FinCat):
     """(objects, morphisms, transformations, identities, composites), with one
-    search over the components for each pair of functors, by name."""
+    search over the components for each pair of functors."""
     fs = two_search_functors(C, D)
-    objs = C.sorted_objects()
     nats, mors = {}, []
     for F in fs:
         for G in fs:
-            def natural(square, v, F=F, G=G):
-                m, a, b = square
-                return D.comp(G.mor_map[m], v[a]) == D.comp(v[b], F.mor_map[m])
-
-            found = [NatTrans("t", F, G, dict(zip(objs, fam))) for fam in search(
-                [D.hom(x, y) for x, y in zip(F._obj_images, G._obj_images)], C._squares, natural)]
-            for t in sorted(found, key=canonical_nat_id):
+            for t in per_pair_nat_trans(F, G):
                 nats[canonical_nat_id(t)] = t
                 mors.append(Mor(canonical_nat_id(t), F.name, G.name))
     identity = {F.name: canonical_nat_id(identity_nat(F)) for F in fs}
@@ -575,8 +582,12 @@ def _one_search_targets():
 
 
 def _one_search_sources():
+    """Shapes, one with its objects listed out of sorted order and one with
+    an isolated object after an arrow: an empty last slot must end a pair or
+    an apex before the arrow's test reaches a missing entry."""
     return [terminal_category(), walking_arrow(), discrete(2), parallel_pair(), chain(3),
-            make_category("2r", ["1", "0"], [("a", "0", "1")], {})]
+            make_category("2r", ["1", "0"], [("a", "0", "1")], {}),
+            make_category("2+1", ["0", "1", "2"], [("a", "0", "1")], {})]
 
 
 def _diagrams_into(J: FinCat, C: FinCat) -> list[Functor]:
@@ -600,6 +611,15 @@ def test_one_search_functors_and_functor_categories_match_per_pair_searches():
                 seen["functor error"] += 1
                 continue
             assert [(F.name, F.key()) for F in fs] == [(F.name, F.key()) for F in ref]
+            for F, G in itertools.product(fs[:12], repeat=2):
+                got = _outcome(enumerate_nat_trans, F, G)
+                want = _outcome(per_pair_nat_trans, F, G)
+                if isinstance(got, tuple):
+                    assert got == want, (label, F.name, G.name)
+                    seen["transformation error"] += 1
+                else:
+                    assert _nat_rows({t.name: t for t in got}) == \
+                        _nat_rows({t.name: t for t in want}), (label, F.name, G.name)
             if len(fs) > 12:
                 continue
             fc = _outcome(functor_category, C, D)
@@ -614,14 +634,14 @@ def test_one_search_functors_and_functor_categories_match_per_pair_searches():
             seen["compared"] += 1
             seen["transformations"] += len(fc.nats)
     assert seen["compared"] > 30 and seen["transformations"] > 300, seen
-    assert seen["functor error"] and seen["category error"], seen
+    assert seen["functor error"] and seen["category error"] and seen["transformation error"], seen
 
 
 def test_one_search_cones_and_wedges_match_per_apex_searches():
     seen = Counter()
     for label, C in _one_search_targets():
         for J in _one_search_sources():
-            for D in _diagrams_into(J, C)[:6]:
+            for D in _diagrams_into(J, C)[:30]:
                 for direction in (LIMIT, COLIMIT):
                     got = _outcome(enumerate_cones, D, direction)
                     assert got == _outcome(per_apex_cones, D, direction), (label, D, direction)
@@ -637,3 +657,18 @@ def test_one_search_cones_and_wedges_match_per_apex_searches():
                     seen["wedge error" if isinstance(got, tuple) else "wedges"] += 1
     assert seen["cones"] > 200 and seen["wedges"] > 100, seen
     assert seen["cone error"] and seen["wedge error"], seen
+
+
+def test_an_apex_without_a_component_is_skipped_before_any_wedge_test():
+    """Apex 1 has no arrow to B(2, 2), so its one wedge test, which reaches
+    the missing c23.c12, is never made; apex 0 is a wedge."""
+    J = make_category("2+1", ["0", "1", "2"], [("a", "0", "1")], {})
+    P, c4 = op_product(J), chain(4)
+    image = {pair_id("1", "0"): "1", pair_id("0", "0"): "2", pair_id("1", "1"): "2",
+             pair_id("0", "1"): "3"}
+    obj_map = {x: image.get(x, "0") for x in P.objects}
+    B = Functor("B", P, int_view_breakers()["composite missing"], obj_map,
+                {m.name: c4.hom(obj_map[m.dom], obj_map[m.cod])[0] for m in P.morphisms})
+    want = per_apex_wedges(B, J, "end")
+    assert [(w.apex, w.components) for w in enumerate_wedges(B, J, "end")] == want
+    assert want == [("0", {"0": "c02", "1": "c02", "2": "id_0"})]
