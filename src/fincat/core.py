@@ -111,8 +111,9 @@ def search(choices, due, holds, guard: int | None = None,
     if not choices:
         yield ()
         return
-    dynamic = list(map(callable, choices))
-    cands = choices[0](values) if dynamic[0] else choices[0]
+    cands = choices[0]
+    if callable(cands):
+        cands = cands(values)
     used = len(cands)
     if guard is not None and used > guard:
         raise GuardExceeded(f"{what} exceeds guard {guard}: {used} candidates charged")
@@ -135,7 +136,9 @@ def search(choices, due, holds, guard: int | None = None,
             continue
         if i < last:
             i += 1
-            cands = choices[i](values) if dynamic[i] else choices[i]
+            cands = choices[i]
+            if callable(cands):
+                cands = cands(values)
             if guard is not None:
                 used += len(cands)
                 if used > guard:
@@ -955,11 +958,13 @@ class _Pieces(dict):
         return piece
 
 
-def _in_id_order(families, pieces) -> list[tuple[str, tuple[int, ...]]]:
-    """Each family of _nat_families with the tail of its id (its pieces,
-    joined, then `]`), pair by pair in id order."""
-    out = [(";".join([p[u] for p, u in zip(pieces, t[2:])]) + "]", t) for t in families]
-    out.sort(key=lambda e: (e[1][0], e[1][1], e[0]))
+def _in_id_order(families, pieces) -> list[tuple[int, int, str, tuple[int, ...]]]:
+    """(i, j, the tail of its id: its pieces, joined, then `]`, the family)
+    for each family of _nat_families, pair by pair in id order.  Families
+    whose tails tie stay in search order, which is their int order."""
+    out = [(t[0], t[1], ";".join([p[u] for p, u in zip(pieces, t[2:])]) + "]", t)
+           for t in families]
+    out.sort()
     return out
 
 
@@ -968,7 +973,7 @@ def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
     pruning, in canonical id order."""
     objs, names = F.dom.sorted_objects(), F.cod._ints.names
     return [NatTrans("t", F, G, dict(zip(objs, [names[u] for u in t[2:]])))
-            for _, t in _in_id_order(_nat_families([F], [G]),
+            for *_, t in _in_id_order(_nat_families([F], [G]),
                                      [_Pieces(a, names) for a in objs])]
 
 
@@ -1005,7 +1010,8 @@ def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorC
     mors = []
     ends = []  # per transformation: its source and target index and its components
     into: list[list[int]] = [[] for _ in fs]  # per functor: the transformations into it
-    for tail, (i, j, *family) in _in_id_order(_nat_families(fs, fs), pieces):
+    for i, j, tail, t in _in_id_order(_nat_families(fs, fs), pieces):
+        family = t[2:]
         tid = prefix[i][j] + tail
         nats[tid] = NatTrans("t", fs[i], fs[j], dict(zip(objs, [names[u] for u in family])))
         into[j].append(len(mors))

@@ -239,11 +239,11 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
                 image = tuple([rows[sb[a]][e] if side == LEFT else rows[e][sb[a]]
                                for a, e in ends])
                 images[image] = images.get(image, 0) + 1
-            counts = [images.get(sigma[2:], 0) for _, sigma in sigmas]
+            counts = [images.get(sigma[2:], 0) for *_, sigma in sigmas]
         except KeyError:
             mediators = [dict(zip(d_objs, [names[u] for u in sb[2:]])) for sb in between]
             counts = []
-            for _, sigma in sigmas:
+            for *_, sigma in sigmas:
                 target = dict(zip(c_objs, [names[u] for u in sigma[2:]]))
                 counts.append(unique_factor(
                     mediators, lambda sb: all(Es.comp(sb[K.obj_map[c]], eta.components[c])
