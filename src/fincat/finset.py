@@ -355,7 +355,7 @@ def product_set_functor(X: SetFunctor, Y: SetFunctor, name: str | None = None) -
 def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor,
                            guard: int | None = None) -> list[SetNatTrans]:
     """All natural transformations X => Y, in key order: components searched
-    over all_maps on the naturality squares C._squares, as in core._nat_trans."""
+    over all_maps on the naturality squares C._squares, as in core._nat_families."""
     if X.dom != Y.dom:
         raise StructuralError("functors on different categories")
     guard = DEFAULT_GUARD if guard is None else guard
