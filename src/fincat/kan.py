@@ -26,7 +26,6 @@ from typing import Optional, Union
 
 from .core import (
     Counterexample,
-    DEFAULT_GUARD,
     FinCat,
     Functor,
     NatTrans,
@@ -45,7 +44,6 @@ from .core import (
     opposite,
     opposite_functor,
     pair_id,
-    search,
     split_pair,
     unique_factor,
     validate_natural,
@@ -73,6 +71,7 @@ from .limits import (
     COLIMIT,
     LIMIT,
     LimitResult,
+    apex_families,
     first_terminal,
     induced_set_map,
     limit,
@@ -335,12 +334,11 @@ def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
 def enumerate_wedges(D: Functor, J: FinCat, side: str,
                      guard: int | None = None) -> list[WedgeData]:
     """All (co)wedges of a bifunctor valued in a finite category, apexes in
-    id order and each apex's families in product order, by one search: slot
-    0 is the apex, among those with a non-empty hom-set to every D(j, j),
-    and slot k + 1 the component at J's k-th object, on the schedule
-    J._squares shifted by one: each arrow is tested once both its ends have
-    a component.  The search draws on `guard` (default
-    DEFAULT_GUARD) and raises GuardExceeded past it.
+    id order and each apex's families in product order, by one
+    limits.apex_families search: slot k + 1 is the component at J's k-th
+    object, on the schedule J._squares shifted by one, so each arrow is
+    tested once both its ends have a component.  The search draws on `guard`
+    as in apex_families.
 
     A cowedge is a wedge read in the opposite target with J's arrows reversed.
     """
@@ -355,25 +353,13 @@ def enumerate_wedges(D: Functor, J: FinCat, side: str,
 
     due = [[]] + [[condition(h, i, j) if side == "end" else condition(h, j, i)
                    for h, i, j in squares] for squares in J._squares]
-    homs, compose, targets = C._homs, C.compose, [D.obj_map[pair_id(j, j)] for j in objs]
-
-    def component(x: str):
-        return lambda v: homs[v[0], x]
 
     def wedge(cond, fam) -> bool:
         u, i, v, j = cond
-        try:
-            return compose[u, fam[i]] == compose[v, fam[j]]
-        except KeyError:  # no entry: C.comp raises the first by name
-            return C.comp(u, fam[i]) == C.comp(v, fam[j])
+        return C.comp(u, fam[i]) == C.comp(v, fam[j])
 
-    # an apex with an empty hom-set to some D(j, j) is skipped before any test
-    apexes = C.sorted_objects()
-    for x in targets:
-        apexes = [c for c in apexes if (c, x) in homs]
-    choices = [apexes] + [component(x) for x in targets]
-    found = list(search(choices, due, wedge, DEFAULT_GUARD if guard is None else guard,
-                        f"{side} wedge search over {D.name}"))
+    found = apex_families(C, [D.obj_map[pair_id(j, j)] for j in objs], due, wedge, guard,
+                          f"{side} wedge search over {D.name}")
     return [WedgeData(fam[0], dict(zip(objs, fam[1:])), "wedge" if side == "end" else "cowedge")
             for fam in found]
 

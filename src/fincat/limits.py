@@ -101,41 +101,41 @@ def _searched_in(C: FinCat, direction: str) -> FinCat:
     return C if direction == LIMIT else opposite(C)
 
 
+def apex_families(C: FinCat, targets: list[str], due, holds,
+                  guard: int | None, what: str) -> list[tuple]:
+    """Every (apex, f_0, f_1, ...) with f_k in C(apex, targets[k]) that
+    meets the constraints `due`, by one search (core.search, the apex being
+    slot 0): apexes in id order, an apex with an empty hom-set to some
+    target skipped before any test, and each apex's families in product
+    order.  The search draws on `guard` (default DEFAULT_GUARD) and raises
+    GuardExceeded, naming `what`, past it; the families stay tuples, so a
+    search the guard stops has built nothing more."""
+    homs = C._homs
+    apexes = [c for c in C.sorted_objects() if all((c, x) in homs for x in targets)]
+    choices = [apexes] + [lambda v, x=x: homs[v[0], x] for x in targets]
+    return list(search(choices, due, holds, DEFAULT_GUARD if guard is None else guard, what))
+
+
 def enumerate_cones(D: Functor, direction: str,
                     guard: int | None = None) -> list[tuple[str, dict[str, str]]]:
     """All (apex, legs) in the target category, apexes in id order and each
-    apex's leg families in product order, by one search: slot 0 is the apex,
-    among those with a non-empty hom-set to every D(j), and slot k + 1 the
-    leg at J's k-th object, from the hom-set out of the apex, on the
-    schedule J._squares shifted by one: each arrow is tested once both its
-    ends have a leg.  The search draws on `guard` (default
-    DEFAULT_GUARD) and raises GuardExceeded past it."""
+    apex's leg families in product order, by one apex_families search: slot
+    k + 1 is the leg at J's k-th object, on the schedule J._squares shifted
+    by one, so each arrow is tested once both its ends have a leg.  The
+    search draws on `guard` as in apex_families."""
     C = _searched_in(D.cod, direction)
     objs = D.dom.sorted_objects()
     # a cocone is a cone in C = op(target) over J's arrows reversed
     due = [[]] + [[(D.mor_map[m], a + 1, b + 1) if direction == LIMIT
                    else (D.mor_map[m], b + 1, a + 1) for m, a, b in squares]
                   for squares in D.dom._squares]
-    homs, compose, targets = C._homs, C.compose, [D.obj_map[j] for j in objs]
-
-    def leg(x: str):
-        return lambda v: homs[v[0], x]
 
     def natural(cond, legs) -> bool:
         u, a, b = cond
-        try:
-            return compose[u, legs[a]] == legs[b]
-        except KeyError:  # no entry: C.comp raises it by name
-            return C.comp(u, legs[a]) == legs[b]
+        return C.comp(u, legs[a]) == legs[b]
 
-    # an apex with an empty hom-set to some D(j) is skipped before any test
-    apexes = C.sorted_objects()
-    for x in targets:
-        apexes = [c for c in apexes if (c, x) in homs]
-    choices = [apexes] + [leg(x) for x in targets]
-    # families stay tuples until the search ends: one the guard stops builds no dicts
-    found = list(search(choices, due, natural, DEFAULT_GUARD if guard is None else guard,
-                        f"{direction} cone search over {D.name}"))
+    found = apex_families(C, [D.obj_map[j] for j in objs], due, natural, guard,
+                          f"{direction} cone search over {D.name}")
     return [(legs[0], dict(zip(objs, legs[1:]))) for legs in found]
 
 
@@ -404,7 +404,7 @@ def limit_functor(J: FinCat, C: FinCat, direction: str = LIMIT,
     fc = fc or functor_category(J, C, guard)
     lims: dict[str, LimitResult] = {}
     for Did in fc.cat.objects:
-        res = limit(fc.functors[Did], direction, guard)
+        res = limit(fc.functors[Did], direction)
         if res is None:
             return LimitFunctorResult(None, {}, missing=Did)
         lims[Did] = res
@@ -426,20 +426,18 @@ def limit_functor(J: FinCat, C: FinCat, direction: str = LIMIT,
 # ---------------------------------------------------------------------------
 # Preservation and interchange
 
-def preservation_check(G: Functor, Dg: Functor, direction: str,
-                       guard: int | None = None) -> Report:
-    """Does G send the chosen (co)limit of Dg to a (co)limit of G after Dg?
-    Each cone search draws on `guard`, as in enumerate_cones."""
+def preservation_check(G: Functor, Dg: Functor, direction: str) -> Report:
+    """Does G send the chosen (co)limit of Dg to a (co)limit of G after Dg?"""
     if Dg.cod != G.dom:
         raise StructuralError("diagram does not land in the functor's domain")
-    src = limit(Dg, direction, guard)
+    src = limit(Dg, direction)
     if src is None:
         raise StructuralError(f"diagram {Dg.name} has no {direction} to preserve")
     GD = compose_functors(G, Dg)
     kappa = whisker_functor_nat(G, src.cone.legs)
     image_apex = G.obj_map[src.object]
     return certify_terminal(_searched_in(GD.cod, direction), image_apex,
-                            dict(kappa.components), enumerate_cones(GD, direction, guard))
+                            dict(kappa.components), enumerate_cones(GD, direction))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import pytest
 
 from fincat.core import (
     Functor,
+    GuardExceeded,
     fail_report,
     functor_category,
     identity_functor,
@@ -21,6 +23,7 @@ from fincat.fixtures import (
     pick_object,
     terminal_category,
     walking_arrow,
+    z2_monoid,
 )
 from fincat.limits import (
     COLIMIT,
@@ -171,6 +174,16 @@ def test_limit_functor_missing_case():
     d2 = discrete(2)
     res = limit_functor(d2, C)
     assert res.functor is None and res.missing is not None
+
+
+def test_limit_functor_guard_bounds_the_functor_enumeration_only():
+    # discrete(2) -> Z/2 has one functor, within guard 1; its cone search charges 3
+    d2, z2 = discrete(2), z2_monoid()
+    (D,) = functor_category(d2, z2, 1).functors.values()
+    with pytest.raises(GuardExceeded, match="3 candidates charged"):
+        limit(D, LIMIT, 1)
+    res = limit_functor(d2, z2, guard=1)
+    assert res.functor is None and res.missing == D.name
 
 
 def test_preservation_identity_and_failure():
