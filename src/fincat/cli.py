@@ -14,11 +14,13 @@ import sys
 
 from .catfile import LawViolation, Workspace, load_workspace
 from .core import (
+    DEFAULT_GUARD,
     FinCat,
     Functor,
     GuardExceeded,
     Mor,
     StructuralError,
+    budget,
     op_product,
     pair_id,
 )
@@ -67,7 +69,7 @@ def cmd_limit(ws: Workspace, args) -> dict:
         return {"kind": "finset", "size": len(res.object),
                 "elements": list(res.object.sorted()),
                 "report": res.certificate.to_json()}
-    res = limit(D, direction, args.guard)
+    res = limit(D, direction)
     if res is None:
         raise Failure(f"{args.command} of {args.diagram} verified absent",
                       {"diagram": args.diagram})
@@ -109,7 +111,7 @@ def cmd_end(ws: Workspace, args) -> dict:
     B = _diagram_by_name(ws, args.bifunctor)
     J, B = _shape_of_bifunctor(ws, B)
     side = "end" if args.command == "end" else "coend"
-    res = end_coend(B, J, side, args.guard)
+    res = end_coend(B, J, side)
     if res is None:
         raise Failure(f"{side} of {args.bifunctor} verified absent", {})
     if isinstance(B, SetFunctor):
@@ -173,7 +175,7 @@ def cmd_yoneda_check(ws: Workspace, args) -> dict:
     C = _named(ws.categories, "category", args.C)
     family = [hom_functor(C, c, "covariant") for c in C.sorted_objects()]
     family += [X for X in ws.setfunctors.values() if X.dom == C]
-    rep = yoneda_check(C, family, args.guard)
+    rep = yoneda_check(C, family)
     if not rep.ok:
         raise Failure(rep.counterexample.law, rep.counterexample.details)
     return {"checked": rep.checked, "functors": len(family)}
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0,
                         help="echoed into --json output; no command reads it")
-    common.add_argument("--guard", type=int, default=None, help="enumeration budget")
+    common.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="enumeration budget")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, params) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
@@ -312,7 +314,8 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(args.files)
         handler, _ = COMMANDS[args.command]
-        result = handler(ws, args)
+        with budget(args.guard):
+            result = handler(ws, args)
         return emit(args, {"result": result}, 0)
     except Failure as f:
         return emit(args, {"message": str(f), **f.payload}, 1)

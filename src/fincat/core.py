@@ -8,11 +8,24 @@ across runs.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
 DEFAULT_GUARD = 10**6
+_budget: ContextVar[int] = ContextVar("budget", default=DEFAULT_GUARD)
+
+
+@contextmanager
+def budget(n: int):
+    """Run the block under a budget of n candidates for its named searches and up-front bounds."""
+    token = _budget.set(n)
+    try:
+        yield
+    finally:
+        _budget.reset(token)
 
 
 class StructuralError(Exception):
@@ -85,8 +98,7 @@ def schedule(slots: int, constraints) -> list[list]:
     return due
 
 
-def search(choices, due, holds, guard: int | None = None,
-           what: str = "search") -> Iterator[tuple]:
+def search(choices, due, holds, what: str | None = None) -> Iterator[tuple]:
     """Every family with values[i] from choices[i] that meets every scheduled
     constraint, depth first in itertools.product order, so that output order,
     `checked` counts and first counterexamples are a product filter's.
@@ -97,11 +109,12 @@ def search(choices, due, holds, guard: int | None = None,
     holds(payload, values) tests one constraint on the slots assigned so far:
     those of due[0] once before the first step, those of due[i + 1] once on
     each path, right after slot i is assigned, so a failing prefix is pruned
-    at once (forward checking, Haralick & Elliott 1980).  Given a guard, a
-    slot's candidates are charged once each time the slot starts on a prefix,
-    and GuardExceeded, naming `what` and the charge, ends a search whose
-    charge passes the guard.
+    at once (forward checking, Haralick & Elliott 1980).  A search named by
+    `what` draws on the budget in scope: a slot's candidates are charged once
+    each time the slot starts on a prefix, and GuardExceeded, naming `what`
+    and the charge, ends a search whose charge passes the budget.
     """
+    guard = None if what is None else _budget.get()
     values = [None] * len(choices)
     for c in due[0]:
         if not holds(c, values):
@@ -775,20 +788,20 @@ def opposite_functor(F: Functor) -> Functor:
 
 def product(C: FinCat, D: FinCat) -> FinCat:
     """Product category; ids are canonical pairs "(x,y)"."""
-    pair = "({},{})".format
-    objects = tuple(pair(x, y) for x in C.sorted_objects() for y in D.sorted_objects())
+    objects = tuple(pair_id(x, y) for x in C.sorted_objects() for y in D.sorted_objects())
     mors = []
     for m in sorted(C.morphisms, key=lambda m: m.name):
         for n in sorted(D.morphisms, key=lambda n: n.name):
-            mors.append(Mor(pair(m.name, n.name), pair(m.dom, n.dom), pair(m.cod, n.cod)))
-    identity = {pair(x, y): pair(C.identity[x], D.identity[y])
+            mors.append(Mor(pair_id(m.name, n.name), pair_id(m.dom, n.dom),
+                            pair_id(m.cod, n.cod)))
+    identity = {pair_id(x, y): pair_id(C.identity[x], D.identity[y])
                 for x in C.objects for y in D.objects}
     table = {}
     for g, f in composable_pairs(C):
         gf = C.comp(g.name, f.name)
         for gp, fp in composable_pairs(D):
-            table[(pair(g.name, gp.name), pair(f.name, fp.name))] = \
-                pair(gf, D.comp(gp.name, fp.name))
+            table[(pair_id(g.name, gp.name), pair_id(f.name, fp.name))] = \
+                pair_id(gf, D.comp(gp.name, fp.name))
     return FinCat(f"{C.name}x{D.name}", objects, tuple(mors), identity, table)
 
 
@@ -850,7 +863,7 @@ def canonical_nat_id(alpha: NatTrans) -> str:
             + _assignment(alpha.components, sorted(alpha.components)) + "]")
 
 
-def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[Functor]:
+def enumerate_functors(C: FinCat, D: FinCat) -> list[Functor]:
     """All functors C -> D, each named by its canonical id, in id order.
 
     One search on D._ints.  Its first slots assign C's objects in sorted
@@ -862,7 +875,7 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int | None = None) -> list[F
     of C is tested, by a lookup in D's int rows, on the step that assigns its
     last member.  Images are turned back into ids only for the functors found.
     """
-    guard = DEFAULT_GUARD if guard is None else guard
+    guard = _budget.get()
     objs = C.sorted_objects()
     d_objs = D.sorted_objects()
     if len(d_objs) ** max(len(objs), 1) > guard:
@@ -990,7 +1003,7 @@ class FunctorCategory:
         Keyed._freeze(self, "functors", "nats")
 
 
-def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorCategory:
+def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
     """The category of functors C -> D and all natural transformations between them.
 
     Objects are the functors of enumerate_functors, whose names are their
@@ -1000,7 +1013,7 @@ def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorC
     functors, without building a NatTrans for it.  A composite's components
     are looked up in D's int rows in C.objects order, as vcompose takes them.
     """
-    fs = enumerate_functors(C, D, guard)
+    fs = enumerate_functors(C, D)
     objs = C.sorted_objects()
     V = D._ints
     names, rows = V.names, V.rows
@@ -1028,9 +1041,9 @@ def functor_category(C: FinCat, D: FinCat, guard: int | None = None) -> FunctorC
             try:
                 comps = [p[r[a]] for p, r, a in zip(pieces, after, alpha)]
             except KeyError:  # no entry: D.comp raises the first in C.objects order
-                gf = {a: D.comp(nats[m.name].components[a], nats[mors[n].name].components[a])
-                      for a in C.objects}
-                comps = [f"{a}↦{gf[a]}" for a in objs]
+                for a in C.objects:
+                    D.comp(nats[m.name].components[a], nats[mors[n].name].components[a])
+                raise
             table[(m.name, mors[n].name)] = prefix[i][k] + ";".join(comps) + "]"
     cat = FinCat(f"[{C.name},{D.name}]", tuple(F.name for F in fs),
                  tuple(mors), identity, table)

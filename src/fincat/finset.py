@@ -21,11 +21,13 @@ from .core import (
     Mor,
     Report,
     StructuralError,
-    DEFAULT_GUARD,
+    _budget,
+    cached,
     composable_pairs,
     fail_report,
     ok_report,
     opposite,
+    pair_id,
     reject_strays,
     search,
 )
@@ -228,21 +230,19 @@ class SetFunctor(Keyed):
         sizes = {a: len(X) for a, X in sorted(self.on_obj.items())}
         return f"SetFunctor({self.name!r} on {self.dom.name}, sizes {sizes})"
 
-
-def _tables(X: SetFunctor) -> dict[str, Mapping[str, str]]:
-    """X's raw table at each morphism, checked to run between X's values at its ends.
-
-    Laws are then tested on the tables directly, with no composite map built.
-    """
-    out = {}
-    for m in X.dom.morphisms:
-        if m.name not in X.on_mor:
-            raise StructuralError(f"{X.name}: no value at morphism {m.name}")
-        t = X.on_mor[m.name]
-        if t.dom != X.on_obj[m.dom] or t.cod != X.on_obj[m.cod]:
-            raise StructuralError(f"{X.name}: table at {m.name} has wrong endpoints")
-        out[m.name] = t.table
-    return out
+    @cached
+    def _tables(self) -> dict[str, Mapping[str, str]]:
+        """Each morphism's raw table, checked once to run between the values at
+        its ends; laws are then tested on the tables, with no composite map built."""
+        out = {}
+        for m in self.dom.morphisms:
+            if m.name not in self.on_mor:
+                raise StructuralError(f"{self.name}: no value at morphism {m.name}")
+            t = self.on_mor[m.name]
+            if t.dom != self.on_obj[m.dom] or t.cod != self.on_obj[m.cod]:
+                raise StructuralError(f"{self.name}: table at {m.name} has wrong endpoints")
+            out[m.name] = t.table
+        return out
 
 
 def validate_set_functor(X: SetFunctor) -> Report:
@@ -250,7 +250,7 @@ def validate_set_functor(X: SetFunctor) -> Report:
     for a in C.objects:
         if a not in X.on_obj:
             raise StructuralError(f"{X.name}: no value at object {a}")
-    tables = _tables(X)
+    tables = X._tables
     reject_strays(X.name, "object values", X.on_obj, C.objects, C)
     reject_strays(X.name, "morphism tables", X.on_mor, C.mor, C)
     checked = 0
@@ -296,7 +296,7 @@ def validate_set_natural(t: SetNatTrans) -> Report:
         m = t.components[a]
         if m.dom != t.src.on_obj[a] or m.cod != t.tgt.on_obj[a]:
             raise StructuralError(f"{t.name}: component at {a} has wrong endpoints")
-    src, tgt = _tables(t.src), _tables(t.tgt)
+    src, tgt = t.src._tables, t.tgt._tables
     checked = 0
     for f in C.morphisms:
         checked += 1
@@ -339,7 +339,7 @@ def product_set_functor(X: SetFunctor, Y: SetFunctor, name: str | None = None) -
     if X.dom != Y.dom:
         raise StructuralError("product of functors on different categories")
     C = X.dom
-    on_obj = {a: FinSetObj(tuple(f"({x},{y})"
+    on_obj = {a: FinSetObj(tuple(pair_id(x, y)
                                  for x in X.on_obj[a].sorted() for y in Y.on_obj[a].sorted()))
               for a in C.objects}
     on_mor = {}
@@ -347,26 +347,25 @@ def product_set_functor(X: SetFunctor, Y: SetFunctor, name: str | None = None) -
         table = {}
         for x in X.on_obj[m.dom].sorted():
             for y in Y.on_obj[m.dom].sorted():
-                table[f"({x},{y})"] = f"({X.on_mor[m.name](x)},{Y.on_mor[m.name](y)})"
+                table[pair_id(x, y)] = pair_id(X.on_mor[m.name](x), Y.on_mor[m.name](y))
         on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], table)
     return SetFunctor(name or f"({X.name}x{Y.name})", C, on_obj, on_mor)
 
 
-def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor,
-                           guard: int | None = None) -> list[SetNatTrans]:
+def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
     """All natural transformations X => Y, in key order: components searched
     over all_maps on the naturality squares C._squares, as in core._nat_families."""
     if X.dom != Y.dom:
         raise StructuralError("functors on different categories")
-    guard = DEFAULT_GUARD if guard is None else guard
+    guard = _budget.get()
     C = X.dom
     objs = C.sorted_objects()
-    budget = 1
+    count = 1
     for a in objs:
-        budget *= max(1, len(Y.on_obj[a])) ** len(X.on_obj[a])
-        if budget > guard:
+        count *= max(1, len(Y.on_obj[a])) ** len(X.on_obj[a])
+        if count > guard:
             raise GuardExceeded(f"natural-family enumeration exceeds guard {guard}")
-    Xt, Yt = _tables(X), _tables(Y)
+    Xt, Yt = X._tables, Y._tables
 
     def natural(square, v) -> bool:
         m, i, j = square
@@ -453,7 +452,7 @@ def yoneda_map(direction: str, C: FinCat, c: str, X: SetFunctor, arg):
     raise StructuralError(f"unknown yoneda direction {direction!r}")
 
 
-def yoneda_check(C: FinCat, family: Iterable[SetFunctor], guard: int | None = None) -> Report:
+def yoneda_check(C: FinCat, family: Iterable[SetFunctor]) -> Report:
     """The Yoneda lemma at every object c of C and X in family: x |-> (p |-> X(p)(x))
     is a bijection X(c) ~ Nat(C(c,-), X), certified by nat_bijection.
 
@@ -464,7 +463,7 @@ def yoneda_check(C: FinCat, family: Iterable[SetFunctor], guard: int | None = No
     for c in C.sorted_objects():
         yc = hom_functor(C, c, "covariant")
         for X in family:
-            nats, value = enumerate_set_naturals(yc, X, guard), X.on_obj[c]
+            nats, value = enumerate_set_naturals(yc, X), X.on_obj[c]
             if len(nats) != len(value):
                 return fail_report(checked, "transformation count mismatch", at=c,
                                    functor=X.name, nats=len(nats), value=len(value))
@@ -528,7 +527,7 @@ def table_id(t: FinSetMap) -> str:
 
 
 def tensor_obj(X: FinSetObj, c: FinSetObj) -> FinSetObj:
-    return FinSetObj(tuple(f"({x},{e})" for x in X.sorted() for e in c.sorted()))
+    return FinSetObj(tuple(pair_id(x, e) for x in X.sorted() for e in c.sorted()))
 
 
 def cotensor_obj(X: FinSetObj, c: FinSetObj) -> FinSetObj:
@@ -562,12 +561,12 @@ def tensor_cotensor(X: FinSetObj, c: FinSetObj, mode: str,
 
         def curry(h: FinSetMap) -> FinSetMap:
             return FinSetMap(X, mid, {
-                x: table_id(FinSetMap(c, cp, {e: h(f"({x},{e})") for e in c.elements}))
+                x: table_id(FinSetMap(c, cp, {e: h(pair_id(x, e)) for e in c.elements}))
                 for x in X.elements})
 
         def uncurry(f: FinSetMap) -> FinSetMap:
             return FinSetMap(ten, cp, {
-                f"({x},{e})": decode_mid[f(x)](e)
+                pair_id(x, e): decode_mid[f(x)](e)
                 for x in X.elements for e in c.elements})
 
         def transpose(f: FinSetMap) -> FinSetMap:
@@ -671,8 +670,7 @@ class PresheafExponential:
     index: dict[tuple[str, str], SetNatTrans]   # (object, element id) -> transformation
 
 
-def presheaf_exponential(F: SetFunctor, G: SetFunctor,
-                         guard: int | None = None) -> PresheafExponential:
+def presheaf_exponential(F: SetFunctor, G: SetFunctor) -> PresheafExponential:
     """The exponential presheaf with value at c the set of maps y_c x F => G."""
     opC = F.dom
     if G.dom != opC:
@@ -685,7 +683,7 @@ def presheaf_exponential(F: SetFunctor, G: SetFunctor,
     base: dict[str, SetFunctor] = {}   # c -> y_c x F
     for c in C.objects:
         base[c] = product_set_functor(hom_functor(C, c, "contravariant"), F)
-        taus = enumerate_set_naturals(base[c], G, guard)
+        taus = enumerate_set_naturals(base[c], G)
         per_obj[c] = taus
         ids = []
         for t in taus:
@@ -704,7 +702,7 @@ def presheaf_exponential(F: SetFunctor, G: SetFunctor,
                 tbl = {}
                 for p in C.hom(a, d):
                     for u in F.on_obj[a].sorted():
-                        tbl[f"({p},{u})"] = t.components[a](f"({C.comp(f, p)},{u})")
+                        tbl[pair_id(p, u)] = t.components[a](pair_id(C.comp(f, p), u))
                 comps[a] = FinSetMap(base[d].on_obj[a], G.on_obj[a], tbl)
             moved = SetNatTrans("m", base[d], G, comps)
             table[eid] = set_nat_element_id(moved)
@@ -716,26 +714,25 @@ def presheaf_exponential(F: SetFunctor, G: SetFunctor,
 
 def exponential_adjunction_check(F: SetFunctor, G: SetFunctor,
                                  exp: PresheafExponential,
-                                 test_family: Iterable[SetFunctor],
-                                 guard: int | None = None) -> Report:
+                                 test_family: Iterable[SetFunctor]) -> Report:
     """Verify Nat(H, G^F) ~ Nat(H x F, G) by an explicit bijection for each probe H."""
     opC = F.dom
     C = opposite(opC)
     checked = 0
     for H in test_family:
-        lhs = enumerate_set_naturals(H, exp.functor, guard)
+        lhs = enumerate_set_naturals(H, exp.functor)
         HF = product_set_functor(H, F)
-        rhs = enumerate_set_naturals(HF, G, guard)
+        rhs = enumerate_set_naturals(HF, G)
         if len(lhs) != len(rhs):
             return fail_report(checked, "exponential-adjunction", probe=H.name,
                                lhs=len(lhs), rhs=len(rhs))
-        pairs = {a: {f"({h},{u})": (h, u) for h in H.on_obj[a].elements
+        pairs = {a: {pair_id(h, u): (h, u) for h in H.on_obj[a].elements
                      for u in F.on_obj[a].elements} for a in C.objects}
 
         def transpose(s: SetNatTrans, a: str, hu: str) -> str:
             # (h, u) |-> decode(s_a(h)) evaluated at (id_a, u)
             h, u = pairs[a][hu]
-            return exp.index[(a, s.components[a](h))].components[a](f"({C.id_of(a)},{u})")
+            return exp.index[(a, s.components[a](h))].components[a](pair_id(C.id_of(a), u))
 
         tried, bad = nat_bijection(HF, G, lhs, transpose, rhs)
         checked += tried

@@ -79,7 +79,7 @@ from .limits import (
     set_colimit,
     set_limit,
 )
-from .universal import CommaData, comma_from_object, comma_to_object, elements_category
+from .universal import CommaData, _pair, comma_from_object, comma_to_object, elements_category
 
 LEFT = "left"
 RIGHT = "right"
@@ -194,8 +194,7 @@ def reconstruct_comma_cocone(kr: KanResult, d: str) -> dict[str, str]:
 
 
 def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
-                        side: str = LEFT, H_family=None,
-                        guard: int | None = None) -> Report:
+                        side: str = LEFT, H_family=None) -> Report:
     """Exhaustive universal-property check over an enumerable functor category.
 
     For every candidate H and every comparison transformation, exactly one
@@ -217,7 +216,7 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     Es = E if side == LEFT else opposite(E)
     partial = H_family is not None
     if H_family is None:
-        H_family = enumerate_functors(D, E, guard)
+        H_family = enumerate_functors(D, E)
     V = E._ints
     names, num, rows = V.names, V.num, V.rows
     c_objs, d_objs = K.dom.sorted_objects(), D.sorted_objects()
@@ -331,14 +330,12 @@ def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
     raise StructuralError(f"unknown side {side!r}")
 
 
-def enumerate_wedges(D: Functor, J: FinCat, side: str,
-                     guard: int | None = None) -> list[WedgeData]:
+def enumerate_wedges(D: Functor, J: FinCat, side: str) -> list[WedgeData]:
     """All (co)wedges of a bifunctor valued in a finite category, apexes in
     id order and each apex's families in product order, by one
     limits.apex_families search: slot k + 1 is the component at J's k-th
     object, on the schedule J._squares shifted by one, so each arrow is
-    tested once both its ends have a component.  The search draws on `guard`
-    as in apex_families.
+    tested once both its ends have a component.
 
     A cowedge is a wedge read in the opposite target with J's arrows reversed.
     """
@@ -358,25 +355,23 @@ def enumerate_wedges(D: Functor, J: FinCat, side: str,
         u, i, v, j = cond
         return C.comp(u, fam[i]) == C.comp(v, fam[j])
 
-    found = apex_families(C, [D.obj_map[pair_id(j, j)] for j in objs], due, wedge, guard,
+    found = apex_families(C, [D.obj_map[pair_id(j, j)] for j in objs], due, wedge,
                           f"{side} wedge search over {D.name}")
     return [WedgeData(fam[0], dict(zip(objs, fam[1:])), "wedge" if side == "end" else "cowedge")
             for fam in found]
 
 
-def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str,
-              guard: int | None = None) -> Optional[EndResult]:
+def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[EndResult]:
     """Terminal wedge / initial cowedge.
 
     Set-valued bifunctors take the direct path; tabulated targets search the
-    category of (co)wedges, drawing on `guard` as in enumerate_wedges, and
-    certify unique factorization exhaustively.
+    category of (co)wedges and certify unique factorization exhaustively.
     """
     if side not in ("end", "coend"):
         raise StructuralError(f"unknown side {side!r}")
     if isinstance(D, SetFunctor):
         return end_coend_finset(D, J, side)
-    wedges = enumerate_wedges(D, J, side, guard)
+    wedges = enumerate_wedges(D, J, side)
     found = first_terminal(D.cod if side == "end" else opposite(D.cod),
                            [(w.apex, w.components) for w in wedges])
     if found is None:
@@ -496,7 +491,7 @@ def coyoneda_witness(F: SetFunctor, d: str) -> CoyonedaWitness:
     for c in C.objects:
         for p in sorted(C.hom(c, d)):
             for x in F.on_obj[c].sorted():
-                cls = legs[c](f"({p},{x})")
+                cls = legs[c](pair_id(p, x))
                 val = F.on_mor[p](x)
                 checked += 1
                 if to_table.setdefault(cls, val) != val:
@@ -505,7 +500,7 @@ def coyoneda_witness(F: SetFunctor, d: str) -> CoyonedaWitness:
                                                        at=cls))
     to_value = FinSetMap(res.object, F.on_obj[d], to_table)
     from_value = FinSetMap(F.on_obj[d], res.object,
-                           {x: legs[d](f"({C.id_of(d)},{x})")
+                           {x: legs[d](pair_id(C.id_of(d), x))
                             for x in F.on_obj[d].elements})
     for x in F.on_obj[d].elements:
         checked += 1
@@ -833,7 +828,7 @@ def nerve_realization_check(K: Functor, X: SetFunctor, d: str) -> NerveRealizati
     nats = enumerate_set_naturals(X, Gd)
     legs = res.cone.legs.components
     checked, bad = nat_bijection(X, Gd, D.hom(FX, d),
-                                 lambda h, c, x: D.comp(h, legs[f"⟨{c},{x}⟩"]), nats)
+                                 lambda h, c, x: D.comp(h, legs[_pair(c, x)]), nats)
     if bad is NOT_BIJECTIVE:
         return NerveRealization(FX, fail_report(
             checked, "nerve-realization", failure="not bijective",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .core import (
-    DEFAULT_GUARD,
     FinCat,
     Functor,
     NatTrans,
@@ -38,7 +37,6 @@ from .finset import (
     FinSetObj,
     SetFunctor,
     SetNatTrans,
-    _tables,
     all_tables,
     const_set_functor,
 )
@@ -101,28 +99,25 @@ def _searched_in(C: FinCat, direction: str) -> FinCat:
     return C if direction == LIMIT else opposite(C)
 
 
-def apex_families(C: FinCat, targets: list[str], due, holds,
-                  guard: int | None, what: str) -> list[tuple]:
+def apex_families(C: FinCat, targets: list[str], due, holds, what: str) -> list[tuple]:
     """Every (apex, f_0, f_1, ...) with f_k in C(apex, targets[k]) that
     meets the constraints `due`, by one search (core.search, the apex being
     slot 0): apexes in id order, an apex with an empty hom-set to some
     target skipped before any test, and each apex's families in product
-    order.  The search draws on `guard` (default DEFAULT_GUARD) and raises
-    GuardExceeded, naming `what`, past it; the families stay tuples, so a
-    search the guard stops has built nothing more."""
+    order.  The search, named `what`, draws on the budget in scope; the
+    families stay tuples, so a search the budget stops has built nothing
+    more."""
     homs = C._homs
     apexes = [c for c in C.sorted_objects() if all((c, x) in homs for x in targets)]
     choices = [apexes] + [lambda v, x=x: homs[v[0], x] for x in targets]
-    return list(search(choices, due, holds, DEFAULT_GUARD if guard is None else guard, what))
+    return list(search(choices, due, holds, what))
 
 
-def enumerate_cones(D: Functor, direction: str,
-                    guard: int | None = None) -> list[tuple[str, dict[str, str]]]:
+def enumerate_cones(D: Functor, direction: str) -> list[tuple[str, dict[str, str]]]:
     """All (apex, legs) in the target category, apexes in id order and each
     apex's leg families in product order, by one apex_families search: slot
     k + 1 is the leg at J's k-th object, on the schedule J._squares shifted
-    by one, so each arrow is tested once both its ends have a leg.  The
-    search draws on `guard` as in apex_families."""
+    by one, so each arrow is tested once both its ends have a leg."""
     C = _searched_in(D.cod, direction)
     objs = D.dom.sorted_objects()
     # a cocone is a cone in C = op(target) over J's arrows reversed
@@ -134,7 +129,7 @@ def enumerate_cones(D: Functor, direction: str,
         u, a, b = cond
         return C.comp(u, legs[a]) == legs[b]
 
-    found = apex_families(C, [D.obj_map[j] for j in objs], due, natural, guard,
+    found = apex_families(C, [D.obj_map[j] for j in objs], due, natural,
                           f"{direction} cone search over {D.name}")
     return [(legs[0], dict(zip(objs, legs[1:]))) for legs in found]
 
@@ -166,14 +161,12 @@ def first_terminal(C: FinCat, cones) -> Optional[tuple[int, Report]]:
     return None
 
 
-def limit(D: Functor, direction: str = LIMIT,
-          guard: int | None = None) -> Optional[LimitResult]:
-    """Terminal cone / initial cocone by exhaustive search; absence is valid.
-    The cone search draws on `guard`, as in enumerate_cones."""
+def limit(D: Functor, direction: str = LIMIT) -> Optional[LimitResult]:
+    """Terminal cone / initial cocone by exhaustive search; absence is valid."""
     if direction not in (LIMIT, COLIMIT):
         raise StructuralError(f"unknown direction {direction!r}")
     J, C = D.dom, D.cod
-    cones = enumerate_cones(D, direction, guard)   # already in lexicographic apex order
+    cones = enumerate_cones(D, direction)   # already in lexicographic apex order
     found = first_terminal(_searched_in(C, direction), cones)
     if found is None:
         return None
@@ -348,7 +341,7 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
     """
     J = D.dom
     objs = J.sorted_objects()
-    tables = _tables(D)
+    tables = D._tables
     checked = 0
     signature: dict[tuple, int] = {}
     if direction == LIMIT:
@@ -394,14 +387,13 @@ class LimitFunctorResult:
     missing: Optional[str] = None        # offending diagram id if some limit is absent
 
 
-def limit_functor(J: FinCat, C: FinCat, direction: str = LIMIT,
-                  fc=None, guard: int | None = None) -> LimitFunctorResult:
+def limit_functor(J: FinCat, C: FinCat, direction: str = LIMIT, fc=None) -> LimitFunctorResult:
     """Choose canonical (co)limits for every diagram and tabulate functoriality.
 
     The action on a transformation is the unique factorization of the composed
     (co)cone; uniqueness is asserted during construction.
     """
-    fc = fc or functor_category(J, C, guard)
+    fc = fc or functor_category(J, C)
     lims: dict[str, LimitResult] = {}
     for Did in fc.cat.objects:
         res = limit(fc.functors[Did], direction)

@@ -208,7 +208,7 @@ def test_yoneda_check_failures_keep_their_messages(monkeypatch):
 
     real = finset.enumerate_set_naturals
     monkeypatch.setattr(finset, "enumerate_set_naturals",
-                        lambda X, Y, guard=None: real(X, Y, guard)[1:])
+                        lambda X, Y: real(X, Y)[1:])
     assert payload("two", cat("two.cat")) == {
         "message": "transformation count mismatch",
         "at": "0", "functor": "hom(0,-)", "nats": 0, "value": 1}
@@ -651,3 +651,32 @@ def test_an_unbounded_cone_search_ends_at_the_guard(tmp_path):
         assert code == 2
         assert json.loads(out)["message"] == \
             f"{side} wedge search over Bf exceeds guard 1: 2 candidates charged"
+
+
+def test_the_guard_reaches_every_command():
+    # density and codensity run their comma (co)limit searches on the budget
+    for command, search in (("density", "colimit cone search over Kpick*P((Kpick↓0))"),
+                            ("codensity", "limit cone search over Kpick*P((0↓Kpick))")):
+        code, out = run(command, "Kpick", cat("density.cat"), "--guard", "1", "--json")
+        assert code == 2
+        assert json.loads(out)["message"] == f"{search} exceeds guard 1: 2 candidates charged"
+    # every other corpus command above ends with an exit code and a message
+    for *argv, name in (
+            ("validate", "two.cat"), ("limit", "D", "pair_diagram.cat"),
+            ("colimit", "D", "pair_diagram.cat"), ("limit", "Dg", "poset_diagram.cat"),
+            ("end", "H", "bifunctor.cat"), ("coend", "H", "bifunctor.cat"),
+            ("end", "Bf", "bifunctor_poset.cat"), ("coend", "Bf", "bifunctor_poset.cat"),
+            ("kan-left", "K", "F", "kan.cat"), ("kan-right", "K", "F", "kan.cat"),
+            ("adjoint-of", "G", "adjoint.cat"), ("adjoint-of", "G2", "adjoint_absent.cat"),
+            ("snake", "Iz", "Iz", "etaS", "epsS", "snake.cat"),
+            ("snake", "Iz", "Iz", "etaS", "epsE", "snake.cat"),
+            ("yoneda-check", "two", "two.cat"), ("yoneda-check", "z2", "z2.cat"),
+            ("density", "Itwo", "density.cat"), ("codensity", "Itwo", "density.cat"),
+            ("weighted-limit", "W", "Fy", "weighted.cat"),
+            ("diagram-eval", "stack", "terms.cat"), ("diagram-normalize", "side", "terms.cat")):
+        code, out = run(*argv, cat(name), "--guard", "1", "--json")
+        doc = json.loads(out)
+        assert code in (0, 1, 2) and doc["exit"] == code, argv
+        assert ("result" in doc) if code == 0 else doc["message"], argv
+        if code == 2:
+            assert "exceeds guard 1" in doc["message"], argv

@@ -15,6 +15,7 @@ from fincat.core import (
     NatTrans,
     Report,
     StructuralError,
+    budget,
     compose_functors,
     const_diagram,
     enumerate_functors,
@@ -381,7 +382,8 @@ def test_coend_matches_mirrored_cowedge_search():
     for J in (terminal_category(), walking_arrow(), discrete(2), z2_monoid()):
         P = product(opposite(J), J)
         for _, C in _categories(rng.randrange(1000), 10):
-            fs = enumerate_functors(P, C, guard=10**5)
+            with budget(10**5):
+                fs = enumerate_functors(P, C)
             for B in _sample(rng, fs, 3):
                 wedges, ref = ref_coend(B, J)
                 got = enumerate_wedges(B, J, "coend")

@@ -155,7 +155,7 @@ def test_yoneda_check_counts_every_element_and_transformation():
 def test_yoneda_embedding_rejects_unrepresented_transformations(monkeypatch):
     real = enumerate_set_naturals
     monkeypatch.setattr(fincat.finset, "enumerate_set_naturals",
-                        lambda X, Y, guard=None: real(X, Y, guard)[1:])
+                        lambda X, Y: real(X, Y)[1:])
     with pytest.raises(StructuralError, match="do not match the represented"):
         yoneda_embedding(walking_arrow())
 

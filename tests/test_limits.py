@@ -6,6 +6,7 @@ import pytest
 from fincat.core import (
     Functor,
     GuardExceeded,
+    budget,
     fail_report,
     functor_category,
     identity_functor,
@@ -176,13 +177,15 @@ def test_limit_functor_missing_case():
     assert res.functor is None and res.missing is not None
 
 
-def test_limit_functor_guard_bounds_the_functor_enumeration_only():
-    # discrete(2) -> Z/2 has one functor, within guard 1; its cone search charges 3
+def test_limit_functor_budget_caps_its_functor_enumeration_and_cone_searches():
+    # discrete(2) -> Z/2 has one functor, within budget 1; its cone search charges 3
     d2, z2 = discrete(2), z2_monoid()
-    (D,) = functor_category(d2, z2, 1).functors.values()
-    with pytest.raises(GuardExceeded, match="3 candidates charged"):
-        limit(D, LIMIT, 1)
-    res = limit_functor(d2, z2, guard=1)
+    with budget(1):
+        (D,) = functor_category(d2, z2).functors.values()
+        with pytest.raises(GuardExceeded) as err:
+            limit_functor(d2, z2)
+    assert str(err.value) == f"limit cone search over {D.name} exceeds guard 1: 3 candidates charged"
+    res = limit_functor(d2, z2)
     assert res.functor is None and res.missing == D.name
 
 
@@ -428,6 +431,28 @@ def _wrong_cone(direction, obj, legs):
         return bigger, {j: FinSetMap(bigger, leg.cod, {**leg.table, "extra": leg(first)})
                         for j, leg in legs.items()}
     return bigger, {j: FinSetMap(leg.dom, bigger, leg.table) for j, leg in legs.items()}
+
+
+def test_a_set_certificate_reports_a_probe_that_does_not_factor():
+    # d0 |-> {d0e0, d0e1}, d1 |-> {d1e0}: a product of two, a coproduct of three
+    D = make_set_diagram(discrete(2), {"d0": 2, "d1": 1}, {})
+    res = limit_finset(D, LIMIT)
+    first, *rest = res.object.sorted()
+    # with its first element dropped, the first probe cone does not factor
+    obj = FinSetObj(tuple(rest))
+    legs = {j: FinSetMap(obj, leg.cod, {e: leg(e) for e in rest})
+            for j, leg in res.cone.legs.components.items()}
+    assert _certify_finset(D, LIMIT, obj, legs) == fail_report(
+        1, "limit-factorization", probe="('p0',)", count=0)
+    # with the classes of d0e1 and d1e0 merged, a probe that parts them does not factor
+    res = limit_finset(D, COLIMIT)
+    into = {j: leg.table for j, leg in res.cone.legs.components.items()}
+    merged = into["d0"]["d0e1"]
+    obj = FinSetObj(tuple(c for c in res.object.elements if c != into["d1"]["d1e0"]))
+    legs = {"d0": FinSetMap(D.on_obj["d0"], obj, into["d0"]),
+            "d1": FinSetMap(D.on_obj["d1"], obj, {"d1e0": merged})}
+    assert _certify_finset(D, COLIMIT, obj, legs) == fail_report(
+        3, "limit-factorization", probe="('p0', 'p1')", count=0)
 
 
 def test_raw_table_certificate_matches_composed_maps():

@@ -4,6 +4,7 @@ import pytest
 from fincat.core import (
     Functor,
     GuardExceeded,
+    budget,
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
@@ -77,8 +78,8 @@ def test_empty_tensor_is_initial_and_empty_cotensor_terminal():
 
 def test_functor_category_guard():
     big = discrete(8)
-    with pytest.raises(GuardExceeded):
-        enumerate_functors(big, big, guard=10)
+    with budget(10), pytest.raises(GuardExceeded):
+        enumerate_functors(big, big)
 
 
 def test_limit_essential_uniqueness_on_multi_candidate_search():

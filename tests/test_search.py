@@ -24,6 +24,7 @@ from fincat.core import (
     Mor,
     NatTrans,
     StructuralError,
+    budget,
     canonical_functor_id,
     canonical_nat_id,
     composable_pairs,
@@ -45,7 +46,6 @@ from fincat.finset import (
     FinSetObj,
     SetFunctor,
     SetNatTrans,
-    _tables,
     all_maps,
     enumerate_set_naturals,
     hom_functor,
@@ -107,7 +107,7 @@ def ref_enumerate_wedges(D: Functor, J: FinCat, side: str):
 def ref_enumerate_set_naturals(X: SetFunctor, Y: SetFunctor):
     C = X.dom
     objs = C.sorted_objects()
-    Xt, Yt = _tables(X), _tables(Y)
+    Xt, Yt = X._tables, Y._tables
     out = []
     for combo in itertools.product(*[all_maps(X.on_obj[a], Y.on_obj[a]) for a in objs]):
         comps = dict(zip(objs, combo))
@@ -120,7 +120,7 @@ def ref_enumerate_set_naturals(X: SetFunctor, Y: SetFunctor):
 
 def ref_certify_finset(D: SetFunctor, direction: str, obj: FinSetObj, legs):
     objs = D.dom.sorted_objects()
-    tables = _tables(D)
+    tables = D._tables
     arrows = [(m.dom, m.cod, tables[m.name]) for m in D.dom.morphisms]
     checked = 0
     signature = {}
@@ -470,10 +470,14 @@ def test_the_guard_charges_each_slot_start_once_and_names_the_search():
             continue  # ends before any slot starts
         total = _charge(choices, due, lambda c, v: _passes(c, v))
         want = list(search(choices, due, _passes))
-        assert list(search(choices, due, _passes, total, "probe")) == want
+        assert list(search(choices, due, _passes, "probe")) == want  # the default budget
+        with budget(total):
+            assert list(search(choices, due, _passes, "probe")) == want
+        with budget(total - 1):
+            assert list(search(choices, due, _passes)) == want  # an unnamed search charges nothing
         if total:
-            with pytest.raises(GuardExceeded) as err:
-                list(search(choices, due, _passes, total - 1, "probe"))
+            with budget(total - 1), pytest.raises(GuardExceeded) as err:
+                list(search(choices, due, _passes, "probe"))
             assert str(err.value) == f"probe exceeds guard {total - 1}: {total} candidates charged"
             tripped += 1
     assert tripped > 100

@@ -14,6 +14,7 @@ from fincat import core, kan
 from fincat.core import (
     Keyed,
     StructuralError,
+    budget,
     enumerate_functors,
     fail_report,
     identity_functor,
@@ -557,7 +558,8 @@ def _kan_inputs(n):
     for seed in range(n):
         rng = random.Random(300 + seed)
         C, D = _category(rng), _category(rng)
-        Ks = enumerate_functors(C, D, 2000)
+        with budget(2000):
+            Ks = enumerate_functors(C, D)
         if Ks:
             F = random_representable_sum(rng, C, 3)
             yield rng.choice(Ks), F if seed % 2 else _broken(rng, F)
