@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 DEFAULT_GUARD = 10**6
 _budget: ContextVar[int] = ContextVar("budget", default=DEFAULT_GUARD)
@@ -863,17 +863,22 @@ def canonical_nat_id(alpha: NatTrans) -> str:
             + _assignment(alpha.components, sorted(alpha.components)) + "]")
 
 
-def enumerate_functors(C: FinCat, D: FinCat) -> list[Functor]:
-    """All functors C -> D, each named by its canonical id, in id order.
+def enumerate_functors(C: FinCat, D: FinCat,
+                       images: Optional[Mapping[str, Sequence[str]]] = None) -> list[Functor]:
+    """All functors C -> D, each named by its canonical id, in id order;
+    given `images`, only those sending each object a of C into images[a].
 
     One search on D._ints.  Its first slots assign C's objects in sorted
-    order, and an assignment is dropped as soon as some morphism of C has an
-    empty hom-set between its ends' images.  The next slots assign C's
+    order, each from images[a] or else from every object of D, and an
+    assignment is dropped as soon as some morphism of C has an empty
+    hom-set between its ends' images.  The next slots assign C's
     identities, each its one candidate, then the generators (C's
     non-identity morphisms) in name order, whose candidates are the int hom
     tuples between the images of their ends; each composable pair (g, f, g.f)
     of C is tested, by a lookup in D's int rows, on the step that assigns its
     last member.  Images are turned back into ids only for the functors found.
+    The up-front bound on the budget counts every object assignment, as if
+    `images` were not given.
     """
     guard = _budget.get()
     objs = C.sorted_objects()
@@ -890,7 +895,8 @@ def enumerate_functors(C: FinCat, D: FinCat) -> list[Functor]:
     def image(a: int, b: int):
         return lambda v: homs.get((v[a], v[b]), ())
 
-    choices = [d_objs] * n + [lambda v, a=k: (num[D.id_of(v[a])],) for k in range(n)] + \
+    choices = [d_objs if images is None else images[a] for a in objs] + \
+        [lambda v, a=k: (num[D.id_of(v[a])],) for k in range(n)] + \
         [image(a, b) for a, b in gen_ends]
 
     def holds(p, v) -> bool:

@@ -170,6 +170,15 @@ def _drop_hom(ref: _HomRef) -> None:
         del X._hom_sets[ref.cod_id]
 
 
+def _check_map_count(X: FinSetObj, Y: FinSetObj) -> None:
+    """Raise GuardExceeded before listing the |Y|^|X| maps X -> Y if the
+    budget in scope is smaller."""
+    guard = _budget.get()
+    if len(Y) ** len(X) > guard:
+        raise GuardExceeded(
+            f"map enumeration {len(X)} -> {len(Y)} elements exceeds guard {guard}")
+
+
 def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
     """Every map X -> Y in lexicographic table order: map k has the base-|Y|
     digits of k as positions in Y.sorted() of its images of X.sorted().
@@ -182,6 +191,7 @@ def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
     while the caller keeps any map of the list, and no reference cycle is
     made.  A later call for the same X and Y replaces it.
     """
+    _check_map_count(X, Y)
     xs = X.sorted()
     hom = _Hom(Y)
     maps = []
@@ -202,6 +212,7 @@ def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
 
 def all_tables(X: FinSetObj, Y: FinSetObj) -> list[dict[str, str]]:
     """The tables of all_maps(X, Y), in its order, with no map built."""
+    _check_map_count(X, Y)
     xs = X.sorted()
     return [dict(zip(xs, ys)) for ys in itertools.product(Y.sorted(), repeat=len(xs))]
 

@@ -193,6 +193,21 @@ def reconstruct_comma_cocone(kr: KanResult, d: str) -> dict[str, str]:
     return {o: E.comp(T.mor_map[p], unit[c]) for o, (c, p) in comma.pairs.items()}
 
 
+def _typed(X: Functor, A: FinCat, B: FinCat) -> bool:
+    """Whether X: A -> B maps exactly A's objects and arrows, each arrow of A
+    to an arrow of B between the images of its ends; over such functors, and
+    a B whose table has every composite, no transformation search raises."""
+    if X.dom != A or X.cod != B or X.obj_map.keys() != set(A.objects) \
+            or X.mor_map.keys() != A.mor.keys():
+        return False
+    obj, mor, into = X.obj_map, X.mor_map, B.mor
+    for m in A.morphisms:
+        u = into.get(mor[m.name])
+        if u is None or u.dom != obj.get(m.dom) or u.cod != obj.get(m.cod):
+            return False
+    return True
+
+
 def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
                         side: str = LEFT, H_family=None) -> Report:
     """Exhaustive universal-property check over an enumerable functor category.
@@ -201,33 +216,73 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     mediating transformation must exist.  Supplying H_family switches to a
     probe run, flagged as partial in the report.
 
-    Both families of each H come from core._nat_families, the comparisons
-    sorted into id order by `a↦m` pieces formatted once per call.  Each
-    mediator's image (its component at K(c) after eta_c, for every c) is
-    counted once, so each comparison is one lookup with unique_factor's
-    count.  Where an image has no int entry (a missing or stray entry of E, a
-    component outside it), that H is scanned by name as unique_factor does,
-    stopping at a comparison's first mismatch, so any StructuralError is the
-    one the scan raises.
+    Where E's table has every composite and F, K, L and the supplied H are
+    _typed, no search below can raise, and each family takes one search:
+    enumerated H send each object K(c) only where the component hom-set at c
+    is not empty (every other H has no comparison), one core._nat_families
+    search finds the comparisons of every H, and one the mediators of the H
+    that have a comparison.  Elsewhere each H gets its own two searches in
+    turn, so any StructuralError is the one the first search to meet a
+    malformed entry raises.  The comparisons of each H are sorted into id
+    order by `a↦m` pieces formatted once per call.  Each mediator's image
+    (its component at K(c) after eta_c, for every c) is counted once, so each
+    comparison is one lookup with unique_factor's count.  Where an image has
+    no int entry (a missing or stray entry of E, a component outside it),
+    that H is scanned by name as unique_factor does, stopping at a
+    comparison's first mismatch, so any StructuralError is the one the scan
+    raises.
     """
-    D, E = K.cod, F.cod
+    C, D, E = K.dom, K.cod, F.cod
     # the right-handed property is the left-handed one in op(E), where every
     # transformation runs the other way
     Es = E if side == LEFT else opposite(E)
-    partial = H_family is not None
-    if H_family is None:
-        H_family = enumerate_functors(D, E)
+    at = 1 if side == LEFT else 0  # the slot of H's index in a family of transformations
+
+    def families(X, Ys):
+        return _nat_families([X], Ys) if side == LEFT else _nat_families(Ys, [X])
+
     V = E._ints
-    names, num, rows = V.names, V.num, V.rows
-    c_objs, d_objs = K.dom.sorted_objects(), D.sorted_objects()
+    names, num, rows, homs = V.names, V.num, V.rows, V.homs
+    c_objs, d_objs = C.sorted_objects(), D.sorted_objects()
     pieces = [_Pieces(a, names) for a in c_objs]
+    partial = H_family is not None
+    # only where no search can raise do the pruned and batched searches answer
+    # as the per-H loop does: a functor search raises at a missing composite
+    # or identity of E, and a transformation search at an arrow sent outside
+    # the hom-set it belongs to
+    batched = V.missing is None and _typed(F, C, E) and _typed(K, C, D) and _typed(L, D, E) \
+        and (isinstance(H_family, (list, tuple)) and all(_typed(H, D, E) for H in H_family)
+             if partial else E.identity.keys() >= set(E.objects))
+    if not partial:
+        allowed = None
+        if batched:  # d goes to e only if the component hom-set at each c over d is not empty
+            over: dict[str, list[str]] = {}
+            for c in c_objs:
+                over.setdefault(K.obj_map[c], []).append(F.obj_map[c])
+            pair = (lambda x, e: (x, e)) if side == LEFT else (lambda x, e: (e, x))
+            allowed = {d: [e for e in E.sorted_objects()
+                           if all(pair(x, e) in homs for x in over.get(d, ()))] for d in d_objs}
+        H_family = enumerate_functors(D, E, allowed)
+
+    def one_by_one():
+        for H in H_family:
+            sigmas = _in_id_order(families(F, [compose_functors(H, K)]), pieces)
+            yield H, sigmas, families(L, [H])
+
+    def at_once():
+        sigmas: dict[int, list] = {}
+        for s in _in_id_order(families(F, [compose_functors(H, K) for H in H_family]), pieces):
+            sigmas.setdefault(s[at], []).append(s)
+        have = list(sigmas)
+        between: list[list] = [[] for _ in have]
+        for t in families(L, [H_family[h] for h in have]):
+            between[t[at]].append(t)
+        for h, ts in zip(have, between):
+            yield H_family[h], sigmas[h], ts
+
     slot = {d: 2 + k for k, d in enumerate(d_objs)}  # of a component in a family over D
     checked = 0
-    for H in H_family:
-        HK = compose_functors(H, K)
-        sigmas = _in_id_order(_nat_families([F], [HK]) if side == LEFT
-                              else _nat_families([HK], [F]), pieces)
-        between = _nat_families([L], [H]) if side == LEFT else _nat_families([H], [L])
+    for H, sigmas, between in at_once() if batched else one_by_one():
         if not sigmas:
             continue
         try:
@@ -245,7 +300,7 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
                 target = dict(zip(c_objs, [names[u] for u in sigma[2:]]))
                 counts.append(unique_factor(
                     mediators, lambda sb: all(Es.comp(sb[K.obj_map[c]], eta.components[c])
-                                              == target[c] for c in K.dom.objects))[1])
+                                              == target[c] for c in C.objects))[1])
                 if counts[-1] != 1:
                     break
         for count in counts:

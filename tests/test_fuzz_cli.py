@@ -4,14 +4,23 @@ Whatever the edit, a command must end with exit code 0, 1 or 2 and a
 message; no exception may escape main().
 """
 import io
+import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
+import fincat
+from fincat.catfile import Workspace, serialize
 from fincat.cli import main
+from fincat.core import identity_functor, renamed
+from fincat.fixtures import chain
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
+SRC = str(pathlib.Path(fincat.__file__).resolve().parent.parent)
 
 # the commands run on each corpus file (render writes a file and is left out)
 COMMANDS = {
@@ -135,3 +144,50 @@ def test_term_string_mutations_end_with_an_exit_code(tmp_path):
             codes.add(code)
     # some mutants still typecheck and some do not parse
     assert {0, 2} <= codes
+
+
+def _cyclic_group_diagram(n: int, m: int) -> str:
+    """Z/n as a one-object category, the discrete category on m objects and
+    a diagram D between them: n^m leg families and no arrow to prune them."""
+    names = ["id_o"] + [f"g{k}" for k in range(1, n)]
+    lines = ["category Z {", "  objects: o;"] + [f"  mor g{k}: o -> o;" for k in range(1, n)]
+    lines += [f"  compose g{a}.g{b} = {names[(a + b) % n]};"
+              for a in range(1, n) for b in range(1, n)]
+    lines += ["}", "category N {", "  objects: " + ", ".join(f"n{k}" for k in range(m)) + ";",
+              "}", "functor D: N -> Z {"] + [f"  obj n{k} |-> o;" for k in range(m)] + ["}"]
+    return "\n".join(lines) + "\n"
+
+
+def _ends_with_a_message(code: int, out: str, argv) -> None:
+    doc = json.loads(out)
+    assert code in (0, 1, 2) and doc["exit"] == code, argv
+    assert ("result" in doc) if code == 0 else doc["message"], argv
+    if code == 2:
+        assert "exceeds guard" in doc["message"], argv
+
+
+def test_growing_categories_end_with_an_exit_code_under_a_guard(tmp_path):
+    """Size grows instead of tokens being edited: every command on chain(n)
+    and its identity, and the unpruned cone searches of Z/n -> discrete(m),
+    end with an exit code and a message, a guard message on exit 2."""
+    for n in (3, 6, 9):
+        C = renamed(chain(n), "C")
+        path = tmp_path / f"chain{n}.cat"
+        path.write_text(serialize(Workspace({"C": C}, {"I": identity_functor(C)}, {}, {}, {})))
+        for command in (("density", "I"), ("codensity", "I"), ("limit", "I"), ("colimit", "I"),
+                        ("adjoint-of", "I"), ("yoneda-check", "C")):
+            argv = [*command, "--guard", "10000", "--json"]
+            _ends_with_a_message(*_run(path, argv), argv)
+    codes = set()
+    for n, m in ((2, 2), (3, 5), (6, 9)):
+        path = tmp_path / f"z{n}_{m}.cat"
+        path.write_text(_cyclic_group_diagram(n, m))
+        for command in ("limit", "colimit"):
+            argv = [command, "D", str(path), "--guard", "1000", "--json"]
+            proc = subprocess.run([sys.executable, "-m", "fincat.cli", *argv],
+                                  capture_output=True, text=True, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": SRC})
+            assert "Traceback" not in proc.stderr, argv
+            _ends_with_a_message(proc.returncode, proc.stdout, argv)
+            codes.add(proc.returncode)
+    assert 2 in codes, codes

@@ -1,5 +1,7 @@
 
+import itertools
 import random
+from collections import Counter
 
 from fincat.core import (
     Counterexample,
@@ -8,6 +10,9 @@ from fincat.core import (
     NatTrans,
     Report,
     StructuralError,
+    _Pieces,
+    _in_id_order,
+    _nat_families,
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
@@ -16,6 +21,7 @@ from fincat.core import (
     opposite,
     pair_id,
     product,
+    unique_factor,
     validate_functor,
 )
 from fincat.finset import (
@@ -341,6 +347,193 @@ def test_kan_universal_check_matches_reference():
                      "ok" if got.ok else f"count {min(got.counterexample.details['count'], 2)}")
     assert {"ok", "count 0", "count 2", "error"} <= seen, seen
 
+
+# ---------------------------------------------------------------------------
+# kan_universal_check against the per-H loop it replaced
+
+def per_H_kan_universal_check(L, eta, K, F, side=LEFT, H_family=None):
+    """Every H in name order, each with its comparison search and then its
+    mediator search, whether or not it has a comparison."""
+    D, E = K.cod, F.cod
+    Es = E if side == LEFT else opposite(E)
+    partial = H_family is not None
+    if H_family is None:
+        H_family = enumerate_functors(D, E)
+    V = E._ints
+    names, num, rows = V.names, V.num, V.rows
+    c_objs, d_objs = K.dom.sorted_objects(), D.sorted_objects()
+    pieces = [_Pieces(a, names) for a in c_objs]
+    slot = {d: 2 + k for k, d in enumerate(d_objs)}
+    checked = 0
+    for H in H_family:
+        HK = compose_functors(H, K)
+        sigmas = _in_id_order(_nat_families([F], [HK]) if side == LEFT
+                              else _nat_families([HK], [F]), pieces)
+        between = _nat_families([L], [H]) if side == LEFT else _nat_families([H], [L])
+        if not sigmas:
+            continue
+        try:
+            ends = [(slot[K.obj_map[c]], num.get(eta.components[c], -1)) for c in c_objs]
+            images = {}
+            for sb in between:
+                image = tuple([rows[sb[a]][e] if side == LEFT else rows[e][sb[a]]
+                               for a, e in ends])
+                images[image] = images.get(image, 0) + 1
+            counts = [images.get(sigma[2:], 0) for *_, sigma in sigmas]
+        except KeyError:
+            mediators = [dict(zip(d_objs, [names[u] for u in sb[2:]])) for sb in between]
+            counts = []
+            for *_, sigma in sigmas:
+                target = dict(zip(c_objs, [names[u] for u in sigma[2:]]))
+                counts.append(unique_factor(
+                    mediators, lambda sb: all(Es.comp(sb[K.obj_map[c]], eta.components[c])
+                                              == target[c] for c in K.dom.objects))[1])
+                if counts[-1] != 1:
+                    break
+        for count in counts:
+            checked += 1
+            if count != 1:
+                return Report(False, checked,
+                              Counterexample("kan-universal", {"H": H.name, "count": count}),
+                              partial)
+    return Report(True, checked, None, partial)
+
+
+def _raised(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the type and message of any exception it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def _into(E, X):
+    """The functor X read into E, a target with the same ids."""
+    return Functor(X.name, X.dom, E, X.obj_map, X.mor_map)
+
+
+def _retyped(X, E):
+    """X with the image of its first non-identity arrow moved to an arrow of E
+    with other ends, or to an id E does not have."""
+    gens = X.dom.nonidentity_mor_names()
+    if not gens:
+        return None
+    f = gens[0]
+    u = E.mor.get(X.mor_map[f])
+    others = sorted(m.name for m in E.morphisms if u is None or (m.dom, m.cod) != (u.dom, u.cod))
+    return Functor(X.name + "~", X.dom, X.cod, X.obj_map,
+                   {**X.mor_map, f: others[0] if others else "nowhere"})
+
+
+def _without_identity(E: FinCat) -> FinCat:
+    """E with its last object gone from the identity table: a functor search
+    that sends an object there raises at its identity."""
+    last = E.sorted_objects()[-1]
+    return FinCat(E.name + "-", E.objects, E.morphisms,
+                  {a: u for a, u in E.identity.items() if a != last}, E.compose)
+
+
+def _differential_cases(seeds: int):
+    """(L, eta, K, F, side, H_family) on random DAG, preorder and monoid
+    categories: pointwise extensions, their (co)units perturbed and arbitrary
+    L with a transformation, into a target E, E with one composition entry
+    removed and E without one identity.  Each runs with H_family None, a few
+    H, and, as a list and as an iterator, those H behind a counterexample H
+    and a malformed H; and with L, F or K sending an arrow elsewhere, and L
+    or F not parallel to what the check compares them with."""
+    for seed in range(seeds):
+        rng = random.Random(7300 + seed)
+        pick = [lambda n: random_dag_category(rng, 3, 5, name=n),
+                lambda n: random_preorder_category(rng, 3, name=n), lambda n: z2_monoid()]
+        C, D, E0 = (rng.choice(pick)(n) for n in "CDE")
+        other = chain(2) if E0 != chain(2) else walking_arrow()
+        gaps = sorted(k for k in E0.compose
+                      if not E0.is_identity(k[0]) and not E0.is_identity(k[1]))
+        Ks, Fs, Ls = enumerate_functors(C, D), enumerate_functors(C, E0), enumerate_functors(D, E0)
+        cases = []
+        for side in (LEFT, RIGHT):
+            K, F = rng.choice(Ks), rng.choice(Fs)
+            kr = kan_pointwise(K, F, side)
+            if kr.extension is not None:
+                t = kr.unit_or_counit
+                cases.append((kr.extension, t, K, F, side))
+                c = rng.choice(sorted(t.components))
+                for h in E0.hom(t.src.obj_map[c], t.tgt.obj_map[c])[:2]:
+                    if h != t.components[c]:
+                        cases.append((kr.extension, NatTrans(t.name, t.src, t.tgt,
+                                                             {**t.components, c: h}), K, F, side))
+            L = rng.choice(Ls)
+            LK = compose_functors(L, K)
+            for eta in (enumerate_nat_trans(F, LK) if side == LEFT
+                        else enumerate_nat_trans(LK, F))[:2]:
+                cases.append((L, eta, K, F, side))
+        targets = [E0, _without_identity(E0)] + ([_without(E0, rng.choice(gaps))] if gaps else [])
+        for E in targets:
+            Hs = [_into(E, H) for H in Ls[::-1][:3]]
+            for L, eta, K, F, side in cases:
+                L, F = _into(E, L), _into(E, F)
+                eta = NatTrans(eta.name, _into(E, eta.src), _into(E, eta.tgt), eta.components)
+                yield L, eta, K, F, side, None
+                yield L, eta, K, F, side, Hs
+                ref = _raised(per_H_kan_universal_check, L, eta, K, F, side)
+                ahead = []
+                if isinstance(ref, Report) and not ref.ok:
+                    ahead.append(_into(E, next(H for H in Ls
+                                               if H.name == ref.counterexample.details["H"])))
+                bad = _retyped(Hs[0], E)
+                ahead += [bad] if bad is not None else []
+                if ahead:
+                    yield L, eta, K, F, side, ahead + Hs
+                    yield L, eta, K, F, side, iter(ahead + Hs)
+                for X in (_retyped(L, E), _retyped(F, E), _retyped(K, D)):
+                    if X is not None:
+                        yield (X if X.dom == D and X.cod == E else L, eta,
+                               X if X.cod == D else K, X if X.dom == C else F, side, None)
+            if cases:
+                L, eta, K, F, side = rng.choice(cases)
+                L, F = _into(E, L), _into(E, F)
+                yield enumerate_functors(D, other)[0], eta, K, F, side, None
+                yield L, eta, K, _into(E, enumerate_functors(other, E0)[0]), side, None
+
+
+def test_kan_universal_check_matches_the_per_H_loop():
+    seen = Counter()
+    for L, eta, K, F, side, family in _differential_cases(60):
+        # each side reads its own copy of an iterator
+        copies = itertools.tee(family) if family is not None and not isinstance(family, list) \
+            else (family, family)
+        got = _raised(kan_universal_check, L, eta, K, F, side, H_family=copies[0])
+        want = _raised(per_H_kan_universal_check, L, eta, K, F, side, copies[1])
+        assert got == want, (L, eta, K, F, side, family)
+        seen[want[0] if isinstance(want, tuple) else "ok" if want.ok else
+             f"count {min(want.counterexample.details['count'], 2)}"] += 1
+    assert seen["ok"] > 50 and seen["count 0"] and seen["count 2"], seen
+    assert seen["StructuralError"] > 20, seen
+
+
+
+def test_kan_universal_check_keeps_the_per_H_loop_where_a_search_can_raise():
+    """Two inputs on which a pruned or batched check would return a Report
+    where the per-H loop raises, or raise where it returns one: K sends its
+    arrow between the wrong objects, which only a later H's comparison search
+    reaches, after the first H is a counterexample; and the target lacks the
+    identity of an object that a functor search reaches but no H with a
+    comparison does."""
+    two, c3 = walking_arrow(), chain(3)
+    K = Functor("K", two, c3, {"0": "0", "1": "1"}, {"id_0": "id_0", "id_1": "id_1", "a": "c12"})
+    F = Functor("F", two, c3, {"0": "0", "1": "0"}, {"id_0": "id_0", "id_1": "id_0", "a": "id_0"})
+    L = _named_functor(c3, c3, "0↦2;1↦2;2↦2|c01↦id_2;c02↦id_2;c12↦id_2")
+    eta = NatTrans("eta", F, compose_functors(L, K), {"0": "c02", "1": "c02"})
+    want = _refuted(1, "0↦0;1↦0;2↦0|c01↦id_0;c02↦id_0;c12↦id_0", 0)
+    assert per_H_kan_universal_check(L, eta, K, F, LEFT) == want
+    assert kan_universal_check(L, eta, K, F, LEFT) == want
+    E, K = _without_identity(c3), identity_functor(two)
+    F = Functor("F", two, E, {"0": "0", "1": "1"}, {"id_0": "id_0", "id_1": "id_1", "a": "c01"})
+    eta = NatTrans("eta", F, F, {"0": "id_0", "1": "id_1"})
+    want = ("StructuralError", "chain3-: unknown object 2")
+    for side in (LEFT, RIGHT):
+        assert _raised(per_H_kan_universal_check, F, eta, K, F, side) == want
+        assert _raised(kan_universal_check, F, eta, K, F, side) == want
 
 def test_kan_right_side_and_reconstruction():
     two = walking_arrow()

@@ -507,6 +507,39 @@ def test_functor_search_prunes_object_assignments_before_the_generators(monkeypa
     assert starts[4] == 35 and len(fs) == 35
 
 
+def test_functor_search_with_restricted_images_filters_the_full_list():
+    """enumerate_functors(C, D, images) is the sublist, in the same order, of
+    the functors sending each object a into images[a]; where the full search
+    raises, so does the search given every image; and the up-front bound
+    counts every object assignment, whatever the images."""
+    rng = random.Random(6400)
+    targets = [(f"random {k}", random_category(rng, 3, name="R")) for k in range(10)] + \
+        list(int_view_breakers().items())
+    seen = Counter()
+    for label, D in targets:
+        d_objs = D.sorted_objects()
+        for C in _one_search_sources() + [random_category(rng, 3, name="S") for _ in range(3)]:
+            full = _outcome(enumerate_functors, C, D)
+            if isinstance(full, tuple):
+                assert _outcome(enumerate_functors, C, D, {a: d_objs for a in C.objects}) == full
+                seen["error"] += 1
+                continue
+            for _ in range(3):
+                images = {a: [x for x in d_objs if rng.random() < 0.6] for a in C.objects}
+                got = enumerate_functors(C, D, images)
+                want = [F for F in full if all(F.obj_map[a] in images[a] for a in C.objects)]
+                assert [(F.name, F.key()) for F in got] == [(F.name, F.key()) for F in want], \
+                    (label, C.name, images)
+                seen["compared"] += 1
+                seen["kept"] += len(got)
+                seen["dropped"] += len(full) - len(got)
+    assert seen["compared"] > 200 and seen["kept"] > 200 and seen["dropped"] > 200, seen
+    assert seen["error"], seen
+    C, D = chain(3), chain(3)
+    with budget(3 ** 3 - 1), pytest.raises(GuardExceeded):
+        enumerate_functors(C, D, {a: ["0"] for a in C.objects})
+
+
 # ---------------------------------------------------------------------------
 # The sites against their references
 
