@@ -10,7 +10,7 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -944,9 +944,17 @@ def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
     V = D._ints
     names, num, rows, homs = V.names, V.num, V.rows, V.homs
     src, tgt = [F._obj_images for F in Fs], [G._obj_images for G in Gs]
-    # a pair with an empty slot is skipped before any of its squares is tested
-    has = homs.__contains__
-    pairs = [[j for j, y in enumerate(tgt) if all(map(has, zip(x, y)))] for x in src]
+    # a pair with an empty slot is skipped before any of its squares is tested:
+    # masks[k][o] has bit j set when o -> tgt[j][k] has a hom-set, and a
+    # source's targets are the AND of its slots' masks
+    masks = [{o: sum([1 << j for j, y in enumerate(tgt) if (o, y[k]) in homs])
+              for o in {x[k] for x in src}} for k in range(len(src[0]))]
+    pairs = []
+    for x in src:
+        m = (1 << len(tgt)) - 1
+        for mk, o in zip(masks, x):
+            m &= mk[o]
+        pairs.append([j for j in range(len(tgt)) if m >> j & 1])
 
     def component(k: int):
         return lambda v: homs[src[v[0]][k], tgt[v[1]][k]]
@@ -999,14 +1007,26 @@ def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
 @dataclass(frozen=True, eq=False)
 class FunctorCategory:
     """A materialized functor category with a read-only index back to the
-    tabulated values."""
+    tabulated values.  `_ends` holds, for each morphism of `cat` in order,
+    its source and target index and its components as ints of the target's
+    IntView; the transformations are built from them on first read."""
 
     cat: FinCat
     functors: Mapping[str, Functor]
-    nats: Mapping[str, NatTrans]
+    _ends: Sequence[tuple[int, int, tuple[int, ...]]] = field(repr=False)
 
     def __post_init__(self):
-        Keyed._freeze(self, "functors", "nats")
+        Keyed._freeze(self, "functors")
+
+    @cached
+    def nats(self) -> Mapping[str, NatTrans]:
+        fs = self.functors
+        out = {}
+        for m, (_, _, family) in zip(self.cat.morphisms, self._ends):
+            F = fs[m.dom]
+            objs, names = F.dom.sorted_objects(), F.cod._ints.names
+            out[m.name] = NatTrans("t", F, fs[m.cod], dict(zip(objs, [names[u] for u in family])))
+        return MappingProxyType(out)
 
 
 def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
@@ -1014,10 +1034,11 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
 
     Objects are the functors of enumerate_functors, whose names are their
     canonical ids.  Transformations come from one _nat_families search over
-    every pair of functors, and each identity and composite is named from the
-    same `a↦m` pieces, formatted once per call, and one prefix per pair of
-    functors, without building a NatTrans for it.  A composite's components
-    are looked up in D's int rows in C.objects order, as vcompose takes them.
+    every pair of functors, and each of them, each identity and each
+    composite is named from the same `a↦m` pieces, formatted once per call,
+    and one prefix per pair of functors, without building a NatTrans for it.
+    A composite's components are looked up in D's int rows in C.objects
+    order, as vcompose takes them.  The fresh tables are wrapped, not copied.
     """
     fs = enumerate_functors(C, D)
     objs = C.sorted_objects()
@@ -1025,17 +1046,13 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
     names, rows = V.names, V.rows
     pieces = [_Pieces(a, names) for a in objs]
     prefix = [[_nat_prefix(F.name, G.name) for G in fs] for F in fs]
-    nats: dict[str, NatTrans] = {}
     mors = []
     ends = []  # per transformation: its source and target index and its components
     into: list[list[int]] = [[] for _ in fs]  # per functor: the transformations into it
     for i, j, tail, t in _in_id_order(_nat_families(fs, fs), pieces):
-        family = t[2:]
-        tid = prefix[i][j] + tail
-        nats[tid] = NatTrans("t", fs[i], fs[j], dict(zip(objs, [names[u] for u in family])))
         into[j].append(len(mors))
-        mors.append(Mor(tid, fs[i].name, fs[j].name))
-        ends.append((i, j, family))
+        mors.append(Mor(prefix[i][j] + tail, fs[i].name, fs[j].name))
+        ends.append((i, j, t[2:]))
     identity = {F.name: prefix[i][i] + ";".join(
                     [p[V.num[D.id_of(x)]] for p, x in zip(pieces, F._obj_images)]) + "]"
                 for i, F in enumerate(fs)}
@@ -1047,13 +1064,14 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
             try:
                 comps = [p[r[a]] for p, r, a in zip(pieces, after, alpha)]
             except KeyError:  # no entry: D.comp raises the first in C.objects order
+                at = dict(zip(objs, zip(beta, alpha)))
                 for a in C.objects:
-                    D.comp(nats[m.name].components[a], nats[mors[n].name].components[a])
+                    D.comp(names[at[a][0]], names[at[a][1]])
                 raise
             table[(m.name, mors[n].name)] = prefix[i][k] + ";".join(comps) + "]"
-    cat = FinCat(f"[{C.name},{D.name}]", tuple(F.name for F in fs),
-                 tuple(mors), identity, table)
-    return FunctorCategory(cat, {F.name: F for F in fs}, nats)
+    cat = _built_cat(f"[{C.name},{D.name}]", tuple(F.name for F in fs), tuple(mors),
+                     MappingProxyType(identity), table)
+    return FunctorCategory(cat, {F.name: F for F in fs}, tuple(ends))
 
 
 def const_diagram(c: str, J: FinCat, C: FinCat) -> Functor:

@@ -11,15 +11,18 @@ coends, Kan extensions and interchange isos in kan.py run on the same three.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .core import (
     FinCat,
     Functor,
+    GuardExceeded,
     NatTrans,
     Report,
     StructuralError,
+    _budget,
     compose_functors,
     const_diagram,
     fail_report,
@@ -214,7 +217,13 @@ def tagged(j: str, x: str) -> str:
 def set_limit(objs, values, equations) -> tuple[FinSetObj, dict[str, FinSetMap]]:
     """The tuples (x_j) over objs, x_j in values[j], with f[x_a] == g[x_b] for
     every (a, f, b, g) in equations; elements are named "(x_1,...,x_n)".
-    Returns the set and its projections."""
+    Returns the set and its projections.  Raises GuardExceeded before listing
+    the tuples if there are more than the budget in scope."""
+    sizes = [len(values[j]) for j in objs]
+    guard = _budget.get()
+    if math.prod(sizes) > guard:
+        raise GuardExceeded(
+            f"tuple enumeration {' x '.join(map(str, sizes))} elements exceeds guard {guard}")
     pos = {j: n for n, j in enumerate(objs)}
     eqs = [(pos[a], f, pos[b], g) for a, f, b, g in equations]
     members = [combo for combo in itertools.product(*[values[j].sorted() for j in objs])
@@ -337,7 +346,8 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
     """Unique factorization of every probe (co)cone, on raw tables.
 
     Probe families are searched leg by leg in all_tables order on J._squares,
-    so `checked` and the first counterexample are those of their product.
+    so `checked` and the first counterexample are those of their product;
+    the search draws on the budget in scope.
     """
     J = D.dom
     objs = J.sorted_objects()
@@ -364,7 +374,8 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
             choices = [all_tables(P, D.on_obj[j]) for j in objs]
         else:
             choices = [all_tables(D.on_obj[j], P) for j in objs]
-        for combo in search(choices, J._squares, natural):
+        for combo in search(choices, J._squares, natural,
+                            what=f"{direction} probe cone search over {D.name}"):
             fam = dict(zip(objs, combo))
             checked += 1
             if direction == LIMIT:

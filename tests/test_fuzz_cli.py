@@ -191,3 +191,32 @@ def test_growing_categories_end_with_an_exit_code_under_a_guard(tmp_path):
             _ends_with_a_message(proc.returncode, proc.stdout, argv)
             codes.add(proc.returncode)
     assert 2 in codes, codes
+
+
+def _discrete_set_diagram(n: int, k: int) -> str:
+    """The discrete category on n objects and a Set diagram X sending each
+    to the same k-element set: k^n limit tuples, and probe cones with no
+    arrow to prune them."""
+    elements = "{" + ", ".join(f"e{i}" for i in range(k)) + "}"
+    lines = ["category Dk {", "  objects: " + ", ".join(f"o{i}" for i in range(n)) + ";", "}",
+             "setfunctor X: Dk -> Set {"] + [f"  obj o{i} |-> {elements};" for i in range(n)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_growing_set_limits_stop_at_the_guard(tmp_path):
+    """The Set limit lists its tuples and its certificate searches its probe
+    cones on the budget: the 216 tuples of discrete(3) exceed a guard of 100,
+    and at discrete(4) the 1,296 tuples fit a guard of 10,000 but the probe
+    cones of two-element apexes do not."""
+    for n, guard, message in (
+            (3, 100, "tuple enumeration 6 x 6 x 6 elements exceeds guard 100"),
+            (4, 10000, "limit probe cone search over X exceeds guard 10000: "
+                       "10008 candidates charged")):
+        path = tmp_path / f"discrete{n}.cat"
+        path.write_text(_discrete_set_diagram(n, 6))
+        argv = ["limit", "X", str(path), "--guard", str(guard), "--json"]
+        proc = subprocess.run([sys.executable, "-m", "fincat.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert json.loads(proc.stdout)["message"] == message

@@ -619,12 +619,14 @@ def _one_search_targets():
 
 
 def _one_search_sources():
-    """Shapes, one with its objects listed out of sorted order and one with
-    an isolated object after an arrow: an empty last slot must end a pair or
-    an apex before the arrow's test reaches a missing entry."""
+    """Shapes, one with its objects listed out of sorted order, one with an
+    isolated object after an arrow (an empty last slot must end a pair or an
+    apex before the arrow's test reaches a missing entry) and one with no
+    objects (no object slot filters a pair, so every target is admissible)."""
     return [terminal_category(), walking_arrow(), discrete(2), parallel_pair(), chain(3),
             make_category("2r", ["1", "0"], [("a", "0", "1")], {}),
-            make_category("2+1", ["0", "1", "2"], [("a", "0", "1")], {})]
+            make_category("2+1", ["0", "1", "2"], [("a", "0", "1")], {}),
+            make_category("empty", [], [], {})]
 
 
 def _diagrams_into(J: FinCat, C: FinCat) -> list[Functor]:

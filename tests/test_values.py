@@ -149,9 +149,12 @@ for attempt in (lambda: Report(False, 0, None), lambda: split_pair("ab,c")):
 
 def test_functor_category_index_is_read_only():
     fc = functor_category(WALKING_ARROW, WALKING_ARROW)
-    for table in (fc.functors, fc.nats):
+    # the category's tables are wrapped, not copied, so the wrapper must hold
+    for table in (fc.functors, fc.nats, fc.cat.identity, fc.cat.compose):
         with pytest.raises(TypeError):
             table[next(iter(table))] = None
+    # the transformations are built once, on the first read
+    assert fc.nats is fc.nats
 
 
 def _maps_built_valid() -> list[FinSetMap]:
