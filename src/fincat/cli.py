@@ -270,6 +270,12 @@ COMMANDS = {
 }
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fincat",
                                  description="finite category theory toolkit")
@@ -277,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0,
                         help="echoed into --json output; no command reads it")
-    common.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="enumeration budget")
+    common.add_argument("--guard", type=positive_int, default=DEFAULT_GUARD,
+                        help="enumeration budget")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, params) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])

@@ -422,41 +422,41 @@ class IntView:
     of the functor and transformation searches; built once per category.
 
     Morphisms are numbered in sorted id order, so int order is id order and
-    the hom tuples `homs[(a, b)]` keep C.hom's order.  An id met only as an
-    identity or a composite gets the next int, so two ints are equal exactly
-    when their ids are, even in a malformed table.  rows[g][f] is the int of
-    g after f for every composable pair with an entry, in C._into order;
-    `missing` is the first composable pair without one.  rows[-1] is empty:
-    it stands for an id the category does not have, so a lookup through it
-    misses, as FinCat.comp would.
+    the hom tuples `homs[(a, b)]` keep C.hom's order.  rows[g][f] is the int
+    of g after f for every composable pair, in C._into order.  The searches
+    trust these rows, so the build raises validate_category's StructuralError
+    where an object has no identity, an identity or composite is not a
+    morphism or a composable pair has no entry, and where an identity is not
+    an arrow from its object to itself.
     """
 
     def __init__(self, C: FinCat):
         names = self.names = sorted([m.name for m in C.morphisms])
         num = self.num = {m: i for i, m in enumerate(names)}
-        for i in C.identity.values():
-            if num.setdefault(i, len(names)) == len(names):
-                names.append(i)
+        for a in C.objects:
+            i = C.identity.get(a)
+            m = C.mor.get(i)
+            if m is None or m.dom != a or m.cod != a:
+                raise StructuralError(
+                    f"{C.name}: object {a} has no identity morphism" if i is None else
+                    f"{C.name}: identity {i} of {a} is not a morphism" if m is None else
+                    f"{C.name}: identity {i} of {a} has wrong endpoints")
         into = self.into = {}  # C._into as ints
         for m in C.morphisms:
             into.setdefault(m.cod, []).append(num[m.name])
-        rows: list[dict[int, int]] = [{} for _ in names]
-        missing = None
+        rows = self.rows = [{} for _ in names]
         comp = C.compose
         for g in C.morphisms:
             gn = g.name
             row = rows[num[gn]]
             for fi in into.get(g.dom, ()):
                 h = comp.get((gn, names[fi]))
-                if h is None:
-                    missing = missing or (gn, names[fi])
-                    continue
-                row[fi] = hi = num.setdefault(h, len(names))
-                if hi == len(names):
-                    names.append(h)
-        self.missing = missing
-        # the rows of the ids met only as composites, and rows[-1]: all empty
-        self.rows = rows + [{}] * (len(names) - len(rows) + 1)
+                if h not in num:
+                    raise StructuralError(
+                        f"{C.name}: incomplete composition table, missing ({gn},{names[fi]})"
+                        if h is None else
+                        f"{C.name}: composition entry ({gn},{names[fi]})={h} has unresolved ids")
+                row[fi] = num[h]
         self._morphisms = C.morphisms
 
     @cached
@@ -681,9 +681,6 @@ def validate_category(C: FinCat) -> Report:
             return fail_report(0, "identity-endpoints", object=a, identity=i)
     # the completeness pass builds C's int rows, and the passes below run on them
     V = C._ints
-    if V.missing is not None:
-        raise StructuralError(
-            f"{C.name}: incomplete composition table, missing ({V.missing[0]},{V.missing[1]})")
     names, num, rows = V.names, V.num, V.rows
     checked = len(C.compose)  # one entry per composable pair, by the passes above
     for m in C.morphisms:
@@ -705,7 +702,8 @@ def validate_category(C: FinCat) -> Report:
     return ok_report(checked)
 
 
-def validate_functor(F: Functor) -> Report:
+def _check_functor(F: Functor) -> None:
+    """validate_functor's structural pass: F sends every arrow into its hom-set, with no strays."""
     C, D = F.dom, F.cod
     for a in C.objects:
         if a not in F.obj_map:
@@ -722,6 +720,11 @@ def validate_functor(F: Functor) -> Report:
             raise StructuralError(f"{F.name}: image of {m.name} has wrong endpoints")
     reject_strays(F.name, "object map", F.obj_map, C.objects, C)
     reject_strays(F.name, "morphism map", F.mor_map, C.mor, C)
+
+
+def validate_functor(F: Functor) -> Report:
+    _check_functor(F)
+    C, D = F.dom, F.cod
     checked = 0
     for a in C.objects:
         checked += 1
@@ -903,10 +906,7 @@ def enumerate_functors(C: FinCat, D: FinCat,
         g, f, gf = p
         if gf is None:
             return (v[g], v[f]) in homs
-        try:
-            return rows[v[g]][v[f]] == v[gf]
-        except KeyError:  # no entry: D.comp raises it by name
-            return D.comp(names[v[g]], names[v[f]]) == names[v[gf]]
+        return rows[v[g]][v[f]] == v[gf]
 
     out: list[Functor] = []
     last = None
@@ -925,7 +925,7 @@ def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
     """The natural transformations F => G, for F in Fs and G in Gs (functors
     C -> D), as (i, j, the components at C's objects in sorted order, as ints
     of D._ints), found by one search in (i, j) order; a pair that is not
-    parallel is a StructuralError.
+    parallel is a StructuralError.  Each functor must pass _check_functor.
 
     Slot 0 picks Fs[i], slot 1 Gs[j] among those for which every object has
     a candidate component, and the next slots the components, from D's int
@@ -942,7 +942,7 @@ def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
             raise StructuralError(
                 f"{F.name}=>{G.name}: source and target functors are not parallel")
     V = D._ints
-    names, num, rows, homs = V.names, V.num, V.rows, V.homs
+    num, rows, homs = V.num, V.rows, V.homs
     src, tgt = [F._obj_images for F in Fs], [G._obj_images for G in Gs]
     # a pair with an empty slot is skipped before any of its squares is tested:
     # masks[k][o] has bit j set when o -> tgt[j][k] has a hom-set, and a
@@ -965,10 +965,7 @@ def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
     def natural(square, v) -> bool:
         m, a, b = square
         Fm, Gm = Fs[v[0]].mor_map, Gs[v[1]].mor_map
-        try:  # an image D lacks reads the empty rows[-1]
-            return rows[num.get(Gm[m], -1)][v[a]] == rows[v[b]][num.get(Fm[m], -1)]
-        except KeyError:  # no entry: D.comp raises it by name
-            return D.comp(Gm[m], names[v[a]]) == D.comp(names[v[b]], Fm[m])
+        return rows[num[Gm[m]]][v[a]] == rows[v[b]][num[Fm[m]]]
 
     return list(search(choices, C._pair_squares, natural))
 
@@ -997,8 +994,10 @@ def _in_id_order(families, pieces) -> list[tuple[int, int, str, tuple[int, ...]]
 
 def enumerate_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
     """All natural transformations F => G by backtracking with naturality
-    pruning, in canonical id order."""
+    pruning, in canonical id order; F and G must pass _check_functor."""
     objs, names = F.dom.sorted_objects(), F.cod._ints.names
+    _check_functor(F)
+    _check_functor(G)
     return [NatTrans("t", F, G, dict(zip(objs, [names[u] for u in t[2:]])))
             for *_, t in _in_id_order(_nat_families([F], [G]),
                                      [_Pieces(a, names) for a in objs])]
@@ -1061,13 +1060,7 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
         after = [rows[b] for b in beta]
         for n in into[j]:
             i, _, alpha = ends[n]
-            try:
-                comps = [p[r[a]] for p, r, a in zip(pieces, after, alpha)]
-            except KeyError:  # no entry: D.comp raises the first in C.objects order
-                at = dict(zip(objs, zip(beta, alpha)))
-                for a in C.objects:
-                    D.comp(names[at[a][0]], names[at[a][1]])
-                raise
+            comps = [p[r[a]] for p, r, a in zip(pieces, after, alpha)]
             table[(m.name, mors[n].name)] = prefix[i][k] + ";".join(comps) + "]"
     cat = _built_cat(f"[{C.name},{D.name}]", tuple(F.name for F in fs), tuple(mors),
                      MappingProxyType(identity), table)

@@ -21,6 +21,7 @@ certified by one helper, finset.nat_bijection.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -32,6 +33,7 @@ from .core import (
     Report,
     StructuralError,
     _Pieces,
+    _check_functor,
     _in_id_order,
     _nat_families,
     compose_functors,
@@ -193,122 +195,70 @@ def reconstruct_comma_cocone(kr: KanResult, d: str) -> dict[str, str]:
     return {o: E.comp(T.mor_map[p], unit[c]) for o, (c, p) in comma.pairs.items()}
 
 
-def _typed(X: Functor, A: FinCat, B: FinCat) -> bool:
-    """Whether X: A -> B maps exactly A's objects and arrows, each arrow of A
-    to an arrow of B between the images of its ends; over such functors, and
-    a B whose table has every composite, no transformation search raises."""
-    if X.dom != A or X.cod != B or X.obj_map.keys() != set(A.objects) \
-            or X.mor_map.keys() != A.mor.keys():
-        return False
-    obj, mor, into = X.obj_map, X.mor_map, B.mor
-    for m in A.morphisms:
-        u = into.get(mor[m.name])
-        if u is None or u.dom != obj.get(m.dom) or u.cod != obj.get(m.cod):
-            return False
-    return True
-
-
 def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
                         side: str = LEFT, H_family=None) -> Report:
     """Exhaustive universal-property check over an enumerable functor category.
 
     For every candidate H and every comparison transformation, exactly one
-    mediating transformation must exist.  Supplying H_family switches to a
-    probe run, flagged as partial in the report.
+    mediating transformation must exist.  Supplying H_family (any iterable,
+    read once) switches to a probe run, flagged as partial in the report.
 
-    Where E's table has every composite and F, K, L and the supplied H are
-    _typed, no search below can raise, and each family takes one search:
-    enumerated H send each object K(c) only where the component hom-set at c
-    is not empty (every other H has no comparison), one core._nat_families
-    search finds the comparisons of every H, and one the mediators of the H
-    that have a comparison.  Elsewhere each H gets its own two searches in
-    turn, so any StructuralError is the one the first search to meet a
-    malformed entry raises.  The comparisons of each H are sorted into id
-    order by `a↦m` pieces formatted once per call.  Each mediator's image
-    (its component at K(c) after eta_c, for every c) is counted once, so each
-    comparison is one lookup with unique_factor's count.  Where an image has
-    no int entry (a missing or stray entry of E, a component outside it),
-    that H is scanned by name as unique_factor does, stopping at a
-    comparison's first mismatch, so any StructuralError is the one the scan
-    raises.
+    It raises on an incomplete table of E, on F, K, L or a supplied H that
+    fails _check_functor and on an F whose source is not K's before it
+    searches, and on an eta_c outside its hom-set after.  Enumerated H send
+    K(c) only where the component hom-set at c is not empty; one search finds
+    the comparisons of every H, in id order, and one the mediators of the H
+    that have one.  Each mediator's image (its component at K(c) after eta_c,
+    for every c) is counted, so a comparison is one lookup of its count.
     """
     C, D, E = K.dom, K.cod, F.cod
-    # the right-handed property is the left-handed one in op(E), where every
-    # transformation runs the other way
-    Es = E if side == LEFT else opposite(E)
-    at = 1 if side == LEFT else 0  # the slot of H's index in a family of transformations
+    V = E._ints
+    num, rows, homs = V.num, V.rows, V.homs
+    partial = H_family is not None
+    H_family = list(H_family or ())
+    for X in (F, K, L, *H_family):
+        _check_functor(X)
+    if F.dom != C:
+        raise StructuralError(f"{F.name}: source is not {C.name}, the source of {K.name}")
+    at = 1 if side == LEFT else 0  # H's slot in a family; on the right, families run back
+    pair = (lambda x, y: (x, y)) if side == LEFT else (lambda x, y: (y, x))
 
     def families(X, Ys):
         return _nat_families([X], Ys) if side == LEFT else _nat_families(Ys, [X])
 
-    V = E._ints
-    names, num, rows, homs = V.names, V.num, V.rows, V.homs
     c_objs, d_objs = C.sorted_objects(), D.sorted_objects()
-    pieces = [_Pieces(a, names) for a in c_objs]
-    partial = H_family is not None
-    # only where no search can raise do the pruned and batched searches answer
-    # as the per-H loop does: a functor search raises at a missing composite
-    # or identity of E, and a transformation search at an arrow sent outside
-    # the hom-set it belongs to
-    batched = V.missing is None and _typed(F, C, E) and _typed(K, C, D) and _typed(L, D, E) \
-        and (isinstance(H_family, (list, tuple)) and all(_typed(H, D, E) for H in H_family)
-             if partial else E.identity.keys() >= set(E.objects))
-    if not partial:
-        allowed = None
-        if batched:  # d goes to e only if the component hom-set at each c over d is not empty
-            over: dict[str, list[str]] = {}
-            for c in c_objs:
-                over.setdefault(K.obj_map[c], []).append(F.obj_map[c])
-            pair = (lambda x, e: (x, e)) if side == LEFT else (lambda x, e: (e, x))
-            allowed = {d: [e for e in E.sorted_objects()
-                           if all(pair(x, e) in homs for x in over.get(d, ()))] for d in d_objs}
-        H_family = enumerate_functors(D, E, allowed)
-
-    def one_by_one():
-        for H in H_family:
-            sigmas = _in_id_order(families(F, [compose_functors(H, K)]), pieces)
-            yield H, sigmas, families(L, [H])
-
-    def at_once():
-        sigmas: dict[int, list] = {}
-        for s in _in_id_order(families(F, [compose_functors(H, K) for H in H_family]), pieces):
-            sigmas.setdefault(s[at], []).append(s)
-        have = list(sigmas)
-        between: list[list] = [[] for _ in have]
-        for t in families(L, [H_family[h] for h in have]):
-            between[t[at]].append(t)
-        for h, ts in zip(have, between):
-            yield H_family[h], sigmas[h], ts
-
-    slot = {d: 2 + k for k, d in enumerate(d_objs)}  # of a component in a family over D
+    if not partial:  # d goes to e only if the component hom-set at each c over d is not empty
+        over: dict[str, list[str]] = {}
+        for c in c_objs:
+            over.setdefault(K.obj_map[c], []).append(F.obj_map[c])
+        H_family = enumerate_functors(D, E, {
+            d: [e for e in E.sorted_objects() if all(pair(x, e) in homs for x in over.get(d, ()))]
+            for d in d_objs})
+    sigmas: dict[int, list] = {}
+    for s in _in_id_order(families(F, [compose_functors(H, K) for H in H_family]),
+                          [_Pieces(a, V.names) for a in c_objs]):
+        sigmas.setdefault(s[at], []).append(s)
+    if not sigmas:
+        return ok_report(0, partial)
+    have = list(sigmas)
+    mediators = families(L, [H_family[h] for h in have])
+    ends = []  # per c: the slot of the component at K(c) in a family over D, and eta_c
+    for c in c_objs:
+        d, u = K.obj_map[c], eta.components.get(c)
+        if u not in E.hom(*pair(F.obj_map[c], L.obj_map[d])):
+            raise StructuralError(f"{eta.name}: component at {c} lies in the wrong hom-set")
+        ends.append((2 + d_objs.index(d), num[u]))
+    # each mediator's image, keyed by its H's place in `have`
+    images = Counter((t[at], *[rows[t[a]][e] if side == LEFT else rows[e][t[a]] for a, e in ends])
+                     for t in mediators)
     checked = 0
-    for H, sigmas, between in at_once() if batched else one_by_one():
-        if not sigmas:
-            continue
-        try:
-            ends = [(slot[K.obj_map[c]], num.get(eta.components[c], -1)) for c in c_objs]
-            images: dict[tuple[int, ...], int] = {}
-            for sb in between:
-                image = tuple([rows[sb[a]][e] if side == LEFT else rows[e][sb[a]]
-                               for a, e in ends])
-                images[image] = images.get(image, 0) + 1
-            counts = [images.get(sigma[2:], 0) for *_, sigma in sigmas]
-        except KeyError:
-            mediators = [dict(zip(d_objs, [names[u] for u in sb[2:]])) for sb in between]
-            counts = []
-            for *_, sigma in sigmas:
-                target = dict(zip(c_objs, [names[u] for u in sigma[2:]]))
-                counts.append(unique_factor(
-                    mediators, lambda sb: all(Es.comp(sb[K.obj_map[c]], eta.components[c])
-                                              == target[c] for c in C.objects))[1])
-                if counts[-1] != 1:
-                    break
-        for count in counts:
+    for k, h in enumerate(have):
+        for *_, sigma in sigmas[h]:
             checked += 1
+            count = images[(k, *sigma[2:])]
             if count != 1:
-                return Report(False, checked,
-                              Counterexample("kan-universal", {"H": H.name, "count": count}),
-                              partial)
+                return Report(False, checked, Counterexample(
+                    "kan-universal", {"H": H_family[h].name, "count": count}), partial)
     return ok_report(checked, partial)
 
 

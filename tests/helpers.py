@@ -6,7 +6,8 @@ import gc
 import random
 import weakref
 
-from fincat.core import FinCat, Functor, NatTrans, identity_functor, make_category, renamed
+from fincat.core import (FinCat, Functor, NatTrans, enumerate_functors, identity_functor,
+                         make_category, renamed)
 from fincat.diagram import Environment, Generator, HComp, Id, VComp, typecheck
 from fincat.fixtures import chain, terminal_category, walking_arrow
 
@@ -109,10 +110,11 @@ def square_category() -> FinCat:
 
 
 def int_view_breakers() -> dict[str, FinCat]:
-    """Targets whose tables break core.IntView's assumptions: composites that
-    are no morphism (equal ids must stay equal and unequal ones unequal),
-    missing entries that a naturality square reaches, and missing entries
-    that only a composite of two transformations reaches."""
+    """Targets whose tables are not complete, so that building their
+    core.IntView raises validate_category's StructuralError and so does every
+    search into them: composites that are no morphism (one, two equal and two
+    unequal ghosts), missing entries that a naturality square reaches, and
+    missing entries that only a composite of two transformations reaches."""
     sq, c3 = square_category(), chain(3)
     return {
         "one ghost": edited(sq, {("g", "f"): "ghost"}),
@@ -123,3 +125,10 @@ def int_view_breakers() -> dict[str, FinCat]:
         "chain missing": edited(c3, drop=[("c12", "c01")]),
         "composite missing": edited(chain(4), drop=[("c12", "c01"), ("c23", "c12")]),
     }
+
+
+def functors_into_breaker(C: FinCat, D: FinCat) -> list[Functor]:
+    """The functors C -> D for an int_view_breakers target D: those into the
+    fixture D was edited from, read in D, whose ids they share."""
+    base = {"Sq!": square_category(), "chain3!": chain(3), "chain4!": chain(4)}[D.name]
+    return [Functor(F.name, C, D, F.obj_map, F.mor_map) for F in enumerate_functors(C, base)]

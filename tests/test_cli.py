@@ -653,6 +653,15 @@ def test_an_unbounded_cone_search_ends_at_the_guard(tmp_path):
             f"{side} wedge search over Bf exceeds guard 1: 2 candidates charged"
 
 
+def test_a_guard_below_one_is_a_usage_error():
+    for guard in ("0", "-3"):
+        code, out, err = _exit_of(main, ("limit", "D", cat("pair_diagram.cat"), "--guard", guard))
+        assert code == 2 and out == "", (guard, out)
+        assert err.endswith(f"fincat limit: error: argument --guard: must be at least 1, "
+                            f"not {guard}\n"), err
+    assert run("limit", "D", cat("pair_diagram.cat"), "--guard", "1")[0] == 2
+
+
 def test_the_guard_reaches_every_command():
     # density and codensity run their comma (co)limit searches on the budget
     for command, search in (("density", "colimit cone search over Kpick*P((Kpick↓0))"),

@@ -3,6 +3,8 @@ import itertools
 import random
 from collections import Counter
 
+import fincat.core as core
+
 from fincat.core import (
     Counterexample,
     FinCat,
@@ -16,12 +18,13 @@ from fincat.core import (
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
+    functor_category,
     identity_functor,
     make_category,
     opposite,
     pair_id,
     product,
-    unique_factor,
+    validate_category,
     validate_functor,
 )
 from fincat.finset import (
@@ -62,6 +65,7 @@ from fincat.kan import (
 )
 from fincat.limits import COLIMIT, LIMIT, limit_finset
 from fincat.randgen import random_dag_category, random_preorder_category
+from helpers import functors_into_breaker, int_view_breakers
 
 
 def two_elt_functor_on_one():
@@ -229,8 +233,7 @@ def test_kan_universal_check_rejects_an_extension_into_another_category():
 
 
 def test_kan_universal_check_on_a_complete_table_reads_no_composite_by_name(monkeypatch):
-    """Mediators and comparisons meet in the int view on either side; only
-    a table the view lacks sends a check to the scan by name."""
+    """Mediators and comparisons meet in the int view on either side."""
     two, c3, pp = walking_arrow(), chain(3), parallel_pair()
     cases = []
     for side in (LEFT, RIGHT):
@@ -259,21 +262,22 @@ def _at_one(E, obj):
 
 
 def test_kan_universal_check_on_a_target_with_a_missing_entry():
-    """The StructuralError of the first missing composite met, with its
-    message; a mediator test that fails at one object does not read the
-    composites at the objects after it."""
+    """E's int view is built before any search, so a missing composite raises
+    validate_category's StructuralError on either side, with or without a
+    supplied family, also where no search would read it: the first check
+    below once returned a refutation at its one H, with a count of 0."""
     E = _without(chain(3), ("c12", "c01"))
+    fault = ("StructuralError", "chain3!: incomplete composition table, missing (c12,c01)")
+    assert _raised(validate_category, E) == fault
     one = identity_functor(terminal_category())
     F, L = _at_one(E, "0"), _at_one(E, "1")
     eta = NatTrans("eta", F, L, {"*": "c01"})
-    assert kan_universal_check(L, eta, one, F, LEFT) == _refuted(1, "*↦0", 0)
-    assert _kan_outcome(L, eta, one, F, LEFT, H_family=[_at_one(E, "2")]) == \
-        ("StructuralError", "chain3!: no composition entry for c12 after c01")
     R, G = _at_one(E, "1"), _at_one(E, "2")
     eps = NatTrans("eps", R, G, {"*": "c12"})
-    assert _kan_outcome(R, eps, one, G, RIGHT, H_family=[_at_one(E, "0")]) == \
-        ("StructuralError", "op(chain3!): no composition entry for c01 after c12")
-    # w.u is missing; every sigma d0 -> x fails at d0, before d1 reads w.u
+    for family in (None, [_at_one(E, "0")], [_at_one(E, "2")]):
+        assert _kan_outcome(L, eta, one, F, LEFT, H_family=family) == fault
+        assert _kan_outcome(R, eps, one, G, RIGHT, H_family=family) == fault
+    # w.u is missing, though every sigma d0 -> x fails at d0, before d1 would read w.u
     E = _without(make_category("E", ["0", "1", "2"],
                                [("u", "0", "1"), ("v", "0", "1"), ("w", "1", "2"),
                                 ("x", "0", "2"), ("y", "0", "2")],
@@ -283,66 +287,64 @@ def test_kan_universal_check_on_a_target_with_a_missing_entry():
     at = {x: Functor(x, d2, E, {"d0": x, "d1": x}, {"id_d0": f"id_{x}", "id_d1": f"id_{x}"})
           for x in ("0", "1", "2")}
     eta = NatTrans("eta", at["0"], at["1"], {"d0": "v", "d1": "u"})
-    assert kan_universal_check(at["1"], eta, K, at["0"], LEFT, H_family=[at["2"]]) == \
-        _refuted(1, "2", 0, partial=True)
+    assert _kan_outcome(at["1"], eta, K, at["0"], LEFT, H_family=[at["2"]]) == \
+        _raised(validate_category, E) == \
+        ("StructuralError", "E!: incomplete composition table, missing (w,u)")
 
 
 def _kan_cases(seeds: int):
     """(L, eta, K, F, side, a few functors K.cod -> F.cod): pointwise
     extensions, their (co)units perturbed, and arbitrary functors with a
-    transformation, over random categories and targets with one composition
-    entry removed."""
+    transformation, over random categories; each also read into its target
+    with one composition entry removed."""
     for seed in range(seeds):
         rng = random.Random(5100 + seed)
         pick = [lambda n: random_dag_category(rng, 3, 5, name=n),
                 lambda n: random_preorder_category(rng, 3, name=n), lambda n: z2_monoid()]
         C, D, E = (rng.choice(pick)(n) for n in "CDE")
-        targets = [E]
         gaps = sorted(k for k in E.compose if not E.is_identity(k[0]) and not E.is_identity(k[1]))
-        if gaps:
-            targets.append(_without(E, rng.choice(gaps)))
-        Ks = enumerate_functors(C, D)
-        for E in targets:
-            try:
-                Fs, Ls, Hs = (enumerate_functors(C, E), enumerate_functors(D, E),
-                              enumerate_functors(D, E)[::-1][:3])
-            except StructuralError:
-                continue
-            for side in (LEFT, RIGHT):
-                K, F = rng.choice(Ks), rng.choice(Fs)
-                try:
-                    kr = kan_pointwise(K, F, side)
-                except StructuralError:
-                    kr = None
-                if kr is not None and kr.extension is not None:
-                    t = kr.unit_or_counit
-                    yield kr.extension, t, K, F, side, Hs
-                    c = rng.choice(sorted(t.components))
-                    for h in E.hom(t.src.obj_map[c], t.tgt.obj_map[c]):
-                        if h != t.components[c]:
-                            yield kr.extension, NatTrans(t.name, t.src, t.tgt,
-                                                         {**t.components, c: h}), K, F, side, Hs
-                L = rng.choice(Ls)
-                LK = compose_functors(L, K)
-                try:
-                    etas = enumerate_nat_trans(F, LK) if side == LEFT \
-                        else enumerate_nat_trans(LK, F)
-                except StructuralError:
-                    continue
-                for eta in etas[:2]:
-                    yield L, eta, K, F, side, Hs
+        Ks, Fs, Ls = enumerate_functors(C, D), enumerate_functors(C, E), enumerate_functors(D, E)
+        Hs = Ls[::-1][:3]
+        for side in (LEFT, RIGHT):
+            K, F = rng.choice(Ks), rng.choice(Fs)
+            cases = []
+            kr = kan_pointwise(K, F, side)
+            if kr.extension is not None:
+                t = kr.unit_or_counit
+                cases.append((kr.extension, t))
+                c = rng.choice(sorted(t.components))
+                for h in E.hom(t.src.obj_map[c], t.tgt.obj_map[c]):
+                    if h != t.components[c]:
+                        cases.append((kr.extension, NatTrans(t.name, t.src, t.tgt,
+                                                             {**t.components, c: h})))
+            L = rng.choice(Ls)
+            LK = compose_functors(L, K)
+            etas = enumerate_nat_trans(F, LK) if side == LEFT else enumerate_nat_trans(LK, F)
+            cases += [(L, eta) for eta in etas[:2]]
+            hole = _without(E, rng.choice(gaps)) if gaps else None
+            for L, eta in cases:
+                yield L, eta, K, F, side, Hs
+                if hole is not None:
+                    yield (_into(hole, L), _nat_into(hole, eta), K, _into(hole, F), side,
+                           [_into(hole, H) for H in Hs])
+
+
+def _nat_into(E, t):
+    """The transformation t read between its functors read into E."""
+    return NatTrans(t.name, _into(E, t.src), _into(E, t.tgt), t.components)
 
 
 def test_kan_universal_check_matches_reference():
+    """The reference's Report on a complete target; where a composition entry
+    is missing, the reference's StructuralError, which is validate_category's."""
     seen = set()
     for L, eta, K, F, side, Hs in _kan_cases(40):
+        fault = _raised(validate_category, F.cod)
         for family in (None, Hs):
             got = _kan_outcome(L, eta, K, F, side, H_family=family)
-            try:
-                want = ref_kan_universal_check(L, eta, K, F, side, family)
-            except StructuralError as e:
-                want = ("StructuralError", str(e))
+            want = _raised(ref_kan_universal_check, L, eta, K, F, side, family)
             assert got == want, (L, eta, K, F, side)
+            assert got == fault or isinstance(fault, Report), (L, eta, K, F, side)
             seen.add("error" if isinstance(got, tuple) else
                      "ok" if got.ok else f"count {min(got.counterexample.details['count'], 2)}")
     assert {"ok", "count 0", "count 2", "error"} <= seen, seen
@@ -353,16 +355,16 @@ def test_kan_universal_check_matches_reference():
 
 def per_H_kan_universal_check(L, eta, K, F, side=LEFT, H_family=None):
     """Every H in name order, each with its comparison search and then its
-    mediator search, whether or not it has a comparison."""
+    mediator search, whether or not it has a comparison; for well-formed
+    input only."""
     D, E = K.cod, F.cod
-    Es = E if side == LEFT else opposite(E)
     partial = H_family is not None
     if H_family is None:
         H_family = enumerate_functors(D, E)
     V = E._ints
-    names, num, rows = V.names, V.num, V.rows
+    num, rows = V.num, V.rows
     c_objs, d_objs = K.dom.sorted_objects(), D.sorted_objects()
-    pieces = [_Pieces(a, names) for a in c_objs]
+    pieces = [_Pieces(a, V.names) for a in c_objs]
     slot = {d: 2 + k for k, d in enumerate(d_objs)}
     checked = 0
     for H in H_family:
@@ -372,25 +374,12 @@ def per_H_kan_universal_check(L, eta, K, F, side=LEFT, H_family=None):
         between = _nat_families([L], [H]) if side == LEFT else _nat_families([H], [L])
         if not sigmas:
             continue
-        try:
-            ends = [(slot[K.obj_map[c]], num.get(eta.components[c], -1)) for c in c_objs]
-            images = {}
-            for sb in between:
-                image = tuple([rows[sb[a]][e] if side == LEFT else rows[e][sb[a]]
-                               for a, e in ends])
-                images[image] = images.get(image, 0) + 1
-            counts = [images.get(sigma[2:], 0) for *_, sigma in sigmas]
-        except KeyError:
-            mediators = [dict(zip(d_objs, [names[u] for u in sb[2:]])) for sb in between]
-            counts = []
-            for *_, sigma in sigmas:
-                target = dict(zip(c_objs, [names[u] for u in sigma[2:]]))
-                counts.append(unique_factor(
-                    mediators, lambda sb: all(Es.comp(sb[K.obj_map[c]], eta.components[c])
-                                              == target[c] for c in K.dom.objects))[1])
-                if counts[-1] != 1:
-                    break
-        for count in counts:
+        ends = [(slot[K.obj_map[c]], num[eta.components[c]]) for c in c_objs]
+        images = {}
+        for sb in between:
+            image = tuple([rows[sb[a]][e] if side == LEFT else rows[e][sb[a]] for a, e in ends])
+            images[image] = images.get(image, 0) + 1
+        for count in [images.get(sigma[2:], 0) for *_, sigma in sigmas]:
             checked += 1
             if count != 1:
                 return Report(False, checked,
@@ -426,8 +415,8 @@ def _retyped(X, E):
 
 
 def _without_identity(E: FinCat) -> FinCat:
-    """E with its last object gone from the identity table: a functor search
-    that sends an object there raises at its identity."""
+    """E with its last object gone from the identity table, which E._ints,
+    and so every search into E, rejects."""
     last = E.sorted_objects()[-1]
     return FinCat(E.name + "-", E.objects, E.morphisms,
                   {a: u for a, u in E.identity.items() if a != last}, E.compose)
@@ -438,9 +427,9 @@ def _differential_cases(seeds: int):
     categories: pointwise extensions, their (co)units perturbed and arbitrary
     L with a transformation, into a target E, E with one composition entry
     removed and E without one identity.  Each runs with H_family None, a few
-    H, and, as a list and as an iterator, those H behind a counterexample H
-    and a malformed H; and with L, F or K sending an arrow elsewhere, and L
-    or F not parallel to what the check compares them with."""
+    H, and, as a list and as an iterator, those H behind a counterexample H;
+    and with those H behind a malformed H, with L, F or K sending an arrow
+    elsewhere, and with L or F not fitting the other functors."""
     for seed in range(seeds):
         rng = random.Random(7300 + seed)
         pick = [lambda n: random_dag_category(rng, 3, 5, name=n),
@@ -471,20 +460,18 @@ def _differential_cases(seeds: int):
         for E in targets:
             Hs = [_into(E, H) for H in Ls[::-1][:3]]
             for L, eta, K, F, side in cases:
-                L, F = _into(E, L), _into(E, F)
-                eta = NatTrans(eta.name, _into(E, eta.src), _into(E, eta.tgt), eta.components)
+                L, eta, F = _into(E, L), _nat_into(E, eta), _into(E, F)
                 yield L, eta, K, F, side, None
                 yield L, eta, K, F, side, Hs
                 ref = _raised(per_H_kan_universal_check, L, eta, K, F, side)
-                ahead = []
                 if isinstance(ref, Report) and not ref.ok:
-                    ahead.append(_into(E, next(H for H in Ls
-                                               if H.name == ref.counterexample.details["H"])))
-                bad = _retyped(Hs[0], E)
-                ahead += [bad] if bad is not None else []
-                if ahead:
+                    ahead = [_into(E, next(H for H in Ls
+                                           if H.name == ref.counterexample.details["H"]))]
                     yield L, eta, K, F, side, ahead + Hs
                     yield L, eta, K, F, side, iter(ahead + Hs)
+                bad = _retyped(Hs[0], E)
+                if bad is not None:
+                    yield L, eta, K, F, side, iter([bad] + Hs)
                 for X in (_retyped(L, E), _retyped(F, E), _retyped(K, D)):
                     if X is not None:
                         yield (X if X.dom == D and X.cod == E else L, eta,
@@ -496,44 +483,104 @@ def _differential_cases(seeds: int):
                 yield L, eta, K, _into(E, enumerate_functors(other, E0)[0]), side, None
 
 
+def _first_fault(E, *functors):
+    """The StructuralError of validate_category(E) or else of the first
+    functor that validate_functor rejects, as (type, message); else None."""
+    for check, X in [(validate_category, E)] + [(validate_functor, X) for X in functors]:
+        got = _raised(check, X)
+        if isinstance(got, tuple):
+            return got
+    return None
+
+
 def test_kan_universal_check_matches_the_per_H_loop():
+    """Every well-formed case gives the per-H loop's Report.  A case whose
+    target breaks the int view, or in which F, K, L or a supplied H sends an
+    arrow outside its hom-set, raises validate_category's or else the first
+    such functor's validate_functor error; functors that do not fit together
+    raise, or find no comparison at all."""
     seen = Counter()
     for L, eta, K, F, side, family in _differential_cases(60):
-        # each side reads its own copy of an iterator
+        # the check reads its own copy of an iterator
         copies = itertools.tee(family) if family is not None and not isinstance(family, list) \
             else (family, family)
+        Hs = None if family is None else list(copies[1])
         got = _raised(kan_universal_check, L, eta, K, F, side, H_family=copies[0])
-        want = _raised(per_H_kan_universal_check, L, eta, K, F, side, copies[1])
-        assert got == want, (L, eta, K, F, side, family)
-        seen[want[0] if isinstance(want, tuple) else "ok" if want.ok else
-             f"count {min(want.counterexample.details['count'], 2)}"] += 1
-    assert seen["ok"] > 50 and seen["count 0"] and seen["count 2"], seen
-    assert seen["StructuralError"] > 20, seen
+        fault = _first_fault(F.cod, F, K, L, *(Hs or ()))
+        if fault is not None:
+            assert got == fault, (L, eta, K, F, side, Hs)
+            seen["malformed"] += 1
+        elif F.dom != K.dom or L.dom != K.cod or L.cod != F.cod:
+            assert got[0] == "StructuralError" or got == Report(True, 0, None, Hs is not None), \
+                (L, eta, K, F, side, Hs)
+            seen["unfitting"] += 1
+        else:
+            want = per_H_kan_universal_check(L, eta, K, F, side, Hs)
+            assert got == want, (L, eta, K, F, side, Hs)
+            seen["ok" if want.ok else f"count {min(want.counterexample.details['count'], 2)}"] += 1
+            seen["iterator"] += family is not None and not isinstance(family, list)
+    assert seen["ok"] > 50 and seen["count 0"] and seen["count 2"] and seen["iterator"], seen
+    assert seen["malformed"] > 100 and seen["unfitting"] > 10, seen
 
 
-
-def test_kan_universal_check_keeps_the_per_H_loop_where_a_search_can_raise():
-    """Two inputs on which a pruned or batched check would return a Report
-    where the per-H loop raises, or raise where it returns one: K sends its
-    arrow between the wrong objects, which only a later H's comparison search
-    reaches, after the first H is a counterexample; and the target lacks the
-    identity of an object that a functor search reaches but no H with a
-    comparison does."""
+def test_kan_universal_check_raises_on_a_malformed_input_before_any_search(monkeypatch):
+    """The check raises before its first search where a search could meet an
+    entry it cannot read.  K sends its arrow between the wrong objects: the
+    per-H loop refuted the first H before a comparison search reached that
+    arrow.  The target lacks the identity of an object that no H with a
+    comparison reaches: the per-H loop raised FinCat.id_of's error from its
+    functor search."""
     two, c3 = walking_arrow(), chain(3)
     K = Functor("K", two, c3, {"0": "0", "1": "1"}, {"id_0": "id_0", "id_1": "id_1", "a": "c12"})
     F = Functor("F", two, c3, {"0": "0", "1": "0"}, {"id_0": "id_0", "id_1": "id_0", "a": "id_0"})
     L = _named_functor(c3, c3, "0↦2;1↦2;2↦2|c01↦id_2;c02↦id_2;c12↦id_2")
     eta = NatTrans("eta", F, compose_functors(L, K), {"0": "c02", "1": "c02"})
-    want = _refuted(1, "0↦0;1↦0;2↦0|c01↦id_0;c02↦id_0;c12↦id_0", 0)
-    assert per_H_kan_universal_check(L, eta, K, F, LEFT) == want
-    assert kan_universal_check(L, eta, K, F, LEFT) == want
-    E, K = _without_identity(c3), identity_functor(two)
-    F = Functor("F", two, E, {"0": "0", "1": "1"}, {"id_0": "id_0", "id_1": "id_1", "a": "c01"})
-    eta = NatTrans("eta", F, F, {"0": "id_0", "1": "id_1"})
-    want = ("StructuralError", "chain3-: unknown object 2")
+    E, K2 = _without_identity(c3), identity_functor(two)
+    F2 = Functor("F", two, E, {"0": "0", "1": "1"}, {"id_0": "id_0", "id_1": "id_1", "a": "c01"})
+    eta2 = NatTrans("eta", F2, F2, {"0": "id_0", "1": "id_1"})
+
+    def no_search(*args):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(core, "search", no_search)
     for side in (LEFT, RIGHT):
-        assert _raised(per_H_kan_universal_check, F, eta, K, F, side) == want
-        assert _raised(kan_universal_check, F, eta, K, F, side) == want
+        assert _raised(kan_universal_check, L, eta, K, F, side) == _raised(validate_functor, K) \
+            == ("StructuralError", "K: image of a has wrong endpoints")
+        assert _raised(kan_universal_check, F2, eta2, K2, F2, side) == \
+            _raised(validate_category, E) == \
+            ("StructuralError", "chain3-: object 2 has no identity morphism")
+
+
+def test_every_search_into_an_incomplete_target_raises_validate_categorys_error(monkeypatch):
+    """Into each target that breaks the int view, and chain(3) without one
+    identity, enumerate_functors, enumerate_nat_trans, functor_category and
+    kan_universal_check (either side, with and without a supplied family)
+    raise validate_category's StructuralError before any search starts,
+    whatever the source."""
+    c3 = chain(3)
+    no_identity = _without_identity(c3)
+
+    def no_search(*args):
+        raise AssertionError("a search started")
+
+    for E in [*int_view_breakers().values(), no_identity]:
+        fault = _raised(validate_category, E)
+        assert fault[0] == "StructuralError", E
+        for C in (terminal_category(), walking_arrow(), discrete(2), parallel_pair()):
+            fs = [_into(E, X) for X in enumerate_functors(C, c3)] if E is no_identity \
+                else functors_into_breaker(C, E)
+            K = identity_functor(C)
+            with monkeypatch.context() as m:
+                m.setattr(core, "search", no_search)
+                assert _raised(enumerate_functors, C, E) == fault, (E, C)
+                assert _raised(functor_category, C, E) == fault, (E, C)
+                for F, G in itertools.product(fs[:3], repeat=2):
+                    assert _raised(enumerate_nat_trans, F, G) == fault, (E, F, G)
+                    eta = NatTrans("eta", F, G, {})
+                    for side, family in itertools.product((LEFT, RIGHT), (None, fs[:2])):
+                        assert _raised(kan_universal_check, G, eta, K, F, side,
+                                       H_family=family) == fault, (E, F, G, side)
+
 
 def test_kan_right_side_and_reconstruction():
     two = walking_arrow()

@@ -6,8 +6,10 @@ prefix, against a filter over the flattened product.  Cones, wedges, Set
 natural transformations and the Set (co)limit certificate are compared whole
 against the product filters they replaced, kept here as references; the
 one-search enumerations (functors, functor categories, cones and wedges)
-also against the per-pair and per-apex searches they replaced, on targets
-that break the int view too.  Functors and tabulated transformations are
+also against the per-pair and per-apex searches they replaced.  On targets
+that break the int view, the cone and wedge searches, which read composites
+by name, still match theirs, and the functor and transformation searches
+raise validate_category's error.  Functors and tabulated transformations are
 compared with product references in tests/test_functor_category.py.
 """
 import itertools
@@ -39,6 +41,7 @@ from fincat.core import (
     product,
     schedule,
     search,
+    validate_category,
     vcompose,
 )
 from fincat.finset import (
@@ -68,7 +71,7 @@ from fincat.randgen import (
     random_set_diagram,
     random_set_functor_on_free,
 )
-from helpers import int_view_breakers, square_category
+from helpers import functors_into_breaker, int_view_breakers
 
 
 # ---------------------------------------------------------------------------
@@ -630,50 +633,52 @@ def _one_search_sources():
 
 
 def _diagrams_into(J: FinCat, C: FinCat) -> list[Functor]:
-    """The functors J -> C, or, where a missing entry of C stops their
-    search, those into C's table before the entry was removed, read in C."""
-    try:
-        return enumerate_functors(J, C)
-    except StructuralError:
-        base = {"Sq!": square_category(), "chain3!": chain(3), "chain4!": chain(4)}[C.name]
-        return [Functor(F.name, J, C, F.obj_map, F.mor_map) for F in enumerate_functors(J, base)]
+    """The functors J -> C, or, where C is an int_view_breakers target whose
+    int view, and so whose functor search, raises, those into the fixture C
+    was edited from, read in C."""
+    return functors_into_breaker(J, C) if C.name.endswith("!") else enumerate_functors(J, C)
 
 
 def test_one_search_functors_and_functor_categories_match_per_pair_searches():
+    """On complete targets the one-search enumerations give what the
+    per-pair searches give.  On a target that breaks the int view each of
+    them raises validate_category's StructuralError before yielding
+    anything, for every source, also where a per-pair search would return
+    values."""
     seen = Counter()
+    breakers = int_view_breakers()
     for label, D in _one_search_targets():
         for C in _one_search_sources():
-            fs = _outcome(enumerate_functors, C, D)
-            ref = _outcome(two_search_functors, C, D)
-            if isinstance(fs, tuple):
-                assert fs == ref, (label, C.name)
-                seen["functor error"] += 1
+            if label in breakers:
+                fault = _outcome(validate_category, D)
+                assert isinstance(fault, tuple)
+                assert _outcome(enumerate_functors, C, D) == fault, (label, C.name)
+                assert _outcome(functor_category, C, D) == fault, (label, C.name)
+                for F, G in itertools.product(_diagrams_into(C, D)[:4], repeat=2):
+                    assert _outcome(enumerate_nat_trans, F, G) == fault, (label, F.name, G.name)
+                    seen["transformation error"] += 1
+                seen["search error"] += 1
+                seen["per-pair values"] += not isinstance(_outcome(two_search_functors, C, D),
+                                                          tuple)
                 continue
+            fs = enumerate_functors(C, D)
+            ref = two_search_functors(C, D)
             assert [(F.name, F.key()) for F in fs] == [(F.name, F.key()) for F in ref]
             for F, G in itertools.product(fs[:12], repeat=2):
-                got = _outcome(enumerate_nat_trans, F, G)
-                want = _outcome(per_pair_nat_trans, F, G)
-                if isinstance(got, tuple):
-                    assert got == want, (label, F.name, G.name)
-                    seen["transformation error"] += 1
-                else:
-                    assert _nat_rows({t.name: t for t in got}) == \
-                        _nat_rows({t.name: t for t in want}), (label, F.name, G.name)
+                got, want = enumerate_nat_trans(F, G), per_pair_nat_trans(F, G)
+                assert _nat_rows({t.name: t for t in got}) == \
+                    _nat_rows({t.name: t for t in want}), (label, F.name, G.name)
             if len(fs) > 12:
                 continue
-            fc = _outcome(functor_category, C, D)
-            want = _outcome(per_pair_functor_category, C, D)
-            if isinstance(fc, tuple):
-                assert fc == want, (label, C.name)
-                seen["category error"] += 1
-                continue
+            fc = functor_category(C, D)
             got = (list(fc.cat.objects), list(fc.cat.morphisms), _nat_rows(fc.nats),
                    dict(fc.cat.identity), dict(fc.cat.compose))
-            assert got == want, (label, C.name)
+            assert got == per_pair_functor_category(C, D), (label, C.name)
             seen["compared"] += 1
             seen["transformations"] += len(fc.nats)
     assert seen["compared"] > 30 and seen["transformations"] > 300, seen
-    assert seen["functor error"] and seen["category error"] and seen["transformation error"], seen
+    assert seen["search error"] == len(breakers) * len(_one_search_sources()), seen
+    assert seen["per-pair values"] > 40 and seen["transformation error"] > 500, seen
 
 
 def test_one_search_cones_and_wedges_match_per_apex_searches():
