@@ -11,11 +11,11 @@ from .core import (
     Report,
     StructuralError,
     compose_functors,
+    factorizations,
     fail_report,
     identity_functor,
     ok_report,
     opposite_functor,
-    unique_factor,
 )
 from .finset import FinSetMap, FinSetObj
 from .universal import FROM_OBJECT, universal_morphism
@@ -143,10 +143,15 @@ def convert(F: Functor, G: Functor, mode: str, *,
 
 
 def snake_check(F: Functor, G: Functor, eta: NatTrans, eps: NatTrans) -> Report:
-    """Both triangle identities, componentwise, with located counterexamples."""
+    """Both triangle identities, componentwise, with located counterexamples,
+    for a unit id_C => G.F and a counit F.G => id_D (functors compared by key)."""
     C, D = F.dom, F.cod
-    if dict(eta.src.obj_map) != dict(identity_functor(C).obj_map):
-        raise StructuralError("unit does not start at the identity functor")
+    for alpha, law, src, tgt in ((eta, "unit", identity_functor(C), compose_functors(G, F)),
+                                 (eps, "counit", compose_functors(F, G), identity_functor(D))):
+        # Functor ==, part by part, so that no key is computed
+        if any((X.dom, X.cod, X.obj_map, X.mor_map) != (Y.dom, Y.cod, Y.obj_map, Y.mor_map)
+               for X, Y in ((alpha.src, src), (alpha.tgt, tgt))):
+            raise StructuralError(f"{alpha.name}: the {law} is not {src.name} => {tgt.name}")
     checked = 0
     for d in D.sorted_objects():
         checked += 1
@@ -197,8 +202,8 @@ def adjoint_from_universals(G: Functor, side: str = "left") -> Optional[Adjuncti
     mor_map = {}
     for m in C.morphisms:
         target = C.comp(witnesses[m.cod].arrow, m.name)
-        f, _ = unique_factor(D.hom(obj_map[m.dom], obj_map[m.cod]),
-                             lambda f: C.comp(G.mor_map[f], witnesses[m.dom].arrow) == target)
+        f, _ = factorizations(D.hom(obj_map[m.dom], obj_map[m.cod]),
+                              lambda f: C.comp(G.mor_map[f], witnesses[m.dom].arrow))(target)
         if f is None:
             raise StructuralError(f"functor action at {m.name} not unique")
         mor_map[m.name] = f
@@ -250,9 +255,9 @@ def adjunction_uniqueness_iso(a1: Adjunction, a2: Adjunction) -> NatTrans:
     C, D = F1.dom, F1.cod
     comps = {}
     for c in C.objects:
-        f, _ = unique_factor(D.hom(F1.obj_map[c], F2.obj_map[c]),
-                             lambda f: C.comp(G.mor_map[f], a1.unit.components[c])
-                             == a2.unit.components[c])
+        f, _ = factorizations(D.hom(F1.obj_map[c], F2.obj_map[c]),
+                              lambda f: C.comp(G.mor_map[f], a1.unit.components[c])
+                              )(a2.unit.components[c])
         if f is None:
             raise StructuralError(f"mediating component at {c} not unique")
         if not D.is_iso(f):

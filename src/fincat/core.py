@@ -76,11 +76,16 @@ def fail_report(checked: int, law: str, **details) -> Report:
     return Report(False, checked, Counterexample(law, details))
 
 
-def unique_factor(candidates, holds):
-    """The one candidate satisfying holds (None unless exactly one does), and
-    how many do: the count a factorization counterexample reports."""
-    found = [x for x in candidates if holds(x)]
-    return (found[0] if len(found) == 1 else None), len(found)
+def factorizations(candidates, image):
+    """Unique factorization as one table: each candidate's image is computed
+    once, and the function returned sends a target to the candidate with that
+    image (None unless exactly one has it) and how many have it, the count a
+    factorization counterexample reports."""
+    table: dict = {}
+    for x in candidates:
+        y = image(x)
+        table[y] = (None, table[y][1] + 1) if y in table else (x, 1)
+    return lambda y: table.get(y, (None, 0))
 
 
 # ---------------------------------------------------------------------------

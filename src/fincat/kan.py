@@ -21,7 +21,6 @@ certified by one helper, finset.nat_bijection.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -39,6 +38,7 @@ from .core import (
     compose_functors,
     enumerate_functors,
     enumerate_nat_trans,
+    factorizations,
     fail_report,
     identity_functor,
     ok_report,
@@ -47,7 +47,6 @@ from .core import (
     opposite_functor,
     pair_id,
     split_pair,
-    unique_factor,
     validate_natural,
     vcompose,
     whisker_functor_nat,
@@ -80,6 +79,7 @@ from .limits import (
     limit_finset,
     set_colimit,
     set_limit,
+    through,
 )
 from .universal import CommaData, _pair, comma_from_object, comma_to_object, elements_category
 
@@ -150,10 +150,9 @@ def kan_pointwise(K: Functor, F: Union[Functor, SetFunctor],
             checked += n
             detail = {}
         else:
-            Es = F.cod if side == LEFT else opposite(F.cod)
-            g, count = unique_factor(Es.hom(obj_map[d], obj_map[dp]),
-                                     lambda g: all(Es.comp(g, legs[d][o]) == legs[dp][o2]
-                                                   for o, o2 in links))
+            # a cone factorization in op(E) on the left, in E on the right
+            g, count = through(opposite(F.cod) if side == LEFT else F.cod, obj_map[dp],
+                               obj_map[d], legs[d])({o: legs[dp][o2] for o, o2 in links})
             checked += 1
             detail = {"count": count}
         if g is None:
@@ -249,13 +248,13 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
             raise StructuralError(f"{eta.name}: component at {c} lies in the wrong hom-set")
         ends.append((2 + d_objs.index(d), num[u]))
     # each mediator's image, keyed by its H's place in `have`
-    images = Counter((t[at], *[rows[t[a]][e] if side == LEFT else rows[e][t[a]] for a, e in ends])
-                     for t in mediators)
+    images = factorizations(mediators, lambda t: (
+        t[at], *[rows[t[a]][e] if side == LEFT else rows[e][t[a]] for a, e in ends]))
     checked = 0
     for k, h in enumerate(have):
         for *_, sigma in sigmas[h]:
             checked += 1
-            count = images[(k, *sigma[2:])]
+            _, count = images((k, *sigma[2:]))
             if count != 1:
                 return Report(False, checked, Counterexample(
                     "kan-universal", {"H": H_family[h].name, "count": count}), partial)
@@ -272,10 +271,8 @@ def ran_factor(kr: KanResult, H: Functor, sigma: NatTrans) -> NatTrans:
     for d in D.objects:
         comma = kr.commas[d]
         legs = kr.per_object[d].cone.legs.components
-        g, _ = unique_factor(E.hom(H.obj_map[d], T.obj_map[d]),
-                             lambda g: all(E.comp(legs[o], g) ==
-                                           E.comp(sigma.components[c], H.mor_map[p])
-                                           for o, (c, p) in comma.pairs.items()))
+        g, _ = through(E, H.obj_map[d], T.obj_map[d], legs)(
+            {o: E.comp(sigma.components[c], H.mor_map[p]) for o, (c, p) in comma.pairs.items()})
         if g is None:
             raise StructuralError(f"right-Kan factorization at {d} not unique")
         comps[d] = g
@@ -679,10 +676,9 @@ def _weighted_limit_general(W: SetFunctor, F: Functor, side: str) -> WeightedRes
         fo, g = split_pair(m.name)
         src, tgt = m.dom, m.cod
         cp1, c1 = split_pair(tgt)
-        u, _ = unique_factor(E.hom(cot_obj[src], cot_obj[tgt]),
-                             lambda u: all(E.comp(cot_legs[tgt][w], u) ==
-                                           E.comp(F.mor_map[g], cot_legs[src][W.on_mor[fo](w)])
-                                           for w in W.on_obj[cp1].elements))
+        u, _ = through(E, cot_obj[src], cot_obj[tgt], cot_legs[tgt])(
+            {w: E.comp(F.mor_map[g], cot_legs[src][W.on_mor[fo](w)])
+             for w in W.on_obj[cp1].elements})
         if u is None:
             return WeightedResult(None, fail_report(0, f"missing-{cot}", at=m.name))
         mor_map[m.name] = u

@@ -25,6 +25,7 @@ from .core import (
     _budget,
     compose_functors,
     const_diagram,
+    factorizations,
     fail_report,
     functor_category,
     ok_report,
@@ -32,7 +33,6 @@ from .core import (
     pair_id,
     search,
     split_pair,
-    unique_factor,
     whisker_functor_nat,
 )
 from .finset import (
@@ -137,30 +137,41 @@ def enumerate_cones(D: Functor, direction: str) -> list[tuple[str, dict[str, str
     return [(legs[0], dict(zip(objs, legs[1:]))) for legs in found]
 
 
-def _factor_through(C: FinCat, c: str, fam, apex: str, legs):
-    """unique_factor over C(c, apex) for legs_j . f = fam_j at every j."""
-    return unique_factor(C.hom(c, apex),
-                         lambda f: all(C.comp(legs[j], f) == fam[j] for j in legs))
+def through(C: FinCat, c: str, apex: str, legs):
+    """The factorizations of the cones from c through (apex, legs): a cone
+    fam, keyed as legs are, goes to the f in C(c, apex) with legs_j . f =
+    fam_j at every j (None unless exactly one) and how many there are."""
+    factor = factorizations(C.hom(c, apex), lambda f: tuple([C.comp(legs[j], f) for j in legs]))
+    return lambda fam: factor(tuple([fam[j] for j in legs]))
 
 
 def certify_terminal(C: FinCat, apex: str, legs, cones) -> Report:
-    """Exhaustive unique-factorization certificate against every listed cone."""
-    checked = 0
-    for c, fam in cones:
-        checked += 1
-        f, count = _factor_through(C, c, fam, apex, legs)
+    """Exhaustive unique-factorization certificate against every listed cone,
+    by one table per source, built at that source's first cone."""
+    tables = {}
+    for checked, (c, fam) in enumerate(cones, 1):
+        if c not in tables:
+            tables[c] = through(C, c, apex, legs)
+        f, count = tables[c](fam)
         if f is None:
             return fail_report(checked, "limit-factorization", apex=c, count=count)
-    return ok_report(checked)
+    return ok_report(len(cones))
 
 
 def first_terminal(C: FinCat, cones) -> Optional[tuple[int, Report]]:
     """The position of the first listed cone that certify_terminal certifies
-    against all of them, with its certificate, or None if none is terminal."""
+    against all of them (the list holds every cone), with its certificate, or
+    None.  Only an apex with as many arrows from each source c as there are
+    cones from c is certified: legs . f is a cone, so a terminal apex has
+    f -> legs . f a bijection from C(c, apex) onto them."""
+    sources: dict[str, int] = {}
+    for c, _ in cones:
+        sources[c] = sources.get(c, 0) + 1
     for n, (apex, legs) in enumerate(cones):
-        cert = certify_terminal(C, apex, legs, cones)
-        if cert.ok:
-            return n, cert
+        if all(len(C.hom(c, apex)) == k for c, k in sources.items()):
+            cert = certify_terminal(C, apex, legs, cones)
+            if cert.ok:
+                return n, cert
     return None
 
 
@@ -194,9 +205,8 @@ def _induced(C: FinCat, direction: str, src: LimitResult, tgt: LimitResult,
     if direction != LIMIT:
         src, tgt = tgt, src
     legs = src.cone.legs.components
-    f, _ = _factor_through(Cs, src.object, {j: Cs.comp(tau[j], legs[j]) for j in objs},
-                          tgt.object, tgt.cone.legs.components)
-    return f
+    return through(Cs, src.object, tgt.object, tgt.cone.legs.components)(
+        {j: Cs.comp(tau[j], legs[j]) for j in objs})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +271,12 @@ def induced_set_map(direction: str, src: FinSetObj, src_legs, tgt: FinSetObj, tg
     checks = 0
     table: dict[str, str] = {}
     if direction == LIMIT:
-        by_values: dict[tuple, Optional[str]] = {}
-        for e2 in tgt.elements:
-            key = tuple(tgt_legs[k2].table[e2] for _, _, k2 in moves)
-            by_values[key] = None if key in by_values else e2
+        factor = factorizations(tgt.elements,
+                                lambda e2: tuple([tgt_legs[k2].table[e2] for _, _, k2 in moves]))
         moved = [(src_legs[k].table, t) for k, t, _ in moves]
         for e in src.elements:
             checks += 1
-            e2 = by_values.get(tuple(leg[e] if t is None else t[leg[e]] for leg, t in moved))
+            e2, _ = factor(tuple([leg[e] if t is None else t[leg[e]] for leg, t in moved]))
             if e2 is None:
                 return None, checks
             table[e] = e2
@@ -313,21 +321,6 @@ def _set_limit_of(D: SetFunctor, direction: str) -> tuple[FinSetObj, dict[str, F
     raise StructuralError(f"unknown direction {direction!r}")
 
 
-def _factor_count_limit(signature: dict[tuple, int], order: tuple[str, ...],
-                        P: FinSetObj, fam: dict[str, Mapping[str, str]]) -> int:
-    """Number of maps h: P -> obj with legs_j . h = fam_j, counted pointwise.
-
-    signature counts obj elements by their tuple of leg values; fam holds the
-    tables of the probe cone.
-    """
-    count = 1
-    for p in P.elements:
-        count *= signature.get(tuple(fam[j][p] for j in order), 0)
-        if count == 0:
-            return 0
-    return count
-
-
 def _factor_count_colimit(obj: FinSetObj, legs: dict[str, FinSetMap],
                           P: FinSetObj, fam: dict[str, Mapping[str, str]]) -> int:
     """Number of maps h: obj -> P with h . legs_j = fam_j, fam given by tables."""
@@ -353,11 +346,9 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
     objs = J.sorted_objects()
     tables = D._tables
     checked = 0
-    signature: dict[tuple, int] = {}
     if direction == LIMIT:
-        for e in obj.elements:
-            k = tuple(legs[j](e) for j in objs)
-            signature[k] = signature.get(k, 0) + 1
+        # a map P -> obj through the cone picks an element over each p's leg values
+        factor = factorizations(obj.elements, lambda e: tuple([legs[j](e) for j in objs]))
 
     def natural(square, fam) -> bool:
         m, a, b = square
@@ -379,7 +370,7 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
             fam = dict(zip(objs, combo))
             checked += 1
             if direction == LIMIT:
-                n = _factor_count_limit(signature, objs, P, fam)
+                n = math.prod(factor(tuple([fam[j][p] for j in objs]))[1] for p in P.elements)
             else:
                 n = _factor_count_colimit(obj, legs, P, fam)
             if n != 1:
@@ -512,7 +503,7 @@ def interchange_check(D: Functor, I: FinCat, J: FinCat,
     def mediate(apex: str, legs: dict[str, str], target: LimitResult) -> str:
         nonlocal checked
         checked += 1
-        f, _ = _factor_through(Cs, apex, legs, target.object, target.cone.legs.components)
+        f, _ = through(Cs, apex, target.object, target.cone.legs.components)(legs)
         if f is None:
             raise StructuralError("mediating morphism not unique")
         return f

@@ -13,10 +13,10 @@ from .core import (
     StructuralError,
     compose_functors,
     const_diagram,
+    factorizations,
     fail_report,
     ok_report,
     opposite_functor,
-    unique_factor,
 )
 from .finset import (
     FinSetMap,
@@ -252,9 +252,10 @@ def verify_universal(w: UniversalWitness, c: str, G: Functor) -> Report:
         raise StructuralError("witness arrow has the wrong type")
     checked = 0
     for x in D.sorted_objects():
+        factor = factorizations(D.hom(u, x), lambda f: C.comp(G.mor_map[f], eta))
         for a in C.hom(c, G.obj_map[x]):
             checked += 1
-            f, count = unique_factor(D.hom(u, x), lambda f: C.comp(G.mor_map[f], eta) == a)
+            f, count = factor(a)
             if f is None:
                 return fail_report(checked, "universal-factorization",
                                    at=_pair(x, a), count=count)
@@ -268,8 +269,8 @@ def essentially_unique(c: str, G: Functor, w1: UniversalWitness,
         raise StructuralError("witness directions differ")
     G = _from_side(G, w1.direction)
     C, D = G.cod, G.dom
-    psi, count = unique_factor(D.hom(w1.vertex, w2.vertex),
-                               lambda f: C.comp(G.mor_map[f], w1.arrow) == w2.arrow)
+    psi, count = factorizations(D.hom(w1.vertex, w2.vertex),
+                                lambda f: C.comp(G.mor_map[f], w1.arrow))(w2.arrow)
     if psi is None:
         return fail_report(1, "essential-uniqueness", count=count)
     if not D.is_iso(psi):
@@ -304,7 +305,8 @@ def representability(X: SetFunctor) -> Optional[Representation]:
                 continue
             eta = sigma.components[u](C.id_of(u))   # the Yoneda element of sigma
             # certify: every (x, a) factors uniquely through eta
-            if all(unique_factor(C.hom(u, x), lambda f: X.on_mor[f](eta) == a)[0] is not None
-                   for x in C.sorted_objects() for a in X.on_obj[x].sorted()):
+            if all(factor(a)[0] is not None for x in C.sorted_objects()
+                   for factor in [factorizations(C.hom(u, x), lambda f: X.on_mor[f](eta))]
+                   for a in X.on_obj[x].sorted()):
                 return Representation(u, sigma)
     return None

@@ -93,6 +93,26 @@ def random_term(rng: random.Random, env: Environment, max_gens: int = 6):
     return term
 
 
+def scan_factor(candidates, holds):
+    """Unique factorization as a predicate scan, the reference for
+    core.factorizations: the one candidate satisfying holds (None unless
+    exactly one does), and how many do."""
+    found = [x for x in candidates if holds(x)]
+    return (found[0] if len(found) == 1 else None), len(found)
+
+
+def scan_through(C: FinCat, c: str, apex: str, legs, fam):
+    """scan_factor over C(c, apex) for legs_j . f = fam_j at every j, the
+    reference for limits.through."""
+    return scan_factor(C.hom(c, apex), lambda f: all(C.comp(legs[j], f) == fam[j] for j in legs))
+
+
+def z3_monoid() -> FinCat:
+    return make_category("Z3", ["*"], [("s", "*", "*"), ("s2", "*", "*")],
+                         {("s", "s"): "s2", ("s", "s2"): "id_*",
+                          ("s2", "s"): "id_*", ("s2", "s2"): "s"})
+
+
 def edited(D: FinCat, entries=None, drop=()) -> FinCat:
     """D with some composition entries replaced and some removed."""
     table = {**D.compose, **(entries or {})}

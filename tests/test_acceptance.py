@@ -28,7 +28,6 @@ from fincat.core import (
     diagonal_functor,
     functor_category,
     identity_functor,
-    make_category,
     opposite,
     pair_id,
     product,
@@ -80,7 +79,7 @@ from fincat.randgen import (
     random_set_diagram,
 )
 
-from helpers import fixture_env, random_term
+from helpers import fixture_env, random_term, z3_monoid
 
 
 def criterion(number: int, title: str):
@@ -649,12 +648,6 @@ def test_acceptance_7_weighted():
         wl = weighted_limit(Wh, B, LIMIT)
         assert wl.certificate.ok
         assert len(direct.object) == len(wl.object)
-
-
-def z3_monoid():
-    return make_category("Z3", ["*"], [("s", "*", "*"), ("s2", "*", "*")],
-                         {("s", "s"): "s2", ("s", "s2"): "id_*",
-                          ("s2", "s"): "id_*", ("s2", "s2"): "s"})
 
 
 @criterion(8, "Codensity monads")

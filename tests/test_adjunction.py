@@ -107,6 +107,20 @@ def test_snake_detects_swapped_unit():
         snake_rep = convert(F, G, "unit->phi", unit=broken)
 
 
+def test_snake_rejects_a_unit_or_counit_of_the_wrong_type():
+    two = walking_arrow()
+    one = bang(two).cod
+    F, G = bang(two), pick_object(two, "1", "G")
+    I1, I2 = identity_functor(one), identity_functor(two)
+    e1 = NatTrans("e1", I1, I1, {"*": "id_*"})
+    e2 = NatTrans("e2", I2, I2, {"0": "id_0", "1": "id_1"})
+    with pytest.raises(StructuralError, match=r"e2: the unit is not id_2 => G\*!"):
+        snake_check(F, G, e2, e1)
+    with pytest.raises(StructuralError, match=r"e2: the counit is not id_1\*id_1 => id_1"):
+        snake_check(I1, I1, e1, e2)
+    assert snake_check(I1, I1, e1, e1).ok
+
+
 def test_adjoint_from_universals_terminal_pick():
     two = walking_arrow()
     G = pick_object(two, "1", "G")

@@ -160,6 +160,52 @@ def test_snake_command():
     assert code == 2
 
 
+MISTYPED_SNAKE = """category one {
+  objects: "*";
+}
+category two {
+  objects: "0", "1";
+  mor a: "0" -> "1";
+}
+functor F: two -> one {
+  obj "0" |-> "*";
+  obj "1" |-> "*";
+  mor a |-> "id_*";
+}
+functor G: one -> two {
+  obj "*" |-> "1";
+}
+functor I1: one -> one {
+  obj "*" |-> "*";
+}
+functor I2: two -> two {
+  obj "0" |-> "0";
+  obj "1" |-> "1";
+  mor a |-> a;
+}
+nat e1: I1 => I1 {
+  at "*": "id_*";
+}
+nat e2: I2 => I2 {
+  at "0": "id_0";
+  at "1": "id_1";
+}
+"""
+
+
+def test_snake_rejects_a_unit_or_counit_of_the_wrong_type(tmp_path):
+    # e2 is no unit id_two => G.F (its component at 0 is id_0, not an arrow
+    # 0 -> GF(0) = 1), and no counit I1.I1 => id_one
+    path = tmp_path / "mistyped.cat"
+    path.write_text(MISTYPED_SNAKE)
+    code, out = run("snake", "F", "G", "e2", "e1", str(path))
+    assert code == 2 and "e2: the unit is not id_two => G*F" in out
+    code, out = run("snake", "I1", "I1", "e1", "e2", str(path), "--json")
+    assert code == 2
+    assert json.loads(out)["message"] == "e2: the counit is not I1*I1 => id_one"
+    assert run("snake", "I1", "I1", "e1", "e1", str(path))[0] == 0
+
+
 def test_yoneda_density_codensity():
     assert run("yoneda-check", "two", cat("two.cat"))[0] == 0
     assert run("yoneda-check", "z2", cat("z2.cat"))[0] == 0
