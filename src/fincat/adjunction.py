@@ -10,6 +10,7 @@ from .core import (
     NatTrans,
     Report,
     StructuralError,
+    _check_natural,
     compose_functors,
     factorizations,
     fail_report,
@@ -152,6 +153,7 @@ def snake_check(F: Functor, G: Functor, eta: NatTrans, eps: NatTrans) -> Report:
         if any((X.dom, X.cod, X.obj_map, X.mor_map) != (Y.dom, Y.cod, Y.obj_map, Y.mor_map)
                for X, Y in ((alpha.src, src), (alpha.tgt, tgt))):
             raise StructuralError(f"{alpha.name}: the {law} is not {src.name} => {tgt.name}")
+        _check_natural(alpha)
     checked = 0
     for d in D.sorted_objects():
         checked += 1

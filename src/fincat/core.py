@@ -429,38 +429,52 @@ class IntView:
     Morphisms are numbered in sorted id order, so int order is id order and
     the hom tuples `homs[(a, b)]` keep C.hom's order.  rows[g][f] is the int
     of g after f for every composable pair, in C._into order.  The searches
-    trust these rows, so the build raises validate_category's StructuralError
-    where an object has no identity, an identity or composite is not a
-    morphism or a composable pair has no entry, and where an identity is not
-    an arrow from its object to itself.
+    trust these rows, so the build is a table's one structural check: it
+    raises StructuralError on the first fault, in the order of its passes.
     """
 
     def __init__(self, C: FinCat):
-        names = self.names = sorted([m.name for m in C.morphisms])
-        num = self.num = {m: i for i, m in enumerate(names)}
+        for kind, ids in (("object", C.objects), ("morphism", [m.name for m in C.morphisms])):
+            if len(set(ids)) != len(ids):
+                dup = next(a for i, a in enumerate(ids) if a in ids[:i])
+                raise StructuralError(f"{C.name}: duplicate {kind} id {dup}")
+        objects, mor, comp = set(C.objects), C.mor, C.compose
+        for a, i in C.identity.items():
+            if a not in objects:
+                raise StructuralError(f"{C.name}: identity table names unknown object {a}")
+            if i not in mor:
+                raise StructuralError(f"{C.name}: identity {i} of {a} is not a morphism")
+        for m in C.morphisms:
+            if m.dom not in objects or m.cod not in objects:
+                raise StructuralError(f"{C.name}: morphism {m.name} has unresolved endpoints")
         for a in C.objects:
-            i = C.identity.get(a)
-            m = C.mor.get(i)
-            if m is None or m.dom != a or m.cod != a:
-                raise StructuralError(
-                    f"{C.name}: object {a} has no identity morphism" if i is None else
-                    f"{C.name}: identity {i} of {a} is not a morphism" if m is None else
-                    f"{C.name}: identity {i} of {a} has wrong endpoints")
+            if a not in C.identity:
+                raise StructuralError(f"{C.name}: object {a} has no identity morphism")
+        for (g, f), h in comp.items():
+            mg, mf, mh = mor.get(g), mor.get(f), mor.get(h)
+            if mg is None or mf is None or mh is None:
+                raise StructuralError(f"{C.name}: composition entry ({g},{f})={h} has unresolved ids")
+            if mf.cod != mg.dom:
+                raise StructuralError(f"{C.name}: composition entry for non-composable pair ({g},{f})")
+            if mh.dom != mf.dom or mh.cod != mg.cod:
+                raise StructuralError(f"{C.name}: composite {h} of ({g},{f}) has wrong endpoints")
+        for a, i in C.identity.items():
+            if mor[i].dom != a or mor[i].cod != a:
+                raise StructuralError(f"{C.name}: identity {i} of {a} has wrong endpoints")
+        names = self.names = sorted(mor)
+        num = self.num = {m: i for i, m in enumerate(names)}
         into = self.into = {}  # C._into as ints
         for m in C.morphisms:
             into.setdefault(m.cod, []).append(num[m.name])
         rows = self.rows = [{} for _ in names]
-        comp = C.compose
         for g in C.morphisms:
             gn = g.name
             row = rows[num[gn]]
             for fi in into.get(g.dom, ()):
                 h = comp.get((gn, names[fi]))
-                if h not in num:
+                if h is None:
                     raise StructuralError(
-                        f"{C.name}: incomplete composition table, missing ({gn},{names[fi]})"
-                        if h is None else
-                        f"{C.name}: composition entry ({gn},{names[fi]})={h} has unresolved ids")
+                        f"{C.name}: incomplete composition table, missing ({gn},{names[fi]})")
                 row[fi] = num[h]
         self._morphisms = C.morphisms
 
@@ -652,49 +666,19 @@ def composable_pairs(C: FinCat) -> Iterator[tuple[Mor, Mor]]:
 def validate_category(C: FinCat) -> Report:
     """Exhaustively check well-formedness, unit laws and associativity.
 
-    The structural pass reads the ids; the completeness pass is the build of
-    C._ints (cached on C), and the unit and associativity passes look
-    composites up in its int rows.  Counterexamples name ids, never ints.
+    Well-formedness is the build of C._ints (cached on C), which raises
+    StructuralError on a malformed table; the unit and associativity passes
+    look composites up in its int rows.  Counterexamples name ids, never ints.
     """
-    for kind, ids in (("object", C.objects), ("morphism", [m.name for m in C.morphisms])):
-        if len(set(ids)) != len(ids):
-            dup = next(a for i, a in enumerate(ids) if a in ids[:i])
-            raise StructuralError(f"{C.name}: duplicate {kind} id {dup}")
-    objects, mor = set(C.objects), C.mor
-    for a, i in C.identity.items():
-        if a not in objects:
-            raise StructuralError(f"{C.name}: identity table names unknown object {a}")
-        if i not in mor:
-            raise StructuralError(f"{C.name}: identity {i} of {a} is not a morphism")
-    for m in C.morphisms:
-        if m.dom not in objects or m.cod not in objects:
-            raise StructuralError(f"{C.name}: morphism {m.name} has unresolved endpoints")
-    for a in C.objects:
-        if a not in C.identity:
-            raise StructuralError(f"{C.name}: object {a} has no identity morphism")
-    for (g, f), h in C.compose.items():
-        mg, mf, mh = mor.get(g), mor.get(f), mor.get(h)
-        if mg is None or mf is None or mh is None:
-            raise StructuralError(f"{C.name}: composition entry ({g},{f})={h} has unresolved ids")
-        if mf.cod != mg.dom:
-            raise StructuralError(f"{C.name}: composition entry for non-composable pair ({g},{f})")
-        if mh.dom != mf.dom or mh.cod != mg.cod:
-            raise StructuralError(f"{C.name}: composite {h} of ({g},{f}) has wrong endpoints")
-
-    for a, i in C.identity.items():
-        if not (mor[i].dom == a and mor[i].cod == a):
-            return fail_report(0, "identity-endpoints", object=a, identity=i)
-    # the completeness pass builds C's int rows, and the passes below run on them
     V = C._ints
     names, num, rows = V.names, V.num, V.rows
-    checked = len(C.compose)  # one entry per composable pair, by the passes above
+    checked = len(C.compose)  # one entry per composable pair, by the build of V
     for m in C.morphisms:
         k = num[m.name]
         if rows[k][num[C.identity[m.dom]]] != k:
             return fail_report(checked, "unit", morphism=m.name, side="right")
         if rows[num[C.identity[m.cod]]][k] != k:
             return fail_report(checked, "unit", morphism=m.name, side="left")
-    # every lookup below is of a composable pair, present by the pass above
     for h in C.morphisms:
         hrow = rows[num[h.name]]
         for g in V.into.get(h.dom, ()):
@@ -750,7 +734,9 @@ def reject_strays(name: str, what: str, table: Mapping, domain, C: FinCat) -> No
         raise StructuralError(f"{name}: {what} names {min(stray)}, which is not in {C.name}")
 
 
-def validate_natural(alpha: NatTrans) -> Report:
+def _check_natural(alpha: NatTrans) -> None:
+    """validate_natural's structural pass: parallel functors, and a component
+    at every object in its hom-set, with no strays."""
     F, G = alpha.src, alpha.tgt
     if F.dom != G.dom or F.cod != G.cod:
         raise StructuralError(f"{alpha.name}: source and target functors are not parallel")
@@ -765,6 +751,12 @@ def validate_natural(alpha: NatTrans) -> Report:
             raise StructuralError(
                 f"{alpha.name}: component at {a} lies in the wrong hom-set")
     reject_strays(alpha.name, "component family", alpha.components, C.objects, C)
+
+
+def validate_natural(alpha: NatTrans) -> Report:
+    _check_natural(alpha)
+    F, G = alpha.src, alpha.tgt
+    C, D = F.dom, F.cod
     checked = 0
     for m in C.morphisms:
         checked += 1

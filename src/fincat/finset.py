@@ -243,27 +243,31 @@ class SetFunctor(Keyed):
 
     @cached
     def _tables(self) -> dict[str, Mapping[str, str]]:
-        """Each morphism's raw table, checked once to run between the values at
-        its ends; laws are then tested on the tables, with no composite map built."""
+        """Each morphism's raw table; laws are then tested on the tables, with
+        no composite map built.  The build is the functor's one structural
+        check: a value at every object, a table between the values at its
+        ends at every morphism, and no key that names nothing in dom."""
+        C = self.dom
+        for a in C.objects:
+            if a not in self.on_obj:
+                raise StructuralError(f"{self.name}: no value at object {a}")
         out = {}
-        for m in self.dom.morphisms:
+        for m in C.morphisms:
             if m.name not in self.on_mor:
                 raise StructuralError(f"{self.name}: no value at morphism {m.name}")
             t = self.on_mor[m.name]
             if t.dom != self.on_obj[m.dom] or t.cod != self.on_obj[m.cod]:
                 raise StructuralError(f"{self.name}: table at {m.name} has wrong endpoints")
             out[m.name] = t.table
+        reject_strays(self.name, "object values", self.on_obj, C.objects, C)
+        reject_strays(self.name, "morphism tables", self.on_mor, C.mor, C)
         return out
 
 
 def validate_set_functor(X: SetFunctor) -> Report:
-    C = X.dom
-    for a in C.objects:
-        if a not in X.on_obj:
-            raise StructuralError(f"{X.name}: no value at object {a}")
-    tables = X._tables
-    reject_strays(X.name, "object values", X.on_obj, C.objects, C)
-    reject_strays(X.name, "morphism tables", X.on_mor, C.mor, C)
+    """Identity and composition laws on X's tables, whose build raises
+    StructuralError on a malformed X."""
+    C, tables = X.dom, X._tables
     checked = 0
     for a in C.objects:
         checked += 1
@@ -300,14 +304,13 @@ class SetNatTrans(Keyed):
 def validate_set_natural(t: SetNatTrans) -> Report:
     if t.src.dom != t.tgt.dom:
         raise StructuralError(f"{t.name}: functors live on different categories")
-    C = t.src.dom
+    C, src, tgt = t.src.dom, t.src._tables, t.tgt._tables
     for a in C.objects:
         if a not in t.components:
             raise StructuralError(f"{t.name}: no component at {a}")
         m = t.components[a]
         if m.dom != t.src.on_obj[a] or m.cod != t.tgt.on_obj[a]:
             raise StructuralError(f"{t.name}: component at {a} has wrong endpoints")
-    src, tgt = t.src._tables, t.tgt._tables
     checked = 0
     for f in C.morphisms:
         checked += 1
@@ -368,6 +371,7 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
     over all_maps on the naturality squares C._squares, as in core._nat_families."""
     if X.dom != Y.dom:
         raise StructuralError("functors on different categories")
+    Xt, Yt = X._tables, Y._tables
     guard = _budget.get()
     C = X.dom
     objs = C.sorted_objects()
@@ -376,7 +380,6 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
         count *= max(1, len(Y.on_obj[a])) ** len(X.on_obj[a])
         if count > guard:
             raise GuardExceeded(f"natural-family enumeration exceeds guard {guard}")
-    Xt, Yt = X._tables, Y._tables
 
     def natural(square, v) -> bool:
         m, i, j = square

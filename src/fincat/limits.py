@@ -309,15 +309,15 @@ def limit_finset(D: SetFunctor, direction: str = LIMIT) -> LimitResult:
 
 def _set_limit_of(D: SetFunctor, direction: str) -> tuple[FinSetObj, dict[str, FinSetMap]]:
     """The (co)limit of D and its legs, with no certificate."""
-    J = D.dom
+    J, tables = D.dom, D._tables
     objs = J.sorted_objects()
     if direction == LIMIT:
         return set_limit(objs, D.on_obj, [
-            (m.dom, D.on_mor[m.name].table, m.cod, {y: y for y in D.on_obj[m.cod].elements})
+            (m.dom, tables[m.name], m.cod, {y: y for y in D.on_obj[m.cod].elements})
             for m in J.morphisms])
     if direction == COLIMIT:
         return set_colimit(objs, D.on_obj, ((m.dom, x, m.cod, y) for m in J.morphisms
-                                            for x, y in D.on_mor[m.name].table.items()))
+                                            for x, y in tables[m.name].items()))
     raise StructuralError(f"unknown direction {direction!r}")
 
 

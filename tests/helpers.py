@@ -130,11 +130,14 @@ def square_category() -> FinCat:
 
 
 def int_view_breakers() -> dict[str, FinCat]:
-    """Targets whose tables are not complete, so that building their
+    """Targets whose tables have a structural fault, so that building their
     core.IntView raises validate_category's StructuralError and so does every
     search into them: composites that are no morphism (one, two equal and two
-    unequal ghosts), missing entries that a naturality square reaches, and
-    missing entries that only a composite of two transformations reaches."""
+    unequal ghosts), missing entries that a naturality square reaches,
+    missing entries that only a composite of two transformations reaches, a
+    composite with wrong endpoints, an entry for a pair that is not
+    composable, and a ghost ahead of a missing entry, where the error names
+    the fault that comes first in validate_category's order."""
     sq, c3 = square_category(), chain(3)
     return {
         "one ghost": edited(sq, {("g", "f"): "ghost"}),
@@ -144,6 +147,9 @@ def int_view_breakers() -> dict[str, FinCat]:
         "square missing": edited(sq, drop=[("k", "h")]),
         "chain missing": edited(c3, drop=[("c12", "c01")]),
         "composite missing": edited(chain(4), drop=[("c12", "c01"), ("c23", "c12")]),
+        "wrong endpoints": edited(c3, {("c12", "c01"): "id_0"}),
+        "stray entry": edited(c3, {("c01", "c12"): "c02"}),
+        "two faults": edited(c3, {("c12", "c01"): "ghost"}, drop=[("c12", "id_1")]),
     }
 
 

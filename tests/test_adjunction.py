@@ -119,6 +119,15 @@ def test_snake_rejects_a_unit_or_counit_of_the_wrong_type():
     with pytest.raises(StructuralError, match=r"e2: the counit is not id_1\*id_1 => id_1"):
         snake_check(I1, I1, e1, e2)
     assert snake_check(I1, I1, e1, e1).ok
+    # typed right, but the unit's component at 0 lies outside two(0, GF(0)) = two(0, 1)
+    GF, FG = compose_functors(G, F), compose_functors(F, G)
+    eps = NatTrans("counit", FG, I1, {"*": "id_*"})
+    eta = NatTrans("unit", I2, GF, {"0": "id_0", "1": "id_1"})
+    with pytest.raises(StructuralError, match="unit: component at 0 lies in the wrong hom-set"):
+        validate_natural(eta)
+    with pytest.raises(StructuralError, match="unit: component at 0 lies in the wrong hom-set"):
+        snake_check(F, G, eta, eps)
+    assert snake_check(F, G, NatTrans("unit", I2, GF, {"0": "a", "1": "id_1"}), eps).ok
 
 
 def test_adjoint_from_universals_terminal_pick():

@@ -131,6 +131,8 @@ def test_validate_rejects_duplicate_object_ids():
         C = FinCat("X", objects, morphisms, {"a": "id_a"}, compose)
         with pytest.raises(StructuralError, match=message):
             validate_category(C)
+        with pytest.raises(StructuralError, match=message):
+            enumerate_functors(walking_arrow(), C)
 
 
 def test_validate_functor_identity_and_collapse():

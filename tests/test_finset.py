@@ -31,6 +31,7 @@ from fincat.finset import (
 )
 from fincat.core import fully_faithful_check
 from fincat.fixtures import chain, parallel_pair, terminal_category, walking_arrow, z2_monoid
+from fincat.limits import COLIMIT, LIMIT, limit_finset
 from fincat.randgen import random_category, random_representable_sum
 
 
@@ -49,6 +50,27 @@ def test_hom_functor_values_on_walking_arrow():
             yc = hom_functor(C, c, "covariant")
             assert C.id_of(c) in yc.on_obj[c]
             assert validate_set_functor(yc).ok
+
+
+def test_a_malformed_set_functor_gets_one_error_from_every_reader():
+    """A missing object value and a stray object or morphism key raise
+    validate_set_functor's StructuralError from every reader of its tables."""
+    two = walking_arrow()
+    y0 = hom_functor(two, "0", "covariant")
+    cases = [
+        ({"0": y0.on_obj["0"]}, y0.on_mor, "X: no value at object 1"),
+        ({**y0.on_obj, "2": SINGLETON}, y0.on_mor, "X: object values names 2, which is not in 2"),
+        (y0.on_obj, {**y0.on_mor, "b": y0.on_mor["id_0"]},
+         "X: morphism tables names b, which is not in 2"),
+    ]
+    readers = [validate_set_functor, lambda X: enumerate_set_naturals(X, y0),
+               lambda X: enumerate_set_naturals(y0, X),
+               lambda X: limit_finset(X, LIMIT), lambda X: limit_finset(X, COLIMIT)]
+    for on_obj, on_mor, message in cases:
+        for read in readers:
+            with pytest.raises(StructuralError) as e:
+                read(SetFunctor("X", two, on_obj, on_mor))
+            assert str(e.value) == message
 
 
 def test_enumerate_naturals_oracle_yoneda_count():

@@ -154,10 +154,10 @@ def ref_validate_category(C: FinCat):
         if C.mor[h].dom != C.mor[f].dom or C.mor[h].cod != C.mor[g].cod:
             raise StructuralError(f"{C.name}: composite {h} of ({g},{f}) has wrong endpoints")
 
-    checked = 0
     for a, i in C.identity.items():
         if not (C.mor[i].dom == a and C.mor[i].cod == a):
-            return fail_report(checked, "identity-endpoints", object=a, identity=i)
+            raise StructuralError(f"{C.name}: identity {i} of {a} has wrong endpoints")
+    checked = 0
     pair_list = list(composable_pairs(C))
     for g, f in pair_list:
         if (g.name, f.name) not in C.compose:
