@@ -259,8 +259,8 @@ def parse_workspace(files: list[tuple[str, str]]) -> Workspace:
         D, C = resolve_cat(dom), resolve_cat(cod)
         full = dict(mor_map)
         for a in D.objects:
-            if a in obj_map:
-                full.setdefault(D.id_of(a), C.id_of(obj_map[a]))
+            if obj_map.get(a) in C.identity:  # else validate_functor names the object
+                full.setdefault(D.id_of(a), C.identity[obj_map[a]])
         F = Functor(fname, D, C, obj_map, full)
         rep = validate_functor(F)
         if not rep.ok:

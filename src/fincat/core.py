@@ -20,7 +20,7 @@ _budget: ContextVar[int] = ContextVar("budget", default=DEFAULT_GUARD)
 
 @contextmanager
 def budget(n: int):
-    """Run the block under a budget of n candidates for its named searches and up-front bounds."""
+    """Run the block under a budget of n candidates for each search and each up-front bound."""
     token = _budget.set(n)
     try:
         yield
@@ -103,7 +103,15 @@ def schedule(slots: int, constraints) -> list[list]:
     return due
 
 
-def search(choices, due, holds, what: str | None = None) -> Iterator[tuple]:
+def charge(count: int, what: str) -> None:
+    """The budget check of a list built outside any search: raise
+    GuardExceeded, naming `what`, if its count passes the budget in scope."""
+    guard = _budget.get()
+    if count > guard:
+        raise GuardExceeded(f"{what} exceeds guard {guard}")
+
+
+def search(choices, due, holds, what: str) -> Iterator[tuple]:
     """Every family with values[i] from choices[i] that meets every scheduled
     constraint, depth first in itertools.product order, so that output order,
     `checked` counts and first counterexamples are a product filter's.
@@ -114,12 +122,12 @@ def search(choices, due, holds, what: str | None = None) -> Iterator[tuple]:
     holds(payload, values) tests one constraint on the slots assigned so far:
     those of due[0] once before the first step, those of due[i + 1] once on
     each path, right after slot i is assigned, so a failing prefix is pruned
-    at once (forward checking, Haralick & Elliott 1980).  A search named by
-    `what` draws on the budget in scope: a slot's candidates are charged once
-    each time the slot starts on a prefix, and GuardExceeded, naming `what`
+    at once (forward checking, Haralick & Elliott 1980).  Every search draws
+    on the budget in scope: a slot's candidates are charged once each time
+    the slot starts on a prefix, and GuardExceeded, naming the search `what`
     and the charge, ends a search whose charge passes the budget.
     """
-    guard = None if what is None else _budget.get()
+    guard = _budget.get()
     values = [None] * len(choices)
     for c in due[0]:
         if not holds(c, values):
@@ -133,7 +141,7 @@ def search(choices, due, holds, what: str | None = None) -> Iterator[tuple]:
     if callable(cands):
         cands = cands(values)
     used = len(cands)
-    if guard is not None and used > guard:
+    if used > guard:
         raise GuardExceeded(f"{what} exceeds guard {guard}: {used} candidates charged")
     # untried[i]: the candidates for slot i not yet tried after the current prefix
     untried = [iter(cands)]
@@ -157,10 +165,9 @@ def search(choices, due, holds, what: str | None = None) -> Iterator[tuple]:
             cands = choices[i]
             if callable(cands):
                 cands = cands(values)
-            if guard is not None:
-                used += len(cands)
-                if used > guard:
-                    raise GuardExceeded(f"{what} exceeds guard {guard}: {used} candidates charged")
+            used += len(cands)
+            if used > guard:
+                raise GuardExceeded(f"{what} exceeds guard {guard}: {used} candidates charged")
             untried.append(iter(cands))
         else:
             yield tuple(values)
@@ -877,15 +884,9 @@ def enumerate_functors(C: FinCat, D: FinCat,
     tuples between the images of their ends; each composable pair (g, f, g.f)
     of C is tested, by a lookup in D's int rows, on the step that assigns its
     last member.  Images are turned back into ids only for the functors found.
-    The up-front bound on the budget counts every object assignment, as if
-    `images` were not given.
+    The search, named `functor search C -> D`, draws on the budget in scope.
     """
-    guard = _budget.get()
-    objs = C.sorted_objects()
-    d_objs = D.sorted_objects()
-    if len(d_objs) ** max(len(objs), 1) > guard:
-        raise GuardExceeded(
-            f"functor enumeration {C.name} -> {D.name} exceeds guard {guard}")
+    objs, d_objs = C.sorted_objects(), D.sorted_objects()
     gens = C.nonidentity_mor_names()
     slot, gen_ends, due = C._functor_slots
     n = len(objs)
@@ -907,7 +908,7 @@ def enumerate_functors(C: FinCat, D: FinCat,
 
     out: list[Functor] = []
     last = None
-    for family in search(choices, due, holds):
+    for family in search(choices, due, holds, f"functor search {C.name} -> {D.name}"):
         if family[:n] != last:
             last = family[:n]
             obj_map = dict(zip(objs, last))
@@ -928,7 +929,8 @@ def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
     a candidate component, and the next slots the components, from D's int
     hom tuples.  Each morphism's naturality square is tested once on a path,
     when the later of its two ends gets its component (the schedule
-    C._squares, shifted by two), by two lookups in D's int rows.
+    C._squares, shifted by two), by two lookups in D's int rows.  The search,
+    named `transformation search [C,D]`, draws on the budget in scope.
     """
     if not (Fs and Gs):
         return []
@@ -964,7 +966,8 @@ def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
         Fm, Gm = Fs[v[0]].mor_map, Gs[v[1]].mor_map
         return rows[num[Gm[m]]][v[a]] == rows[v[b]][num[Fm[m]]]
 
-    return list(search(choices, C._pair_squares, natural))
+    return list(search(choices, C._pair_squares, natural,
+                       f"transformation search [{C.name},{D.name}]"))
 
 
 class _Pieces(dict):
@@ -1035,8 +1038,12 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
     and one prefix per pair of functors, without building a NatTrans for it.
     A composite's components are looked up in D's int rows in C.objects
     order, as vcompose takes them.  The fresh tables are wrapped, not copied.
+    The functor pairs and then the composable pairs of transformations are
+    counted against the budget in scope before either is built.
     """
     fs = enumerate_functors(C, D)
+    name = f"[{C.name},{D.name}]"
+    charge(len(fs) ** 2, f"functor pair enumeration {name}: {len(fs)} x {len(fs)} functors")
     objs = C.sorted_objects()
     V = D._ints
     names, rows = V.names, V.rows
@@ -1052,6 +1059,8 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
     identity = {F.name: prefix[i][i] + ";".join(
                     [p[V.num[D.id_of(x)]] for p, x in zip(pieces, F._obj_images)]) + "]"
                 for i, F in enumerate(fs)}
+    count = sum(len(into[i]) for i, _, _ in ends)
+    charge(count, f"composite enumeration {name}: {count} composable pairs")
     table = {}
     for m, (j, k, beta) in zip(mors, ends):
         after = [rows[b] for b in beta]
@@ -1059,7 +1068,7 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
             i, _, alpha = ends[n]
             comps = [p[r[a]] for p, r, a in zip(pieces, after, alpha)]
             table[(m.name, mors[n].name)] = prefix[i][k] + ";".join(comps) + "]"
-    cat = _built_cat(f"[{C.name},{D.name}]", tuple(F.name for F in fs), tuple(mors),
+    cat = _built_cat(name, tuple(F.name for F in fs), tuple(mors),
                      MappingProxyType(identity), table)
     return FunctorCategory(cat, {F.name: F for F in fs}, tuple(ends))
 

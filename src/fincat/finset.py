@@ -16,13 +16,12 @@ from typing import Iterable, Mapping
 from .core import (
     FinCat,
     Functor,
-    GuardExceeded,
     Keyed,
     Mor,
     Report,
     StructuralError,
-    _budget,
     cached,
+    charge,
     composable_pairs,
     fail_report,
     ok_report,
@@ -171,12 +170,8 @@ def _drop_hom(ref: _HomRef) -> None:
 
 
 def _check_map_count(X: FinSetObj, Y: FinSetObj) -> None:
-    """Raise GuardExceeded before listing the |Y|^|X| maps X -> Y if the
-    budget in scope is smaller."""
-    guard = _budget.get()
-    if len(Y) ** len(X) > guard:
-        raise GuardExceeded(
-            f"map enumeration {len(X)} -> {len(Y)} elements exceeds guard {guard}")
+    """Check the |Y|^|X| maps X -> Y against the budget before listing them."""
+    charge(len(Y) ** len(X), f"map enumeration {len(X)} -> {len(Y)} elements")
 
 
 def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
@@ -311,6 +306,7 @@ def validate_set_natural(t: SetNatTrans) -> Report:
         m = t.components[a]
         if m.dom != t.src.on_obj[a] or m.cod != t.tgt.on_obj[a]:
             raise StructuralError(f"{t.name}: component at {a} has wrong endpoints")
+    reject_strays(t.name, "component family", t.components, C.objects, C)
     checked = 0
     for f in C.morphisms:
         checked += 1
@@ -352,7 +348,7 @@ def product_set_functor(X: SetFunctor, Y: SetFunctor, name: str | None = None) -
     """Pointwise cartesian product; elements are canonical pairs "(x,y)"."""
     if X.dom != Y.dom:
         raise StructuralError("product of functors on different categories")
-    C = X.dom
+    C, Xt, Yt = X.dom, X._tables, Y._tables
     on_obj = {a: FinSetObj(tuple(pair_id(x, y)
                                  for x in X.on_obj[a].sorted() for y in Y.on_obj[a].sorted()))
               for a in C.objects}
@@ -361,34 +357,31 @@ def product_set_functor(X: SetFunctor, Y: SetFunctor, name: str | None = None) -
         table = {}
         for x in X.on_obj[m.dom].sorted():
             for y in Y.on_obj[m.dom].sorted():
-                table[pair_id(x, y)] = pair_id(X.on_mor[m.name](x), Y.on_mor[m.name](y))
+                table[pair_id(x, y)] = pair_id(Xt[m.name][x], Yt[m.name][y])
         on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], table)
     return SetFunctor(name or f"({X.name}x{Y.name})", C, on_obj, on_mor)
 
 
 def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
     """All natural transformations X => Y, in key order: components searched
-    over all_maps on the naturality squares C._squares, as in core._nat_families."""
+    over all_maps on the naturality squares C._squares, as in core._nat_families.
+    The search, named `natural-family search X => Y`, draws on the budget in
+    scope, as does each all_maps list."""
     if X.dom != Y.dom:
         raise StructuralError("functors on different categories")
     Xt, Yt = X._tables, Y._tables
-    guard = _budget.get()
     C = X.dom
     objs = C.sorted_objects()
-    count = 1
-    for a in objs:
-        count *= max(1, len(Y.on_obj[a])) ** len(X.on_obj[a])
-        if count > guard:
-            raise GuardExceeded(f"natural-family enumeration exceeds guard {guard}")
 
     def natural(square, v) -> bool:
         m, i, j = square
         a, b, xm, ym = v[i].table, v[j].table, Xt[m], Yt[m]
         return all(ym[a[x]] == b[xm[x]] for x in a)
 
+    what = f"natural-family search {X.name} => {Y.name}"
     out = [SetNatTrans("t", X, Y, dict(zip(objs, family)))
            for family in search([all_maps(X.on_obj[a], Y.on_obj[a]) for a in objs],
-                                C._squares, natural)]
+                                C._squares, natural, what)]
     out.sort(key=lambda t: t.key())
     return out
 
@@ -689,6 +682,7 @@ def presheaf_exponential(F: SetFunctor, G: SetFunctor) -> PresheafExponential:
     opC = F.dom
     if G.dom != opC:
         raise StructuralError("presheaves on different categories")
+    F._tables, G._tables  # each input's one structural check, before any work
     C = opposite(opC)
     on_obj = {}
     on_mor = {}

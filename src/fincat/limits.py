@@ -18,11 +18,10 @@ from typing import Mapping, Optional, Union
 from .core import (
     FinCat,
     Functor,
-    GuardExceeded,
     NatTrans,
     Report,
     StructuralError,
-    _budget,
+    charge,
     compose_functors,
     const_diagram,
     factorizations,
@@ -230,10 +229,7 @@ def set_limit(objs, values, equations) -> tuple[FinSetObj, dict[str, FinSetMap]]
     Returns the set and its projections.  Raises GuardExceeded before listing
     the tuples if there are more than the budget in scope."""
     sizes = [len(values[j]) for j in objs]
-    guard = _budget.get()
-    if math.prod(sizes) > guard:
-        raise GuardExceeded(
-            f"tuple enumeration {' x '.join(map(str, sizes))} elements exceeds guard {guard}")
+    charge(math.prod(sizes), f"tuple enumeration {' x '.join(map(str, sizes))} elements")
     pos = {j: n for n, j in enumerate(objs)}
     eqs = [(pos[a], f, pos[b], g) for a, f, b, g in equations]
     members = [combo for combo in itertools.product(*[values[j].sorted() for j in objs])

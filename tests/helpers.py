@@ -158,3 +158,13 @@ def functors_into_breaker(C: FinCat, D: FinCat) -> list[Functor]:
     fixture D was edited from, read in D, whose ids they share."""
     base = {"Sq!": square_category(), "chain3!": chain(3), "chain4!": chain(4)}[D.name]
     return [Functor(F.name, C, D, F.obj_map, F.mor_map) for F in enumerate_functors(C, base)]
+
+
+def null_monoid(k: int) -> FinCat:
+    """One object, generators g1..gk and z, and every composite of two
+    non-identities equal to the absorbing z: every map of the generators to
+    non-identities is a functor, so functor and transformation searches out
+    of it or into it grow as fast as a product."""
+    arrows = [f"g{i}" for i in range(1, k + 1)] + ["z"]
+    return make_category(f"N{k}", ["*"], [(g, "*", "*") for g in arrows],
+                         {(g, f): "z" for g in arrows for f in arrows})

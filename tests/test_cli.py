@@ -240,7 +240,8 @@ def test_yoneda_check_on_setfunctors_and_guard(tmp_path):
     assert code == 0 and json.loads(out)["result"] == {"checked": 16, "functors": 4}
     code, out = run("yoneda-check", "two", str(path), "--guard", "1", "--json")
     assert code == 2
-    assert json.loads(out)["message"] == "natural-family enumeration exceeds guard 1"
+    assert json.loads(out)["message"] == \
+        "natural-family search hom(0,-) => hom(0,-) exceeds guard 1: 2 candidates charged"
 
 
 def test_yoneda_check_failures_keep_their_messages(monkeypatch):
@@ -620,7 +621,7 @@ category D { objects: a, b; }
 functor F: C -> D { obj a |-> a; obj b |-> c; }
 """)
     assert proc.returncode == 2
-    assert "unknown object c" in proc.stdout
+    assert "F: object map sends b outside D" in proc.stdout
     assert "Traceback" not in proc.stderr
 
 

@@ -54,7 +54,8 @@ def test_hom_functor_values_on_walking_arrow():
 
 def test_a_malformed_set_functor_gets_one_error_from_every_reader():
     """A missing object value and a stray object or morphism key raise
-    validate_set_functor's StructuralError from every reader of its tables."""
+    validate_set_functor's StructuralError from every reader of its tables,
+    and a stray component key raises from validate_set_natural."""
     two = walking_arrow()
     y0 = hom_functor(two, "0", "covariant")
     cases = [
@@ -65,12 +66,18 @@ def test_a_malformed_set_functor_gets_one_error_from_every_reader():
     ]
     readers = [validate_set_functor, lambda X: enumerate_set_naturals(X, y0),
                lambda X: enumerate_set_naturals(y0, X),
-               lambda X: limit_finset(X, LIMIT), lambda X: limit_finset(X, COLIMIT)]
+               lambda X: limit_finset(X, LIMIT), lambda X: limit_finset(X, COLIMIT),
+               lambda X: product_set_functor(X, y0), lambda X: product_set_functor(y0, X),
+               lambda X: presheaf_exponential(X, y0), lambda X: presheaf_exponential(y0, X)]
     for on_obj, on_mor, message in cases:
         for read in readers:
             with pytest.raises(StructuralError) as e:
                 read(SetFunctor("X", two, on_obj, on_mor))
             assert str(e.value) == message
+    t = identity_set_nat(y0)
+    with pytest.raises(StructuralError) as e:
+        validate_set_natural(SetNatTrans(t.name, y0, y0, {**t.components, "zz": t.components["0"]}))
+    assert str(e.value) == "id_hom(0,-): component family names zz, which is not in 2"
 
 
 def test_enumerate_naturals_oracle_yoneda_count():

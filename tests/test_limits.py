@@ -178,12 +178,17 @@ def test_limit_functor_missing_case():
 
 
 def test_limit_functor_budget_caps_its_functor_enumeration_and_cone_searches():
-    # discrete(2) -> Z/2 has one functor, within budget 1; its cone search charges 3
+    # discrete(2) -> Z/2 has one functor, whose search charges 2 by its second
+    # object slot; given the functor category, its cone search charges 3
     d2, z2 = discrete(2), z2_monoid()
+    fc = functor_category(d2, z2)
+    (D,) = fc.functors.values()
     with budget(1):
-        (D,) = functor_category(d2, z2).functors.values()
         with pytest.raises(GuardExceeded) as err:
             limit_functor(d2, z2)
+        assert str(err.value) == "functor search disc2 -> Z2 exceeds guard 1: 2 candidates charged"
+        with pytest.raises(GuardExceeded) as err:
+            limit_functor(d2, z2, fc=fc)
     assert str(err.value) == f"limit cone search over {D.name} exceeds guard 1: 3 candidates charged"
     res = limit_functor(d2, z2)
     assert res.functor is None and res.missing == D.name

@@ -13,7 +13,11 @@ raise validate_category's error.  Functors and tabulated transformations are
 compared with product references in tests/test_functor_category.py.
 """
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -71,7 +75,7 @@ from fincat.randgen import (
     random_set_diagram,
     random_set_functor_on_free,
 )
-from helpers import functors_into_breaker, int_view_breakers
+from helpers import functors_into_breaker, int_view_breakers, null_monoid
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +180,7 @@ def per_apex_cones(D: Functor, direction: str):
         return C.comp(u, legs[a]) == legs[b]
 
     return [(c, dict(zip(objs, legs))) for c in C.sorted_objects()
-            for legs in search([C.hom(c, D.obj_map[j]) for j in objs], due, natural)]
+            for legs in search([C.hom(c, D.obj_map[j]) for j in objs], due, natural, "cones")]
 
 
 def per_apex_wedges(D: Functor, J: FinCat, side: str):
@@ -195,7 +199,8 @@ def per_apex_wedges(D: Functor, J: FinCat, side: str):
         return C.comp(u, fam[i]) == C.comp(v, fam[j])
 
     return [(c, dict(zip(objs, fam))) for c in C.sorted_objects()
-            for fam in search([C.hom(c, D.obj_map[pair_id(j, j)]) for j in objs], due, wedge)]
+            for fam in search([C.hom(c, D.obj_map[pair_id(j, j)]) for j in objs], due, wedge,
+                              "wedges")]
 
 
 def two_search_functors(C: FinCat, D: FinCat):
@@ -208,12 +213,12 @@ def two_search_functors(C: FinCat, D: FinCat):
     composites = schedule(len(slot), ((p, p) for p in pairs))
     out = []
     for choice in search([d_objs] * len(objs), C._squares,
-                         lambda square, v: bool(D.hom(v[square[1]], v[square[2]]))):
+                         lambda square, v: bool(D.hom(v[square[1]], v[square[2]])), "objects"):
         obj_map = dict(zip(objs, choice))
         choices = [(D.id_of(x),) for x in choice] + \
             [D.hom(obj_map[C.dom(f)], obj_map[C.cod(f)]) for f in gens]
         for images in search(choices, composites,
-                             lambda p, v: D.comp(v[p[0]], v[p[1]]) == v[p[2]]):
+                             lambda p, v: D.comp(v[p[0]], v[p[1]]) == v[p[2]], "generators"):
             F = Functor("F", C, D, obj_map, dict(zip(slot, images)))
             out.append(Functor(canonical_functor_id(F), C, D, obj_map, F.mor_map))
     out.sort(key=lambda F: F.name)
@@ -229,7 +234,8 @@ def per_pair_nat_trans(F: Functor, G: Functor) -> list[NatTrans]:
         return D.comp(G.mor_map[m], v[a]) == D.comp(v[b], F.mor_map[m])
 
     found = [NatTrans("t", F, G, dict(zip(F.dom.sorted_objects(), fam))) for fam in search(
-        [D.hom(x, y) for x, y in zip(F._obj_images, G._obj_images)], F.dom._squares, natural)]
+        [D.hom(x, y) for x, y in zip(F._obj_images, G._obj_images)], F.dom._squares, natural,
+        "components")]
     return sorted(found, key=canonical_nat_id)
 
 
@@ -359,7 +365,7 @@ def test_search_meets_families_in_product_order_testing_each_constraint_once_per
             calls[n, tuple(values[:max(read, default=-1) + 1])] += 1
             return _passes(c, values)
 
-        got = list(search(choices, schedule(len(choices), constraints), holds))
+        got = list(search(choices, schedule(len(choices), constraints), holds, "problem"))
         want = [v for v in itertools.product(*choices)
                 if all(_passes(c, v) for _, c in constraints)]
         assert got == want
@@ -381,15 +387,15 @@ def test_constraints_on_no_slot_run_before_the_first_step():
 
     due = schedule(2, [((), "first"), ((0,), "slot0"), ((), "second")])
     assert due == [["first", "second"], ["slot0"], []]
-    assert list(search([[1], [2]], due, holds)) == [(1, 2)]
+    assert list(search([[1], [2]], due, holds, "problem")) == [(1, 2)]
     assert seen[:2] == [("first", (None, None)), ("second", (None, None))]
     seen.clear()
     due = schedule(2, [((), "fail"), ((0,), "slot0")])
-    assert list(search([[1], [2]], due, holds)) == []
+    assert list(search([[1], [2]], due, holds, "problem")) == []
     assert seen == [("fail", (None, None))]
     # no slots: the one empty family, if the slot-free constraints hold
-    assert list(search([], schedule(0, [((), "first")]), holds)) == [()]
-    assert list(search([], schedule(0, [((), "fail")]), holds)) == []
+    assert list(search([], schedule(0, [((), "first")]), holds, "problem")) == [()]
+    assert list(search([], schedule(0, [((), "fail")]), holds, "problem")) == []
 
 
 def _random_dependent_problem(rng: random.Random):
@@ -433,7 +439,7 @@ def test_search_with_prefix_dependent_slots_matches_a_filter_over_the_flattened_
             return start
 
         watched = [counted(i, c) if callable(c) else c for i, c in enumerate(choices)]
-        got = list(search(watched, schedule(len(choices), constraints), holds))
+        got = list(search(watched, schedule(len(choices), constraints), holds, "problem"))
         want = [v for v in _flattened(choices) if all(_passes(c, v) for _, c in constraints)]
         # same families in the same order: the same `checked` count and first
         # counterexample for any test run over them
@@ -472,12 +478,12 @@ def test_the_guard_charges_each_slot_start_once_and_names_the_search():
         if not all(choices) or not all(_passes(c, [None] * len(choices)) for c in due[0]):
             continue  # ends before any slot starts
         total = _charge(choices, due, lambda c, v: _passes(c, v))
-        want = list(search(choices, due, _passes))
+        want = list(search(choices, due, _passes, "reference"))
         assert list(search(choices, due, _passes, "probe")) == want  # the default budget
         with budget(total):
             assert list(search(choices, due, _passes, "probe")) == want
-        with budget(total - 1):
-            assert list(search(choices, due, _passes)) == want  # an unnamed search charges nothing
+            # the budget bounds each search on its own, not the block's total
+            assert list(search(choices, due, _passes, "again")) == want
         if total:
             with budget(total - 1), pytest.raises(GuardExceeded) as err:
                 list(search(choices, due, _passes, "probe"))
@@ -513,8 +519,8 @@ def test_functor_search_prunes_object_assignments_before_the_generators(monkeypa
 def test_functor_search_with_restricted_images_filters_the_full_list():
     """enumerate_functors(C, D, images) is the sublist, in the same order, of
     the functors sending each object a into images[a]; where the full search
-    raises, so does the search given every image; and the up-front bound
-    counts every object assignment, whatever the images."""
+    raises, so does the search given every image; and the search is charged
+    only the images it is given."""
     rng = random.Random(6400)
     targets = [(f"random {k}", random_category(rng, 3, name="R")) for k in range(10)] + \
         list(int_view_breakers().items())
@@ -538,9 +544,13 @@ def test_functor_search_with_restricted_images_filters_the_full_list():
                 seen["dropped"] += len(full) - len(got)
     assert seen["compared"] > 200 and seen["kept"] > 200 and seen["dropped"] > 200, seen
     assert seen["error"], seen
+    # every object at 0: 3 object, 3 identity and 3 generator slots of one candidate
     C, D = chain(3), chain(3)
-    with budget(3 ** 3 - 1), pytest.raises(GuardExceeded):
+    with budget(9):
+        assert len(enumerate_functors(C, D, {a: ["0"] for a in C.objects})) == 1
+    with budget(8), pytest.raises(GuardExceeded) as err:
         enumerate_functors(C, D, {a: ["0"] for a in C.objects})
+    assert str(err.value) == "functor search chain3 -> chain3 exceeds guard 8: 9 candidates charged"
 
 
 # ---------------------------------------------------------------------------
@@ -716,3 +726,61 @@ def test_an_apex_without_a_component_is_skipped_before_any_wedge_test():
     want = per_apex_wedges(B, J, "end")
     assert [(w.apex, w.components) for w in enumerate_wedges(B, J, "end")] == want
     assert want == [("0", {"0": "c02", "1": "c02", "2": "id_0"})]
+
+
+# ---------------------------------------------------------------------------
+# Growth: every search draws on the budget, so an input whose families grow
+# like a product stops at once.  N_k is helpers.null_monoid(k).
+
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = str(pathlib.Path(core.__file__).resolve().parent.parent)
+
+
+def _stopped(code: str) -> str:
+    """The GuardExceeded message that `code` ends with, run in a fresh
+    interpreter, so that a search that stops drawing on the budget fails at
+    the timeout instead of running to CI's job limit."""
+    script = "\n".join([
+        "from fincat.core import *", "from fincat.fixtures import discrete",
+        "from fincat.kan import kan_universal_check", "from helpers import null_monoid",
+        "N4, N6 = null_monoid(4), null_monoid(6)", "try:", "    " + code,
+        "except GuardExceeded as err:", "    print(err)"])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              [SRC, str(TESTS)])})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("code, message", [
+    ("with budget(100): enumerate_functors(N6, N6)",
+     "functor search N6 -> N6 exceeds guard 100: 106 candidates charged"),
+    ("with budget(1000): functor_category(discrete(4), N4)",
+     "transformation search [disc4,N4] exceeds guard 1000: 1004 candidates charged"),
+    ("with budget(1000): F, = enumerate_functors(discrete(6), N4); "
+     "kan_universal_check(F, identity_nat(F), identity_functor(discrete(6)), F)",
+     "transformation search [disc6,N4] exceeds guard 1000: 1004 candidates charged"),
+    # the transformation search charges 1,556; the composites are 1,296^2
+    ("with budget(10**5): functor_category(discrete(4), N4)",
+     "composite enumeration [disc4,N4]: 1679616 composable pairs exceeds guard 100000"),
+    ("functor_category(discrete(5), N4)",
+     "composite enumeration [disc5,N4]: 60466176 composable pairs exceeds guard 1000000"),
+], ids=["functors N6->N6", "functor category disc4->N4", "kan universal check disc6->N4",
+        "composites disc4->N4", "composites disc5->N4"])
+def test_product_sized_searches_stop_at_the_budget(code, message):
+    assert _stopped(code) == message
+
+
+def test_the_budget_charges_the_search_not_a_guessed_product():
+    """chain(8) -> chain(8) has 8^8 object assignments, more than the default
+    budget, but its search charges 283,140 and finds the 6,435 monotone maps;
+    the functors of N3 -> N3 are the 4^3 maps of the generators to the
+    non-identities, and the constant one."""
+    assert len(enumerate_functors(chain(8), chain(8))) == 6435
+    with budget(283140):
+        assert len(enumerate_functors(chain(8), chain(8))) == 6435
+    with budget(283139), pytest.raises(GuardExceeded) as err:
+        enumerate_functors(chain(8), chain(8))
+    assert str(err.value) == \
+        "functor search chain8 -> chain8 exceeds guard 283139: 283140 candidates charged"
+    assert len(enumerate_functors(null_monoid(3), null_monoid(3))) == 4 ** 3 + 1
