@@ -145,8 +145,7 @@ def search(choices, due, holds, what: str) -> Iterator[tuple]:
         raise GuardExceeded(f"{what} exceeds guard {guard}: {used} candidates charged")
     # untried[i]: the candidates for slot i not yet tried after the current prefix
     untried = [iter(cands)]
-    last = len(choices) - 1
-    i = 0
+    last, i = len(choices) - 1, 0
     while i >= 0:
         tests = due[i + 1]
         for v in untried[i]:

@@ -366,11 +366,10 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
     """All natural transformations X => Y, in key order: components searched
     over all_maps on the naturality squares C._squares, as in core._nat_families.
     The search, named `natural-family search X => Y`, draws on the budget in
-    scope, as does each all_maps list."""
+    scope, as do its all_maps lists, summed before any is built."""
     if X.dom != Y.dom:
         raise StructuralError("functors on different categories")
-    Xt, Yt = X._tables, Y._tables
-    C = X.dom
+    C, Xt, Yt = X.dom, X._tables, Y._tables
     objs = C.sorted_objects()
 
     def natural(square, v) -> bool:
@@ -379,6 +378,8 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
         return all(ym[a[x]] == b[xm[x]] for x in a)
 
     what = f"natural-family search {X.name} => {Y.name}"
+    maps = sum(len(Y.on_obj[a]) ** len(X.on_obj[a]) for a in objs)
+    charge(maps, f"map enumeration for {what}: {maps} maps")
     out = [SetNatTrans("t", X, Y, dict(zip(objs, family)))
            for family in search([all_maps(X.on_obj[a], Y.on_obj[a]) for a in objs],
                                 C._squares, natural, what)]

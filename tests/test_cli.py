@@ -241,7 +241,7 @@ def test_yoneda_check_on_setfunctors_and_guard(tmp_path):
     code, out = run("yoneda-check", "two", str(path), "--guard", "1", "--json")
     assert code == 2
     assert json.loads(out)["message"] == \
-        "natural-family search hom(0,-) => hom(0,-) exceeds guard 1: 2 candidates charged"
+        "map enumeration for natural-family search hom(0,-) => hom(0,-): 2 maps exceeds guard 1"
 
 
 def test_yoneda_check_failures_keep_their_messages(monkeypatch):

@@ -54,6 +54,7 @@ from fincat.finset import (
     SetFunctor,
     SetNatTrans,
     all_maps,
+    const_set_functor,
     enumerate_set_naturals,
     hom_functor,
 )
@@ -741,9 +742,12 @@ def _stopped(code: str) -> str:
     interpreter, so that a search that stops drawing on the budget fails at
     the timeout instead of running to CI's job limit."""
     script = "\n".join([
-        "from fincat.core import *", "from fincat.fixtures import discrete",
+        "from fincat.core import *", "from fincat.fixtures import chain, discrete",
+        "from fincat.finset import FinSetObj, const_set_functor, enumerate_set_naturals",
         "from fincat.kan import kan_universal_check", "from helpers import null_monoid",
-        "N4, N6 = null_monoid(4), null_monoid(6)", "try:", "    " + code,
+        "N4, N6 = null_monoid(4), null_monoid(6)",
+        "def const(n, name): return const_set_functor(discrete(5), FinSetObj(tuple("
+        "f'{name}{i}' for i in range(n))), name)", "try:", "    " + code,
         "except GuardExceeded as err:", "    print(err)"])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=30, env={**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -765,8 +769,15 @@ def _stopped(code: str) -> str:
      "composite enumeration [disc4,N4]: 1679616 composable pairs exceeds guard 100000"),
     ("functor_category(discrete(5), N4)",
      "composite enumeration [disc5,N4]: 60466176 composable pairs exceeds guard 1000000"),
+    # the functor search charges 283,140; the pairs are 6,435^2
+    ("functor_category(chain(8), chain(8))",
+     "functor pair enumeration [chain8,chain8]: 6435 x 6435 functors exceeds guard 1000000"),
+    # each object's 10^6 maps pass alone; the five lists together do not
+    ("enumerate_set_naturals(const(6, 'x'), const(10, 'y'))",
+     "map enumeration for natural-family search x => y: 5000000 maps exceeds guard 1000000"),
 ], ids=["functors N6->N6", "functor category disc4->N4", "kan universal check disc6->N4",
-        "composites disc4->N4", "composites disc5->N4"])
+        "composites disc4->N4", "composites disc5->N4", "functor pairs chain8->chain8",
+        "set naturals disc5 6->10"])
 def test_product_sized_searches_stop_at_the_budget(code, message):
     assert _stopped(code) == message
 
@@ -784,3 +795,15 @@ def test_the_budget_charges_the_search_not_a_guessed_product():
     assert str(err.value) == \
         "functor search chain8 -> chain8 exceeds guard 283139: 283140 candidates charged"
     assert len(enumerate_functors(null_monoid(3), null_monoid(3))) == 4 ** 3 + 1
+    # over discrete(2) the 27 + 27 component maps are checked before they are
+    # listed, and the search, with no square to prune it, charges 27 + 27 x 27
+    Z = const_set_functor(discrete(2), FinSetObj(("a", "b", "c")), "Z")
+    with budget(53), pytest.raises(GuardExceeded) as err:
+        enumerate_set_naturals(Z, Z)
+    assert str(err.value) == \
+        "map enumeration for natural-family search Z => Z: 54 maps exceeds guard 53"
+    with budget(755), pytest.raises(GuardExceeded) as err:
+        enumerate_set_naturals(Z, Z)
+    assert str(err.value) == "natural-family search Z => Z exceeds guard 755: 756 candidates charged"
+    with budget(756):
+        assert len(enumerate_set_naturals(Z, Z)) == 3 ** 6
