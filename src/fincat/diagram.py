@@ -51,24 +51,17 @@ class HComp:
 Term = Union[Generator, Id, VComp, HComp]
 
 
+def _flattened(kind, parts) -> Term:
+    flat = [q for p in parts for q in (p.parts if isinstance(p, kind) else (p,))]
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
+
+
 def vcomp_term(parts) -> Term:
-    flat = []
-    for p in parts:
-        if isinstance(p, VComp):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return flat[0] if len(flat) == 1 else VComp(tuple(flat))
+    return _flattened(VComp, parts)
 
 
 def hcomp_term(parts) -> Term:
-    flat = []
-    for p in parts:
-        if isinstance(p, HComp):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return flat[0] if len(flat) == 1 else HComp(tuple(flat))
+    return _flattened(HComp, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -246,35 +239,50 @@ def _gen_wires(env: Environment, name: str) -> tuple[str, str, str, str]:
     return t.src.name, t.tgt.name, t.src.dom.name, t.src.cod.name
 
 
-def typecheck(term: Term, env: Environment) -> Interface:
+@dataclass(frozen=True)
+class _Layer:
+    position: int   # wire slot of the generator, counted from the left
+    gen: str
+
+
+def _walk(term: Term, env: Environment) -> tuple[Interface, tuple[_Layer, ...]]:
+    """The term's interface and, from the same walk, its generators as layers
+    at their wire slots, bottom to top in term order."""
     if isinstance(term, Generator):
         src, tgt, left, right = _gen_wires(env, term.name)
-        return Interface((src,), (tgt,), left, right)
+        return Interface((src,), (tgt,), left, right), (_Layer(0, term.name),)
     if isinstance(term, Id):
         if term.name in env.functors:
             F = env.functors[term.name]
-            return Interface((term.name,), (term.name,), F.dom.name, F.cod.name)
+            return Interface((term.name,), (term.name,), F.dom.name, F.cod.name), ()
         if term.name in env.categories:
-            return Interface((), (), term.name, term.name)
+            return Interface((), (), term.name, term.name), ()
         raise StructuralError(f"unknown name {term.name}")
+    if not isinstance(term, (VComp, HComp)):
+        raise StructuralError(f"not a term: {term!r}")
+    walks = [_walk(p, env) for p in term.parts]
+    faces = [face for face, _ in walks]
     if isinstance(term, VComp):
-        faces = [typecheck(p, env) for p in term.parts]
         for a, b in zip(faces, faces[1:]):
             if a.top != b.bottom or a.left != b.left or a.right != b.right:
                 raise DiagramTypeError(
                     f"vertical mismatch: {a.top} does not meet {b.bottom}", term)
-        return Interface(faces[0].bottom, faces[-1].top, faces[0].left, faces[0].right)
-    if isinstance(term, HComp):
-        faces = [typecheck(p, env) for p in term.parts]
-        for outer, inner in zip(faces, faces[1:]):
-            if outer.left != inner.right:
-                raise DiagramTypeError(
-                    f"horizontal mismatch: {outer.left} does not meet {inner.right}",
-                    term)
-        bottom = tuple(w for f in reversed(faces) for w in f.bottom)
-        top = tuple(w for f in reversed(faces) for w in f.top)
-        return Interface(bottom, top, faces[-1].left, faces[0].right)
-    raise StructuralError(f"not a term: {term!r}")
+        return (Interface(faces[0].bottom, faces[-1].top, faces[0].left, faces[0].right),
+                tuple(l for _, layers in walks for l in layers))
+    for outer, inner in zip(faces, faces[1:]):
+        if outer.left != inner.right:
+            raise DiagramTypeError(
+                f"horizontal mismatch: {outer.left} does not meet {inner.right}", term)
+    # the innermost part comes first; each outer part sits right of the wires before it
+    layers, bottom, top = [], (), ()
+    for face, inner in reversed(walks):
+        layers += [_Layer(l.position + len(bottom), l.gen) for l in inner]
+        bottom, top = bottom + face.bottom, top + face.top
+    return Interface(bottom, top, faces[-1].left, faces[0].right), tuple(layers)
+
+
+def typecheck(term: Term, env: Environment) -> Interface:
+    return _walk(term, env)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,48 +316,12 @@ def _eval(term: Term, env: Environment) -> NatTrans:
 # ---------------------------------------------------------------------------
 # Normalization by interchange
 
-@dataclass(frozen=True)
-class _Layer:
-    position: int   # wire slot of the generator, counted from the left
-    gen: str
-
-
-@dataclass(frozen=True)
-class _Sheet:
-    layers: tuple[_Layer, ...]
-    bottom: tuple[str, ...]
-    left: str
-
-
-def _to_sheet(term: Term, env: Environment) -> _Sheet:
-    if isinstance(term, Generator):
-        src, tgt, left, right = _gen_wires(env, term.name)
-        return _Sheet((_Layer(0, term.name),), (src,), left)
-    if isinstance(term, Id):
-        face = typecheck(term, env)
-        return _Sheet((), face.bottom, face.left)
-    if isinstance(term, VComp):
-        sheets = [_to_sheet(p, env) for p in term.parts]
-        layers = tuple(l for s in sheets for l in s.layers)
-        return _Sheet(layers, sheets[0].bottom, sheets[0].left)
-    if isinstance(term, HComp):
-        sheets = [_to_sheet(p, env) for p in term.parts]
-        combined = sheets[-1]
-        for nxt in sheets[-2::-1]:
-            shift = len(combined.bottom)
-            layers = combined.layers + tuple(
-                _Layer(l.position + shift, l.gen) for l in nxt.layers)
-            combined = _Sheet(layers, combined.bottom + nxt.bottom, combined.left)
-        return combined
-    raise StructuralError(f"not a term: {term!r}")
-
-
-def _thread(sheet: _Sheet, env: Environment):
+def _thread(bottom: tuple[str, ...], layers, env: Environment):
     """Contexts (left, gen, right) for each layer, recomputed by threading the
-    wire states upward, and the top boundary they reach."""
-    boundary = list(sheet.bottom)
+    wire states upward from bottom, and the top boundary they reach."""
+    boundary = list(bottom)
     out = []
-    for layer in sheet.layers:
+    for layer in layers:
         src, tgt, _, _ = _gen_wires(env, layer.gen)
         if boundary[layer.position] != src:
             raise StructuralError(
@@ -363,13 +335,10 @@ def _thread(sheet: _Sheet, env: Environment):
 
 
 def _layered(term: Term, env: Environment):
-    """The typechecked term as one sheet, its layers stably sorted by wire
-    position, with the contexts and top boundary that _thread computes."""
-    typecheck(term, env)
-    sheet = _to_sheet(term, env)
-    sheet = _Sheet(tuple(sorted(sheet.layers, key=lambda l: l.position)),
-                   sheet.bottom, sheet.left)
-    return (sheet, *_thread(sheet, env))
+    """The term's interface, with the contexts and top boundary that _thread
+    computes for its layers stably sorted by wire position."""
+    face, layers = _walk(term, env)
+    return (face, *_thread(face.bottom, sorted(layers, key=lambda l: l.position), env))
 
 
 def normalize(term: Term, env: Environment) -> Term:
@@ -380,11 +349,11 @@ def normalize(term: Term, env: Environment) -> Term:
     stacked on the same wire keep their order.  The result is idempotent and
     evaluation-preserving.
     """
-    sheet, rows, _ = _layered(term, env)
+    face, rows, _ = _layered(term, env)
     if not rows:
-        if not sheet.bottom:
-            return Id(sheet.left)
-        return hcomp_term([Id(w) for w in reversed(sheet.bottom)])
+        if not face.bottom:
+            return Id(face.left)
+        return hcomp_term([Id(w) for w in reversed(face.bottom)])
     terms = []
     for left, gen, right in rows:
         parts = [Id(v) for v in reversed(right)] + [Generator(gen)] + \
@@ -410,9 +379,9 @@ def render_svg(term: Term, env: Optional[Environment] = None) -> str:
     """
     if env is None:
         env = Environment({}, {}, {})
-    sheet, rows, top = _layered(term, env)
+    face, rows, top = _layered(term, env)
 
-    n = len(sheet.bottom)
+    n = len(face.bottom)
     cell, rowh, margin = 70, 70, 30
     width = 2 * margin + (n + 1) * cell
     nrows = max(len(rows), 1)
@@ -421,8 +390,8 @@ def render_svg(term: Term, env: Optional[Environment] = None) -> str:
     def wx(i: int) -> int:
         return margin + (i + 1) * cell
 
-    regions = [sheet.left]
-    for w in sheet.bottom:
+    regions = [face.left]
+    for w in face.bottom:
         regions.append(env.functors[w].cod.name)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -455,7 +424,7 @@ def render_svg(term: Term, env: Optional[Environment] = None) -> str:
                          f'stroke="#333" stroke-width="2"/>')
             parts.append(f'<text x="{wx(pos)}" y="{cy + 4}" font-size="12" '
                          f'text-anchor="middle">{gen}</text>')
-    for i, w in enumerate(sheet.bottom):
+    for i, w in enumerate(face.bottom):
         parts.append(f'<text x="{wx(i)}" y="{height - margin + 14}" font-size="11" '
                      f'text-anchor="middle">{w}</text>')
     for i, w in enumerate(top):

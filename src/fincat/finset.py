@@ -24,6 +24,7 @@ from .core import (
     charge,
     composable_pairs,
     fail_report,
+    identity_functor,
     ok_report,
     opposite,
     pair_id,
@@ -212,6 +213,15 @@ def all_tables(X: FinSetObj, Y: FinSetObj) -> list[dict[str, str]]:
     return [dict(zip(xs, ys)) for ys in itertools.product(Y.sorted(), repeat=len(xs))]
 
 
+def map_lists(pairs, what: str, build=all_maps) -> list[list]:
+    """build(X, Y), all_maps or all_tables, for each (X, Y) of pairs, after one
+    budget check of their summed |Y|^|X| sizes, named for `what`: so lists
+    that together pass the budget are refused before any is built."""
+    count = sum(len(Y) ** len(X) for X, Y in pairs)
+    charge(count, f"map enumeration for {what}: {count} maps")
+    return [build(X, Y) for X, Y in pairs]
+
+
 @dataclass(frozen=True, eq=False)
 class SetFunctor(Keyed):
     """A functor dom -> Set given by per-object element lists and per-morphism tables.
@@ -378,11 +388,9 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
         return all(ym[a[x]] == b[xm[x]] for x in a)
 
     what = f"natural-family search {X.name} => {Y.name}"
-    maps = sum(len(Y.on_obj[a]) ** len(X.on_obj[a]) for a in objs)
-    charge(maps, f"map enumeration for {what}: {maps} maps")
+    choices = map_lists([(X.on_obj[a], Y.on_obj[a]) for a in objs], what)
     out = [SetNatTrans("t", X, Y, dict(zip(objs, family)))
-           for family in search([all_maps(X.on_obj[a], Y.on_obj[a]) for a in objs],
-                                C._squares, natural, what)]
+           for family in search(choices, C._squares, natural, what)]
     out.sort(key=lambda t: t.key())
     return out
 
@@ -413,6 +421,20 @@ def nat_bijection(X: SetFunctor, Y: SetFunctor, sources: Iterable, entry,
 # ---------------------------------------------------------------------------
 # Hom functors and the Yoneda machinery
 
+def _hom_set_functor(e: str, F: Functor, name: str | None = None) -> SetFunctor:
+    """c |-> E(e, Fc) as a Set-valued functor on F's domain, E = F.cod.
+
+    Over opposite_functor(K) this is the presheaf c |-> D(Kc, e).
+    """
+    C, E = F.dom, F.cod
+    on_obj = {c: FinSetObj(E.hom(e, F.obj_map[c])) for c in C.objects}
+    on_mor = {m.name: FinSetMap(on_obj[m.dom], on_obj[m.cod],
+                                {g: E.comp(F.mor_map[m.name], g)
+                                 for g in on_obj[m.dom].elements})
+              for m in C.morphisms}
+    return SetFunctor(name or f"hom({e},{F.name}-)", C, on_obj, on_mor)
+
+
 def hom_functor(C: FinCat, c: str, direction: str) -> SetFunctor:
     """C(c,-) for "covariant", C(-,c) (on op(C)) for "contravariant".
 
@@ -421,12 +443,7 @@ def hom_functor(C: FinCat, c: str, direction: str) -> SetFunctor:
     if c not in C.objects:
         raise StructuralError(f"unknown object {c} in {C.name}")
     if direction == "covariant":
-        on_obj = {a: FinSetObj(C.hom(c, a)) for a in C.objects}
-        on_mor = {}
-        for m in C.morphisms:
-            on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod],
-                                       {g: C.comp(m.name, g) for g in C.hom(c, m.dom)})
-        return SetFunctor(f"hom({c},-)", C, on_obj, on_mor)
+        return _hom_set_functor(c, identity_functor(C), f"hom({c},-)")
     if direction == "contravariant":
         return hom_functor(opposite(C), c, "covariant")
     raise StructuralError(f"unknown variance {direction!r}")

@@ -58,11 +58,13 @@ from .finset import (
     SINGLETON,
     SetFunctor,
     SetNatTrans,
+    _hom_set_functor,
     all_maps,
     cotensor_in_category,
     enumerate_set_naturals,
     hom_functor,
     legs_by_element,
+    map_lists,
     nat_bijection,
     set_precompose,
     table_id,
@@ -526,20 +528,6 @@ class WeightedResult:
     certificate: Report
 
 
-def _hom_set_functor(e: str, F: Functor) -> SetFunctor:
-    """c |-> E(e, Fc) as a Set-valued functor on F's domain, E = F.cod.
-
-    Over opposite_functor(K) this is the presheaf c |-> D(Kc, e).
-    """
-    C, E = F.dom, F.cod
-    on_obj = {c: FinSetObj(E.hom(e, F.obj_map[c])) for c in C.objects}
-    on_mor = {m.name: FinSetMap(on_obj[m.dom], on_obj[m.cod],
-                                {g: E.comp(F.mor_map[m.name], g)
-                                 for g in on_obj[m.dom].elements})
-              for m in C.morphisms}
-    return SetFunctor(f"hom({e},{F.name}-)", C, on_obj, on_mor)
-
-
 def weighted_limit(W: SetFunctor, F: Union[Functor, SetFunctor],
                    side: str = LIMIT) -> WeightedResult:
     """Weighted (co)limit through ends of cotensors / coends of tensors.
@@ -568,10 +556,9 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     if F.dom != C:
         raise StructuralError("weight and diagram must share their category")
     P = op_product(C)
-    decode = {}
-    for o in P.objects:
-        cp, c = split_pair(o)
-        decode[o] = {table_id(t): t for t in all_maps(W.on_obj[cp], F.on_obj[c])}
+    pairs = [(W.on_obj[cp], F.on_obj[c]) for cp, c in map(split_pair, P.objects)]
+    decode = {o: {table_id(t): t for t in maps} for o, maps in
+              zip(P.objects, map_lists(pairs, f"end of Set(W-,{F.name}-)"))}
     on_obj = {o: FinSetObj(tuple(decode[o])) for o in P.objects}
     on_mor = {}
     for m in P.morphisms:
@@ -624,8 +611,9 @@ def _defining_bijection(W: SetFunctor, F: SetFunctor, obj: FinSetObj, side: str,
     """
     law = f"weighted-{side}-defining-bijection"
     for probe in (SINGLETON, FinSetObj(("p0", "p1"))):
-        maps = {c: all_maps(probe, F.on_obj[c]) if side == LIMIT else all_maps(F.on_obj[c], probe)
-                for c in W.dom.objects}
+        pairs = [(probe, F.on_obj[c]) if side == LIMIT else (F.on_obj[c], probe)
+                 for c in W.dom.objects]
+        maps = dict(zip(W.dom.objects, map_lists(pairs, f"weighted {side} defining bijection")))
 
         def act(f: str, t: FinSetMap) -> FinSetMap:
             return t.then(F.on_mor[f]) if side == LIMIT else F.on_mor[f].then(t)

@@ -41,6 +41,7 @@ from .finset import (
     SetNatTrans,
     all_tables,
     const_set_functor,
+    map_lists,
 )
 
 LIMIT = "limit"
@@ -355,14 +356,11 @@ def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
         # fam_cod . D(m) = fam_dom, pointwise on D(dom m)
         return all(fb[y] == fa[x] for x, y in t.items())
 
+    what = f"{direction} probe cone search over {D.name}"
     for size in _PROBE_SIZES:
         P = FinSetObj(tuple(f"p{i}" for i in range(size)))
-        if direction == LIMIT:
-            choices = [all_tables(P, D.on_obj[j]) for j in objs]
-        else:
-            choices = [all_tables(D.on_obj[j], P) for j in objs]
-        for combo in search(choices, J._squares, natural,
-                            what=f"{direction} probe cone search over {D.name}"):
+        pairs = [(P, D.on_obj[j]) if direction == LIMIT else (D.on_obj[j], P) for j in objs]
+        for combo in search(map_lists(pairs, what, all_tables), J._squares, natural, what):
             fam = dict(zip(objs, combo))
             checked += 1
             if direction == LIMIT:

@@ -11,7 +11,7 @@ import itertools
 import random
 from typing import Optional
 
-from .core import FinCat, Functor, make_category, validate_category
+from .core import FinCat, make_category, validate_category
 from .finset import FinSetMap, FinSetObj, SetFunctor, hom_functor, product_set_functor
 from .fixtures import z2_monoid
 

@@ -716,13 +716,14 @@ def test_the_guard_reaches_every_command():
         code, out = run(command, "Kpick", cat("density.cat"), "--guard", "1", "--json")
         assert code == 2
         assert json.loads(out)["message"] == f"{search} exceeds guard 1: 2 candidates charged"
-    # the Set Kan extensions list their maps and their limit tuples on it;
-    # weighted-limit lists at most one map
-    for command, listing in (("kan-left", "map enumeration 2 -> 2"),
-                             ("kan-right", "tuple enumeration 2")):
+    # the Set Kan extensions charge their probe-cone tables, summed, and their
+    # limit tuples on it
+    for command, listing in (
+            ("kan-left", "map enumeration for colimit probe cone search over F*P((K↓0)): 4 maps"),
+            ("kan-right", "tuple enumeration 2 elements")):
         code, out = run(command, "K", "F", cat("kan.cat"), "--guard", "1", "--json")
         assert code == 2
-        assert json.loads(out)["message"] == f"{listing} elements exceeds guard 1"
+        assert json.loads(out)["message"] == f"{listing} exceeds guard 1"
     # every other corpus command above ends with an exit code and a message
     for *argv, name in (
             ("validate", "two.cat"), ("limit", "D", "pair_diagram.cat"),

@@ -144,11 +144,9 @@ def test_normalize_soundness_on_seeded_terms():
 def anti_normalize(term, env):
     """A syntactically different interchange-equal presentation: layers emitted
     rightmost-first instead of leftmost-first."""
-    from fincat.diagram import _to_sheet, _Sheet, _thread, hcomp_term, vcomp_term
-    sheet = _to_sheet(term, env)
-    ordered = _Sheet(tuple(sorted(sheet.layers, key=lambda l: -l.position)),
-                     sheet.bottom, sheet.left)
-    rows, _ = _thread(ordered, env)
+    from fincat.diagram import _thread, _walk, hcomp_term, vcomp_term
+    face, layers = _walk(term, env)
+    rows, _ = _thread(face.bottom, sorted(layers, key=lambda l: -l.position), env)
     if not rows:
         return normalize(term, env)
     terms = []
@@ -208,3 +206,26 @@ def test_render_svg_is_wellformed_xml():
         doc = xml.dom.minidom.parseString(render_svg(parse_term(text), env))
         assert doc.documentElement.tagName == "svg"
         assert doc.documentElement.getAttribute("version") == "1.1"
+
+
+def pipeline_digest():
+    """One SHA-256 over typecheck, normal form and SVG of the 100 seeded terms
+    of test_normalize_soundness_on_seeded_terms and every term of terms.cat."""
+    import hashlib
+    import pathlib
+    from fincat.catfile import load_workspace
+    env = fixture_env()
+    rng = random.Random(20240817)
+    cases = [(random_term(rng, env), env) for _ in range(100)]
+    ws = load_workspace([str(pathlib.Path(__file__).parent / "corpus" / "terms.cat")])
+    cases += [(ws.terms[name], ws.env()) for name in sorted(ws.terms)]
+    h = hashlib.sha256()
+    for t, e in cases:
+        for out in (repr(typecheck(t, e)), pretty(normalize(t, e)), render_svg(t, e)):
+            h.update(out.encode("utf8") + b"\0")
+    return h.hexdigest()
+
+
+def test_term_pipeline_outputs_are_pinned():
+    assert pipeline_digest() == (
+        "e6b3369963633230604398446632fea845100bbb4c706ad5ae24ad3c068378f6")

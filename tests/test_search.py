@@ -744,9 +744,10 @@ def _stopped(code: str) -> str:
     script = "\n".join([
         "from fincat.core import *", "from fincat.fixtures import chain, discrete",
         "from fincat.finset import FinSetObj, const_set_functor, enumerate_set_naturals",
-        "from fincat.kan import kan_universal_check", "from helpers import null_monoid",
+        "from fincat.kan import kan_universal_check, weighted_limit",
+        "from fincat.limits import limit_finset", "from helpers import null_monoid",
         "N4, N6 = null_monoid(4), null_monoid(6)",
-        "def const(n, name): return const_set_functor(discrete(5), FinSetObj(tuple("
+        "def const(n, name, C=discrete(5)): return const_set_functor(C, FinSetObj(tuple("
         "f'{name}{i}' for i in range(n))), name)", "try:", "    " + code,
         "except GuardExceeded as err:", "    print(err)"])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -775,9 +776,20 @@ def _stopped(code: str) -> str:
     # each object's 10^6 maps pass alone; the five lists together do not
     ("enumerate_set_naturals(const(6, 'x'), const(10, 'y'))",
      "map enumeration for natural-family search x => y: 5000000 maps exceeds guard 1000000"),
+    # the same for the Set certificates' per-object lists, each of 2^10 maps:
+    # the colimit's probe cones into 2 elements, the weighted limit's decode
+    # lists Set(W(c'), F(c)) and the weighted colimit's defining bijection
+    ("with budget(1024): limit_finset(const(10, 'x'), 'colimit')",
+     "map enumeration for colimit probe cone search over x: 5120 maps exceeds guard 1024"),
+    ("with budget(1024): weighted_limit(const(10, 'w'), const(2, 'f'))",
+     "map enumeration for end of Set(W-,f-): 25600 maps exceeds guard 1024"),
+    ("with budget(1024): weighted_limit(const(1, 'w', opposite(discrete(5))), "
+     "const(10, 'f'), 'colimit')",
+     "map enumeration for weighted colimit defining bijection: 5120 maps exceeds guard 1024"),
 ], ids=["functors N6->N6", "functor category disc4->N4", "kan universal check disc6->N4",
         "composites disc4->N4", "composites disc5->N4", "functor pairs chain8->chain8",
-        "set naturals disc5 6->10"])
+        "set naturals disc5 6->10", "set colimit probes disc5 10", "weighted limit disc5 10->2",
+        "weighted colimit disc5 10"])
 def test_product_sized_searches_stop_at_the_budget(code, message):
     assert _stopped(code) == message
 
