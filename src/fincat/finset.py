@@ -7,11 +7,12 @@ explicit invertible map, never by cardinality.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     FinCat,
@@ -53,6 +54,10 @@ class FinSetObj(Keyed):
 
     def sorted(self) -> tuple[str, ...]:
         return self._sorted
+
+    @cached
+    def _pos(self) -> dict[str, int]:   # each element's position in sorted()
+        return {x: i for i, x in enumerate(self._sorted)}
 
     def _structure(self):
         return self._sorted
@@ -152,9 +157,7 @@ class _Hom:
     __slots__ = ("cod", "pos", "base", "maps", "__weakref__")
 
     def __init__(self, cod: FinSetObj):
-        self.cod = cod
-        self.pos = {y: i for i, y in enumerate(cod.sorted())}
-        self.base = len(cod)
+        self.cod, self.pos, self.base = cod, cod._pos, len(cod)
 
 
 class _HomRef(weakref.ref):
@@ -170,11 +173,6 @@ def _drop_hom(ref: _HomRef) -> None:
         del X._hom_sets[ref.cod_id]
 
 
-def _check_map_count(X: FinSetObj, Y: FinSetObj) -> None:
-    """Check the |Y|^|X| maps X -> Y against the budget before listing them."""
-    charge(len(Y) ** len(X), f"map enumeration {len(X)} -> {len(Y)} elements")
-
-
 def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
     """Every map X -> Y in lexicographic table order: map k has the base-|Y|
     digits of k as positions in Y.sorted() of its images of X.sorted().
@@ -187,10 +185,9 @@ def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
     while the caller keeps any map of the list, and no reference cycle is
     made.  A later call for the same X and Y replaces it.
     """
-    _check_map_count(X, Y)
+    charge(len(Y) ** len(X), f"map enumeration {len(X)} -> {len(Y)} elements")
     xs = X.sorted()
-    hom = _Hom(Y)
-    maps = []
+    hom, maps = _Hom(Y), []
     for ys in itertools.product(Y.sorted(), repeat=len(xs)):
         f = _built_map(X, Y, dict(zip(xs, ys)))
         fields = f.__dict__  # frozen: bypass __setattr__
@@ -206,20 +203,17 @@ def all_maps(X: FinSetObj, Y: FinSetObj) -> list[FinSetMap]:
     return maps
 
 
-def all_tables(X: FinSetObj, Y: FinSetObj) -> list[dict[str, str]]:
-    """The tables of all_maps(X, Y), in its order, with no map built."""
-    _check_map_count(X, Y)
-    xs = X.sorted()
-    return [dict(zip(xs, ys)) for ys in itertools.product(Y.sorted(), repeat=len(xs))]
-
-
-def map_lists(pairs, what: str, build=all_maps) -> list[list]:
-    """build(X, Y), all_maps or all_tables, for each (X, Y) of pairs, after one
-    budget check of their summed |Y|^|X| sizes, named for `what`: so lists
-    that together pass the budget are refused before any is built."""
-    count = sum(len(Y) ** len(X) for X, Y in pairs)
+def _charge_maps(sizes, what: str) -> None:
+    count = sum(n ** k for k, n in sizes)
     charge(count, f"map enumeration for {what}: {count} maps")
-    return [build(X, Y) for X, Y in pairs]
+
+
+def map_lists(pairs, what: str) -> list[list[FinSetMap]]:
+    """all_maps(X, Y) for each (X, Y) of pairs, after one budget check of their
+    summed |Y|^|X| sizes, named for `what` (_charge_maps): so lists that
+    together pass the budget are refused before any is built."""
+    _charge_maps([(len(X), len(Y)) for X, Y in pairs], what)
+    return [all_maps(X, Y) for X, Y in pairs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,6 +261,15 @@ class SetFunctor(Keyed):
         reject_strays(self.name, "object values", self.on_obj, C.objects, C)
         reject_strays(self.name, "morphism tables", self.on_mor, C.mor, C)
         return out
+
+    @cached
+    def _shape(self) -> tuple[list[int], dict[str, tuple[int, ...]]]:
+        """The functor on positions, after _tables: value sizes in sorted object order,
+        and each morphism's images of dom sorted() as positions in cod sorted()."""
+        tables, C = self._tables, self.dom
+        return ([len(self.on_obj[a]) for a in C.sorted_objects()],
+                {m.name: tuple([self.on_obj[m.cod]._pos[tables[m.name][x]]
+                                for x in self.on_obj[m.dom].sorted()]) for m in C.morphisms})
 
 
 def validate_set_functor(X: SetFunctor) -> Report:
@@ -343,6 +346,7 @@ def set_precompose(X: SetFunctor, F: Functor, name: str | None = None) -> SetFun
     """X * F: restrict a Set-valued functor along F."""
     if F.cod != X.dom:
         raise StructuralError(f"cannot precompose {X.name} with {F.name}")
+    X._tables  # X's one structural check, before any read
     return SetFunctor(name or f"{X.name}*{F.name}", F.dom,
                       {a: X.on_obj[F.obj_map[a]] for a in F.dom.objects},
                       {m.name: X.on_mor[F.mor_map[m.name]] for m in F.dom.morphisms})
@@ -372,27 +376,40 @@ def product_set_functor(X: SetFunctor, Y: SetFunctor, name: str | None = None) -
     return SetFunctor(name or f"({X.name}x{Y.name})", C, on_obj, on_mor)
 
 
+def set_families(C: FinCat, X_shape, Y_shape, what: str) -> Iterator[tuple]:
+    """Every natural family X => Y of Set functors on C given by their _shape:
+    per object in sorted order, the positions in Y's value of the images of
+    X's value, in all_maps order, searched on the squares C._squares in
+    product order.  The search, named `what`, draws on the budget in scope,
+    as do its candidate lists, summed before any is built."""
+    (xs, xm), (ys, ym) = X_shape, Y_shape
+    _charge_maps(zip(xs, ys), what)
+
+    def natural(square, v) -> bool:   # Y(m) . v_a == v_b . X(m) at each position of X(a)
+        m, i, j = square
+        ymm, b = ym[m], v[j]
+        return all(ymm[y] == b[x] for y, x in zip(v[i], xm[m]))
+
+    return search([list(itertools.product(range(n), repeat=k)) for k, n in zip(xs, ys)],
+                  C._squares, natural, what)
+
+
 def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
-    """All natural transformations X => Y, in key order: components searched
-    over all_maps on the naturality squares C._squares, as in core._nat_families.
-    The search, named `natural-family search X => Y`, draws on the budget in
-    scope, as do its all_maps lists, summed before any is built."""
+    """All natural transformations X => Y, in key order (which all_maps order
+    is), by one set_families search named `natural-family search X => Y`.
+    Each component map is built once, for the families returned."""
     if X.dom != Y.dom:
         raise StructuralError("functors on different categories")
-    C, Xt, Yt = X.dom, X._tables, Y._tables
-    objs = C.sorted_objects()
 
-    def natural(square, v) -> bool:
-        m, i, j = square
-        a, b, xm, ym = v[i].table, v[j].table, Xt[m], Yt[m]
-        return all(ym[a[x]] == b[xm[x]] for x in a)
+    @functools.cache
+    def component(a: str, images: tuple[int, ...]) -> FinSetMap:
+        Xa, Ya = X.on_obj[a], Y.on_obj[a]
+        return _built_map(Xa, Ya, dict(zip(Xa.sorted(), [Ya.sorted()[p] for p in images])))
 
-    what = f"natural-family search {X.name} => {Y.name}"
-    choices = map_lists([(X.on_obj[a], Y.on_obj[a]) for a in objs], what)
-    out = [SetNatTrans("t", X, Y, dict(zip(objs, family)))
-           for family in search(choices, C._squares, natural, what)]
-    out.sort(key=lambda t: t.key())
-    return out
+    objs = X.dom.sorted_objects()
+    return [SetNatTrans("t", X, Y, dict(zip(objs, map(component, objs, family))))
+            for family in set_families(X.dom, X._shape, Y._shape,
+                                       f"natural-family search {X.name} => {Y.name}")]
 
 
 NOT_BIJECTIVE = object()   # nat_bijection: every family natural, but the images miss
@@ -579,10 +596,11 @@ def tensor_cotensor(X: FinSetObj, c: FinSetObj, mode: str,
     obj = ten if mode == "tensor" else cotensor_obj(X, c)
     checked = 0
     for cp in probes:
-        mid = FinSetObj(tuple(table_id(t) for t in all_maps(c, cp)))
-        decode_mid = {table_id(t): t for t in all_maps(c, cp)}
-        cot = cotensor_obj(X, cp)
-        decode_cot = {table_id(t): t for t in all_maps(X, cp)}
+        hom_c, hom_X, hom_ten = map_lists([(c, cp), (X, cp), (ten, cp)],
+                                          f"{mode} adjunction at probe {cp.sorted()}")
+        decode_mid = {table_id(t): t for t in hom_c}
+        decode_cot = {table_id(t): t for t in hom_X}
+        mid, cot = FinSetObj(tuple(decode_mid)), FinSetObj(tuple(decode_cot))
 
         def curry(h: FinSetMap) -> FinSetMap:
             return FinSetMap(X, mid, {
@@ -605,7 +623,7 @@ def tensor_cotensor(X: FinSetObj, c: FinSetObj, mode: str,
                 for x in X.elements})
 
         images1, images2 = set(), set()
-        for h in all_maps(ten, cp):
+        for h in hom_ten:
             checked += 1
             f = curry(h)
             if uncurry(f) != h:
@@ -617,8 +635,7 @@ def tensor_cotensor(X: FinSetObj, c: FinSetObj, mode: str,
                     checked, "power-adjunction", probe=str(cp.sorted())))
             images1.add(f.key())
             images2.add(g.key())
-        want = len(mid) ** len(X)
-        if len(images1) != want or len(images2) != len(cot) ** len(c):
+        if len(images1) != len(mid) ** len(X) or len(images2) != len(cot) ** len(c):
             return TensorWitness(obj, fail_report(
                 checked, "copower-adjunction", failure="not bijective"))
     return TensorWitness(obj, ok_report(checked))

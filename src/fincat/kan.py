@@ -312,6 +312,7 @@ def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
     """Direct Set computation: ends as matching diagonal tuples, coends as
     union-find quotients of the diagonal disjoint union."""
     _check_bifunctor_shape(D, J)
+    D._tables  # D's one structural check, before any read
     objs = J.sorted_objects()
     diagonal = {j: D.on_obj[pair_id(j, j)] for j in objs}
 
@@ -390,6 +391,7 @@ def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[E
 def _tensor_bifunctor(W: SetFunctor, F: SetFunctor, P: FinCat) -> SetFunctor:
     """(c', c) |-> W(c') x F(c) as a Set bifunctor on P = op(C) x C, for a
     presheaf W on C (a functor on op(C)) and F on C; elements are pairs "(w,x)"."""
+    W._tables, F._tables  # each input's one structural check, before any read
     on_obj = {}
     for o in P.objects:
         cp, c = split_pair(o)
@@ -555,6 +557,7 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     C = W.dom
     if F.dom != C:
         raise StructuralError("weight and diagram must share their category")
+    W._tables, F._tables  # each input's one structural check, before any read
     P = op_product(C)
     pairs = [(W.on_obj[cp], F.on_obj[c]) for cp, c in map(split_pair, P.objects)]
     decode = {o: {table_id(t): t for t in maps} for o, maps in

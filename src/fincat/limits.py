@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .core import (
     FinCat,
@@ -39,9 +39,8 @@ from .finset import (
     FinSetObj,
     SetFunctor,
     SetNatTrans,
-    all_tables,
     const_set_functor,
-    map_lists,
+    set_families,
 )
 
 LIMIT = "limit"
@@ -318,58 +317,38 @@ def _set_limit_of(D: SetFunctor, direction: str) -> tuple[FinSetObj, dict[str, F
     raise StructuralError(f"unknown direction {direction!r}")
 
 
-def _factor_count_colimit(obj: FinSetObj, legs: dict[str, FinSetMap],
-                          P: FinSetObj, fam: dict[str, Mapping[str, str]]) -> int:
-    """Number of maps h: obj -> P with h . legs_j = fam_j, fam given by tables."""
-    forced: dict[str, str] = {}
-    for j, leg in legs.items():
-        want = fam[j]
-        for x, cls in leg.table.items():
-            if forced.setdefault(cls, want[x]) != want[x]:
-                return 0
-    free = sum(1 for e in obj.elements if e not in forced)
-    return len(P) ** free
-
-
 def _certify_finset(D: SetFunctor, direction: str, obj: FinSetObj,
                     legs: dict[str, FinSetMap]) -> Report:
-    """Unique factorization of every probe (co)cone, on raw tables.
-
-    Probe families are searched leg by leg in all_tables order on J._squares,
-    so `checked` and the first counterexample are those of their product;
-    the search draws on the budget in scope.
-    """
-    J = D.dom
-    objs = J.sorted_objects()
-    tables = D._tables
-    checked = 0
+    """Unique factorization of every probe (co)cone, a natural family from
+    the constant functor at a probe set P to D (from D to it): one
+    set_families search per probe size, P's tables being identities, so
+    `checked` and the first counterexample are those of their product."""
+    objs, checked = D.dom.sorted_objects(), 0
     if direction == LIMIT:
-        # a map P -> obj through the cone picks an element over each p's leg values
-        factor = factorizations(obj.elements, lambda e: tuple([legs[j](e) for j in objs]))
+        # h: P -> obj with legs . h = fam picks at each p an element over fam's positions at p
+        pos = [D.on_obj[j]._pos for j in objs]
+        factor = factorizations(obj.elements,
+                                lambda e: tuple([q[legs[j](e)] for j, q in zip(objs, pos)]))
+    else:
+        # h: obj -> P with h . legs = fam sends each leg's class to fam's value there
+        classes = [[legs[j](x) for x in D.on_obj[j].sorted()] for j in objs]
 
-    def natural(square, fam) -> bool:
-        m, a, b = square
-        t, fa, fb = tables[m], fam[a], fam[b]
+    def count(size: int, fam) -> int:   # how many such h there are, |P| = size
         if direction == LIMIT:
-            # D(m) . fam_dom = fam_cod, pointwise on the probe
-            return all(t[x] == fb[p] for p, x in fa.items())
-        # fam_cod . D(m) = fam_dom, pointwise on D(dom m)
-        return all(fb[y] == fa[x] for x, y in t.items())
+            return math.prod(factor(tuple([f[p] for f in fam]))[1] for p in range(size))
+        h: dict[str, int] = {}
+        if any(h.setdefault(c, p) != p for cls, f in zip(classes, fam) for c, p in zip(cls, f)):
+            return 0
+        return size ** (len(obj) - len(h))
 
-    what = f"{direction} probe cone search over {D.name}"
     for size in _PROBE_SIZES:
-        P = FinSetObj(tuple(f"p{i}" for i in range(size)))
-        pairs = [(P, D.on_obj[j]) if direction == LIMIT else (D.on_obj[j], P) for j in objs]
-        for combo in search(map_lists(pairs, what, all_tables), J._squares, natural, what):
-            fam = dict(zip(objs, combo))
+        const = ([size] * len(objs), dict.fromkeys(D.dom.mor, tuple(range(size))))
+        sides = (const, D._shape) if direction == LIMIT else (D._shape, const)
+        for fam in set_families(D.dom, *sides, f"{direction} probe cone search over {D.name}"):
             checked += 1
-            if direction == LIMIT:
-                n = math.prod(factor(tuple([fam[j][p] for j in objs]))[1] for p in P.elements)
-            else:
-                n = _factor_count_colimit(obj, legs, P, fam)
-            if n != 1:
+            if (n := count(size, fam)) != 1:
                 return fail_report(checked, "limit-factorization",
-                                   probe=str(P.sorted()), count=n)
+                                   probe=str(tuple(f"p{i}" for i in range(size))), count=n)
     return ok_report(checked)
 
 

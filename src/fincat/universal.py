@@ -144,6 +144,7 @@ def elements_category(X: SetFunctor, name: str | None = None) -> CommaData:
     to the underlying data, matching the dual comma description.
     """
     C = X.dom
+    X._tables  # X's one structural check, before any read
     pairs = [(c, x) for c in C.sorted_objects() for x in X.on_obj[c].sorted()]
 
     def mor_ok(f, src, tgt):
@@ -295,10 +296,10 @@ def representability(X: SetFunctor) -> Optional[Representation]:
     representation is round-tripped through the universal-morphism view of
     the singleton comma before being accepted.
     """
-    C = X.dom
+    C, sizes = X.dom, X._shape[0]   # X's one structural check, before any read
     for u in C.sorted_objects():
         yu = hom_functor(C, u, "covariant")
-        if any(len(yu.on_obj[a]) != len(X.on_obj[a]) for a in C.objects):
+        if yu._shape[0] != sizes:   # the value sizes in sorted object order
             continue
         for sigma in enumerate_set_naturals(yu, X):
             if not sigma.is_iso():

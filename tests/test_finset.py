@@ -4,7 +4,14 @@ import random
 import pytest
 
 import fincat.finset
-from fincat.core import StructuralError, opposite
+from fincat.core import (
+    GuardExceeded,
+    StructuralError,
+    budget,
+    identity_functor,
+    op_product,
+    opposite,
+)
 from fincat.finset import (
     FinSetMap,
     FinSetObj,
@@ -31,7 +38,18 @@ from fincat.finset import (
 )
 from fincat.core import fully_faithful_check
 from fincat.fixtures import chain, parallel_pair, terminal_category, walking_arrow, z2_monoid
+from fincat.kan import (
+    LEFT,
+    RIGHT,
+    coyoneda_witness,
+    end_coend,
+    kan_pointwise,
+    lan_via_coend,
+    nerve_realization_check,
+    weighted_limit,
+)
 from fincat.limits import COLIMIT, LIMIT, limit_finset
+from fincat.universal import elements_category, representability
 from fincat.randgen import random_category, random_representable_sum
 
 
@@ -68,12 +86,33 @@ def test_a_malformed_set_functor_gets_one_error_from_every_reader():
                lambda X: enumerate_set_naturals(y0, X),
                lambda X: limit_finset(X, LIMIT), lambda X: limit_finset(X, COLIMIT),
                lambda X: product_set_functor(X, y0), lambda X: product_set_functor(y0, X),
-               lambda X: presheaf_exponential(X, y0), lambda X: presheaf_exponential(y0, X)]
+               lambda X: presheaf_exponential(X, y0), lambda X: presheaf_exponential(y0, X),
+               representability, elements_category,
+               lambda X: kan_pointwise(identity_functor(two), X, LEFT),
+               lambda X: kan_pointwise(identity_functor(two), X, RIGHT),
+               lambda X: lan_via_coend(identity_functor(two), X),
+               lambda X: coyoneda_witness(X, "0"),
+               lambda X: nerve_realization_check(identity_functor(opposite(two)), X, "0"),
+               lambda X: weighted_limit(X, y0, LIMIT), lambda X: weighted_limit(y0, X, LIMIT),
+               lambda X: weighted_limit(hom_functor(two, "0", "contravariant"), X, COLIMIT)]
     for on_obj, on_mor, message in cases:
         for read in readers:
             with pytest.raises(StructuralError) as e:
                 read(SetFunctor("X", two, on_obj, on_mor))
             assert str(e.value) == message
+    # a Set bifunctor on op(2) x 2 gets validate_set_functor's error from end_coend
+    P = op_product(two)
+    B = const_set_functor(P, SINGLETON, "B")
+    for on_obj, on_mor in [({o: V for o, V in B.on_obj.items() if o != "(1,1)"}, B.on_mor),
+                           ({**B.on_obj, "zz": SINGLETON}, B.on_mor),
+                           (B.on_obj, {**B.on_mor, "b": B.on_mor[P.id_of("(0,0)")]})]:
+        bad = SetFunctor("B", P, on_obj, on_mor)
+        with pytest.raises(StructuralError) as e:
+            validate_set_functor(bad)
+        for side in ("end", "coend"):
+            with pytest.raises(StructuralError) as e2:
+                end_coend(bad, two, side)
+            assert str(e2.value) == str(e.value)
     t = identity_set_nat(y0)
     with pytest.raises(StructuralError) as e:
         validate_set_natural(SetNatTrans(t.name, y0, y0, {**t.components, "zz": t.components["0"]}))
@@ -204,6 +243,38 @@ def test_tensor_cotensor_sizes_and_adjunction():
     ct1 = tensor_cotensor(SINGLETON, c, "cotensor", [FinSetObj(("p", "q"))])
     assert len(t1.object) == len(c) == len(ct1.object)
     assert t1.report.ok and ct1.report.ok
+
+
+def _count_all_maps(monkeypatch) -> list:
+    """Record the (|X|, |Y|) of every all_maps call from here on."""
+    calls, real = [], fincat.finset.all_maps
+    monkeypatch.setattr(fincat.finset, "all_maps",
+                        lambda X, Y: calls.append((len(X), len(Y))) or real(X, Y))
+    return calls
+
+
+def test_tensor_cotensor_lists_each_probe_hom_set_once(monkeypatch):
+    # Set(c, c'), Set(X, c') and Set(X (x) c, c'): three lists per probe
+    calls = _count_all_maps(monkeypatch)
+    X, c = FinSetObj(("x1", "x2")), FinSetObj(("e1", "e2"))
+    probes = [SINGLETON, FinSetObj(("p", "q"))]
+    assert tensor_cotensor(X, c, "tensor", probes).report.ok
+    assert calls == [(2, 1), (2, 1), (4, 1), (2, 2), (2, 2), (4, 2)]
+    calls.clear()
+    # the power object itself is one more list
+    assert tensor_cotensor(X, c, "cotensor", probes).report.ok
+    assert len(calls) == 1 + 3 * len(probes)
+
+
+def test_tensor_cotensor_charges_a_probe_s_lists_before_building_any(monkeypatch):
+    # 3^2 + 3^3 + 3^6 = 765 maps: each list passes budget(700) alone, the sum does not
+    calls = _count_all_maps(monkeypatch)
+    X, c = FinSetObj(("x1", "x2", "x3")), FinSetObj(("e1", "e2"))
+    with budget(700), pytest.raises(GuardExceeded) as e:
+        tensor_cotensor(X, c, "tensor", [FinSetObj(("p", "q", "r"))])
+    assert str(e.value) == ("map enumeration for tensor adjunction at probe ('p', 'q', 'r'): "
+                            "765 maps exceeds guard 700")
+    assert calls == []
 
 
 def test_presheaf_exponential_on_terminal_category():
