@@ -415,24 +415,34 @@ def enumerate_set_naturals(X: SetFunctor, Y: SetFunctor) -> list[SetNatTrans]:
 NOT_BIJECTIVE = object()   # nat_bijection: every family natural, but the images miss
 
 
-def nat_bijection(X: SetFunctor, Y: SetFunctor, sources: Iterable, entry,
-                  target: Iterable[SetNatTrans]) -> tuple[int, object]:
+def nat_bijection(X: SetFunctor, Y: SetFunctor, sources: Iterable,
+                  entry) -> tuple[int, object, int]:
     """Certify s |-> (c |-> (x |-> entry(s, c, x))) as a bijection from sources
-    onto target = enumerate_set_naturals(X, Y), where being natural is being in target.
+    onto Nat(X, Y), found by one set_families search named `natural-family
+    search X => Y`.  Families are compared as position tuples, so being
+    natural is being found, and no map is built.
 
-    Returns how many sources were tried and None, the first source whose family
-    is not natural, or NOT_BIJECTIVE when two share an image or one of target is missed.
+    Returns how many sources were tried; None, the first source whose family
+    is not natural, or NOT_BIJECTIVE when two share an image or a natural
+    family is missed; and |Nat(X, Y)|.
     """
-    target, images, tried = set(target), set(), 0
+    if X.dom != Y.dom:
+        raise StructuralError("functors on different categories")
+    target = set(set_families(X.dom, X._shape, Y._shape,
+                              f"natural-family search {X.name} => {Y.name}"))
+    cols = [(c, X.on_obj[c].sorted(), Y.on_obj[c]._pos) for c in X.dom.sorted_objects()]
+    images, tried = set(), 0
     for s in sources:
         tried += 1
-        family = SetNatTrans("transposed", X, Y, {c: FinSetMap(
-            X.on_obj[c], Y.on_obj[c], {x: entry(s, c, x) for x in X.on_obj[c].elements})
-            for c in X.dom.objects})
+        family = tuple([tuple([pos.get(entry(s, c, x)) for x in xs]) for c, xs, pos in cols])
         if family not in target:
-            return tried, s
+            for c in X.dom.objects:   # an image outside Y, named as FinSetMap would
+                for x in X.on_obj[c].elements:
+                    if (y := entry(s, c, x)) not in Y.on_obj[c]:
+                        raise StructuralError(f"image {y} outside codomain")
+            return tried, s, len(target)
         images.add(family)
-    return tried, None if len(images) == tried == len(target) else NOT_BIJECTIVE
+    return tried, None if len(images) == tried == len(target) else NOT_BIJECTIVE, len(target)
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +515,17 @@ def yoneda_check(C: FinCat, family: Iterable[SetFunctor]) -> Report:
     for c in C.sorted_objects():
         yc = hom_functor(C, c, "covariant")
         for X in family:
-            nats, value = enumerate_set_naturals(yc, X), X.on_obj[c]
-            if len(nats) != len(value):
+            value = X.on_obj[c]
+            tried, bad, n = nat_bijection(yc, X, value.sorted(), lambda x, d, p: X.on_mor[p](x))
+            if n != len(value):
                 return fail_report(checked, "transformation count mismatch", at=c,
-                                   functor=X.name, nats=len(nats), value=len(value))
-            tried, bad = nat_bijection(yc, X, value.sorted(),
-                                       lambda x, d, p: X.on_mor[p](x), nats)
+                                   functor=X.name, nats=n, value=len(value))
             checked += tried
             if bad is NOT_BIJECTIVE:
                 return fail_report(checked, "round trip broke", at=c)
             if bad is not None:
                 return fail_report(checked, "round trip broke", at=c, element=bad)
-            checked += len(nats)
+            checked += n
     return ok_report(checked)
 
 
@@ -749,7 +758,6 @@ def presheaf_exponential(F: SetFunctor, G: SetFunctor) -> PresheafExponential:
                 comps[a] = FinSetMap(base[d].on_obj[a], G.on_obj[a], tbl)
             moved = SetNatTrans("m", base[d], G, comps)
             table[eid] = set_nat_element_id(moved)
-            index.setdefault((d, table[eid]), moved)
         on_mor[f] = FinSetMap(on_obj[c], on_obj[d], table)
     functor = SetFunctor(f"({G.name}^{F.name})", opC, on_obj, on_mor)
     return PresheafExponential(functor, index)
@@ -765,10 +773,6 @@ def exponential_adjunction_check(F: SetFunctor, G: SetFunctor,
     for H in test_family:
         lhs = enumerate_set_naturals(H, exp.functor)
         HF = product_set_functor(H, F)
-        rhs = enumerate_set_naturals(HF, G)
-        if len(lhs) != len(rhs):
-            return fail_report(checked, "exponential-adjunction", probe=H.name,
-                               lhs=len(lhs), rhs=len(rhs))
         pairs = {a: {pair_id(h, u): (h, u) for h in H.on_obj[a].elements
                      for u in F.on_obj[a].elements} for a in C.objects}
 
@@ -777,7 +781,10 @@ def exponential_adjunction_check(F: SetFunctor, G: SetFunctor,
             h, u = pairs[a][hu]
             return exp.index[(a, s.components[a](h))].components[a](pair_id(C.id_of(a), u))
 
-        tried, bad = nat_bijection(HF, G, lhs, transpose, rhs)
+        tried, bad, n = nat_bijection(HF, G, lhs, transpose)
+        if len(lhs) != n:
+            return fail_report(checked, "exponential-adjunction", probe=H.name,
+                               lhs=len(lhs), rhs=n)
         checked += tried
         if bad is NOT_BIJECTIVE:
             return fail_report(checked, "exponential-adjunction", probe=H.name,

@@ -61,7 +61,6 @@ from .finset import (
     _hom_set_functor,
     all_maps,
     cotensor_in_category,
-    enumerate_set_naturals,
     hom_functor,
     legs_by_element,
     map_lists,
@@ -558,27 +557,15 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     if F.dom != C:
         raise StructuralError("weight and diagram must share their category")
     W._tables, F._tables  # each input's one structural check, before any read
-    P = op_product(C)
-    pairs = [(W.on_obj[cp], F.on_obj[c]) for cp, c in map(split_pair, P.objects)]
-    decode = {o: {table_id(t): t for t in maps} for o, maps in
-              zip(P.objects, map_lists(pairs, f"end of Set(W-,{F.name}-)"))}
-    on_obj = {o: FinSetObj(tuple(decode[o])) for o in P.objects}
-    on_mor = {}
-    for m in P.morphisms:
-        fo, g = split_pair(m.name)
-        cp1, c1 = split_pair(m.cod)
-        on_mor[m.name] = FinSetMap(on_obj[m.dom], on_obj[m.cod], {
-            eid: table_id(FinSetMap(W.on_obj[cp1], F.on_obj[c1],
-                                    {w: F.on_mor[g](t(W.on_mor[fo](w)))
-                                     for w in W.on_obj[cp1].elements}))
-            for eid, t in decode[m.dom].items()})
-    B = SetFunctor(f"Set(W-,{F.name}-)", P, on_obj, on_mor)
+    B, decode = _map_functor(
+        f"Set(W-,{F.name}-)", op_product(C), f"end of Set(W-,{F.name}-)",
+        lambda o: (W.on_obj[split_pair(o)[0]], F.on_obj[split_pair(o)[1]]),
+        lambda m, t: W.on_mor[split_pair(m)[0]].then(t).then(F.on_mor[split_pair(m)[1]]))
     res = end_coend_finset(B, C, "end")
-    # the end elements are exactly the natural families, enumerated independently
-    checked, bad = nat_bijection(
+    # the end elements are exactly the natural families, found independently
+    checked, bad, _ = nat_bijection(
         W, F, res.object.elements,
-        lambda e, c, w: decode[pair_id(c, c)][res.wedge.components[c](e)](w),
-        enumerate_set_naturals(W, F))
+        lambda e, c, w: decode[pair_id(c, c)][res.wedge.components[c](e)](w))
     if bad is NOT_BIJECTIVE:
         return WeightedResult(res.object, fail_report(
             checked, "weighted-limit-naturals", failure="not bijective"))
@@ -603,6 +590,18 @@ def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
                                  for x in F.on_obj[c].elements})))
 
 
+def _map_functor(name: str, C: FinCat, what: str, ends, act):
+    """q |-> the maps ends(q) = (X, Y), each named by table_id and listed by one
+    map_lists call named `what`, and m |-> (t |-> act(m, t)) on C; returned
+    with the decode table q |-> {id: map}."""
+    decode = {q: {table_id(t): t for t in maps}
+              for q, maps in zip(C.objects, map_lists(list(map(ends, C.objects)), what))}
+    on_obj = {q: FinSetObj(tuple(decode[q])) for q in C.objects}
+    on_mor = {m.name: FinSetMap(on_obj[m.dom], on_obj[m.cod], {
+        eid: table_id(act(m.name, t)) for eid, t in decode[m.dom].items()}) for m in C.morphisms}
+    return SetFunctor(name, C, on_obj, on_mor), decode
+
+
 def _defining_bijection(W: SetFunctor, F: SetFunctor, obj: FinSetObj, side: str,
                         checked: int, transpose) -> Report:
     """The defining bijection of the Set weighted (co)limit obj on probe sets e.
@@ -612,25 +611,19 @@ def _defining_bijection(W: SetFunctor, F: SetFunctor, obj: FinSetObj, side: str,
     transpose(h, c, w) is the map between e and F(c) that h sends w to;
     `checked` counts on from the checks already made.
     """
-    law = f"weighted-{side}-defining-bijection"
+    law, what = f"weighted-{side}-defining-bijection", f"weighted {side} defining bijection"
     for probe in (SINGLETON, FinSetObj(("p0", "p1"))):
-        pairs = [(probe, F.on_obj[c]) if side == LIMIT else (F.on_obj[c], probe)
-                 for c in W.dom.objects]
-        maps = dict(zip(W.dom.objects, map_lists(pairs, f"weighted {side} defining bijection")))
-
-        def act(f: str, t: FinSetMap) -> FinSetMap:
-            return t.then(F.on_mor[f]) if side == LIMIT else F.on_mor[f].then(t)
-
-        hom = {c: FinSetObj(tuple(table_id(t) for t in maps[c])) for c in W.dom.objects}
-        homF = SetFunctor(f"maps({probe.sorted()},F-)" if side == LIMIT
-                          else f"maps(F-,{probe.sorted()})", W.dom, hom,
-                          {m.name: FinSetMap(hom[m.dom], hom[m.cod],
-                                             {table_id(t): table_id(act(m.name, t))
-                                              for t in maps[m.dom]})
-                           for m in W.dom.morphisms})
-        tried, bad = nat_bijection(
+        if side == LIMIT:
+            homF, _ = _map_functor(f"maps({probe.sorted()},F-)", W.dom, what,
+                                   lambda c: (probe, F.on_obj[c]),
+                                   lambda f, t: t.then(F.on_mor[f]))
+        else:
+            homF, _ = _map_functor(f"maps(F-,{probe.sorted()})", W.dom, what,
+                                   lambda c: (F.on_obj[c], probe),
+                                   lambda f, t: F.on_mor[f].then(t))
+        tried, bad, _ = nat_bijection(
             W, homF, all_maps(probe, obj) if side == LIMIT else all_maps(obj, probe),
-            lambda h, c, w: table_id(transpose(h, c, w)), enumerate_set_naturals(W, homF))
+            lambda h, c, w: table_id(transpose(h, c, w)))
         checked += tried
         if bad is NOT_BIJECTIVE:
             return fail_report(checked, law, probe=str(probe.sorted()), failure="not bijective")
@@ -683,10 +676,9 @@ def _weighted_limit_general(W: SetFunctor, F: Functor, side: str) -> WeightedRes
     checked = 0
     for e in E.sorted_objects():
         homF = _hom_set_functor(e, F)
-        tried, bad = nat_bijection(
+        tried, bad, _ = nat_bijection(
             W, homF, E.hom(e, res.object),
-            lambda g, c, w: E.comp_path(g, res.wedge.components[c], cot_legs[pair_id(c, c)][w]),
-            enumerate_set_naturals(W, homF))
+            lambda g, c, w: E.comp_path(g, res.wedge.components[c], cot_legs[pair_id(c, c)][w]))
         checked += tried
         if bad is NOT_BIJECTIVE:
             return WeightedResult(res.object, fail_report(
@@ -721,8 +713,7 @@ def density_check(K: Functor) -> Report:
     DK = {d: _hom_set_functor(d, Kop) for d in D.objects}   # d |-> the presheaf D(K-, d)
     for d, dp in itertools.product(D.sorted_objects(), repeat=2):
         checked += 1
-        _, bad = nat_bijection(DK[d], DK[dp], D.hom(d, dp), lambda g, c, p: D.comp(g, p),
-                               enumerate_set_naturals(DK[d], DK[dp]))
+        _, bad, _ = nat_bijection(DK[d], DK[dp], D.hom(d, dp), lambda g, c, p: D.comp(g, p))
         if bad is not None:
             witness = (d, dp)
             break
@@ -817,14 +808,13 @@ def nerve_realization_check(K: Functor, X: SetFunctor, d: str) -> NerveRealizati
                                                 reason="colimit over elements missing"))
     FX = res.object
     Gd = _hom_set_functor(d, opposite_functor(K))   # D(K-, d)
-    nats = enumerate_set_naturals(X, Gd)
     legs = res.cone.legs.components
-    checked, bad = nat_bijection(X, Gd, D.hom(FX, d),
-                                 lambda h, c, x: D.comp(h, legs[_pair(c, x)]), nats)
+    checked, bad, n = nat_bijection(X, Gd, D.hom(FX, d),
+                                    lambda h, c, x: D.comp(h, legs[_pair(c, x)]))
     if bad is NOT_BIJECTIVE:
         return NerveRealization(FX, fail_report(
             checked, "nerve-realization", failure="not bijective",
-            lhs=len(D.hom(FX, d)), rhs=len(nats)))
+            lhs=len(D.hom(FX, d)), rhs=n))
     if bad is not None:
         return NerveRealization(FX, fail_report(checked, "nerve-realization",
                                                 at=bad, failure="not natural"))

@@ -253,17 +253,21 @@ def test_yoneda_check_failures_keep_their_messages(monkeypatch):
         doc = json.loads(out)
         return {k: doc[k] for k in doc if k not in ("schema", "command", "seed", "exit", "ok")}
 
-    real = finset.enumerate_set_naturals
-    monkeypatch.setattr(finset, "enumerate_set_naturals",
-                        lambda X, Y: real(X, Y)[1:])
+    real = finset.nat_bijection
+
+    def one_family_fewer(*args):
+        tried, bad, n = real(*args)
+        return tried, bad, n - 1
+
+    monkeypatch.setattr(finset, "nat_bijection", one_family_fewer)
     assert payload("two", cat("two.cat")) == {
         "message": "transformation count mismatch",
         "at": "0", "functor": "hom(0,-)", "nats": 0, "value": 1}
-    monkeypatch.setattr(finset, "enumerate_set_naturals", real)
-    monkeypatch.setattr(finset, "nat_bijection", lambda *a: (1, "id_0"))
+    monkeypatch.setattr(finset, "nat_bijection", lambda *a: (1, "id_0", real(*a)[2]))
     assert payload("two", cat("two.cat")) == {
         "message": "round trip broke", "at": "0", "element": "id_0"}
-    monkeypatch.setattr(finset, "nat_bijection", lambda *a: (1, finset.NOT_BIJECTIVE))
+    monkeypatch.setattr(finset, "nat_bijection",
+                        lambda *a: (1, finset.NOT_BIJECTIVE, real(*a)[2]))
     assert payload("z2", cat("z2.cat")) == {"message": "round trip broke", "at": "*"}
 
 

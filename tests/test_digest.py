@@ -242,6 +242,21 @@ def family_weighted_limit():
         yield _outcome(weighted_limit, W, F, LIMIT), _outcome(weighted_limit, Wop, F, COLIMIT)
 
 
+def family_weighted_limit_tabulated():
+    """Weighted (co)limits of functors into small preorders and DAGs, drawn as
+    in tests/test_duality.py: certified ones and missing (co)tensors both occur."""
+    for seed in range(100):
+        rng = random.Random(1000 + seed)
+        C = random_dag_category(rng, 2, 6) if seed % 2 else random_preorder_category(rng, 2)
+        E = random_preorder_category(rng, 3, name="E") if rng.random() < 0.6 \
+            else random_dag_category(rng, 3, 5, name="E")
+        Fs = enumerate_functors(C, E)
+        for F in Fs if len(Fs) <= 2 else rng.sample(Fs, 2):
+            W = random_representable_sum(rng, C, 2, "W")
+            Wop = random_representable_sum(rng, opposite(C), 2, "W")
+            yield _outcome(weighted_limit, W, F, LIMIT), _outcome(weighted_limit, Wop, F, COLIMIT)
+
+
 def family_density_check():
     for _, K, _ in _kan_inputs(60, 600):
         yield _outcome(density_check, K)
@@ -312,6 +327,8 @@ PINNED = {
         "0dfe2ca1003806ca30d1588a2fd5d836f4b350ff2517171adea3a7e495a813ab",
     family_tensor_cotensor:
         "91f115122c9fb5ce7233061326ed6678e022385d4d44a31b5161f7097cb804e6",
+    family_weighted_limit_tabulated:
+        "424b304b962854b56fbbbb357f9def7ec9399f4e3c659eaa5063c4ff8cb0a2ea",
 }
 
 

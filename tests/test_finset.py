@@ -221,9 +221,11 @@ def test_yoneda_check_counts_every_element_and_transformation():
 
 
 def test_yoneda_embedding_rejects_unrepresented_transformations(monkeypatch):
-    real = enumerate_set_naturals
-    monkeypatch.setattr(fincat.finset, "enumerate_set_naturals",
-                        lambda X, Y: real(X, Y)[1:])
+    def one_family_fewer(*args):
+        tried, bad, n = nat_bijection(*args)
+        return tried, bad, n - 1
+
+    monkeypatch.setattr(fincat.finset, "nat_bijection", one_family_fewer)
     with pytest.raises(StructuralError, match="do not match the represented"):
         yoneda_embedding(walking_arrow())
 
@@ -336,23 +338,44 @@ def test_nat_bijection_outcomes():
                     "id_1": FinSetMap(Y1, Y1, {"y0": "y0", "y1": "y1"}),
                     "a": FinSetMap(Y0, Y1, {"x0": "y0", "x1": "y1"})})
     X = hom_functor(two, "0", "covariant")
-    target = enumerate_set_naturals(X, Y)
-    assert len(target) == 2
+    assert len(enumerate_set_naturals(X, Y)) == 2
 
     def yoneda(x, c, p):
         return Y.on_mor[p](x)
 
-    assert nat_bijection(X, Y, ["x0", "x1"], yoneda, target) == (2, None)
+    assert nat_bijection(X, Y, ["x0", "x1"], yoneda) == (2, None, 2)
 
     def skewed(x, c, p):
         # x1's family sends a to y0 at 1 but id_0 to x1 at 0: not natural
         return "y0" if c == "1" else x
 
-    assert nat_bijection(X, Y, ["x0", "x1"], skewed, target) == (2, "x1")
-    assert nat_bijection(X, Y, ["x1", "x0"], skewed, target) == (1, "x1")
+    assert nat_bijection(X, Y, ["x0", "x1"], skewed) == (2, "x1", 2)
+    assert nat_bijection(X, Y, ["x1", "x0"], skewed) == (1, "x1", 2)
     # two sources, one image
-    assert nat_bijection(X, Y, ["x0", "x1"], lambda x, c, p: yoneda("x0", c, p),
-                         target) == (2, NOT_BIJECTIVE)
+    assert nat_bijection(X, Y, ["x0", "x1"],
+                         lambda x, c, p: yoneda("x0", c, p)) == (2, NOT_BIJECTIVE, 2)
     # injective, but a member of the target is missed
-    assert nat_bijection(X, Y, ["x1"], yoneda, target) == (1, NOT_BIJECTIVE)
-    assert nat_bijection(X, Y, [], yoneda, target) == (0, NOT_BIJECTIVE)
+    assert nat_bijection(X, Y, ["x1"], yoneda) == (1, NOT_BIJECTIVE, 2)
+    assert nat_bijection(X, Y, [], yoneda) == (0, NOT_BIJECTIVE, 2)
+
+
+def test_nat_bijection_names_an_image_outside_the_codomain():
+    two = walking_arrow()
+    X = hom_functor(two, "0", "covariant")
+    with pytest.raises(StructuralError, match=r"^image zz outside codomain$"):
+        nat_bijection(X, X, ["id_0"], lambda s, c, p: "zz" if c == "1" else p)
+
+
+def test_nat_bijection_builds_no_map_or_transformation(monkeypatch):
+    # the Yoneda bijection of chain(3) at 0 for X = hom(0,-) x {u, v}
+    C = chain(3)
+    yc = hom_functor(C, "0", "covariant")
+    X = product_set_functor(yc, const_set_functor(C, FinSetObj(("u", "v"))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nat_bijection built a map or a transformation")
+
+    monkeypatch.setattr(fincat.finset, "FinSetMap", refuse)
+    monkeypatch.setattr(fincat.finset, "SetNatTrans", refuse)
+    assert nat_bijection(yc, X, X.on_obj["0"].sorted(),
+                         lambda x, c, p: X.on_mor[p](x)) == (2, None, 2)
