@@ -414,7 +414,8 @@ class FinCat(Keyed):
         )
 
     def __repr__(self):
-        return f"FinCat({self.name!r}, {len(self.objects)} objects, {len(self.morphisms)} morphisms)"
+        return (f"FinCat({self.name!r}, {len(self.objects)} objects, "
+                f"{len(self.morphisms)} morphisms)")
 
 
 def _built_cat(name: str, objects: tuple[str, ...], morphisms: tuple[Mor, ...],
@@ -459,9 +460,11 @@ class IntView:
         for (g, f), h in comp.items():
             mg, mf, mh = mor.get(g), mor.get(f), mor.get(h)
             if mg is None or mf is None or mh is None:
-                raise StructuralError(f"{C.name}: composition entry ({g},{f})={h} has unresolved ids")
+                raise StructuralError(
+                    f"{C.name}: composition entry ({g},{f})={h} has unresolved ids")
             if mf.cod != mg.dom:
-                raise StructuralError(f"{C.name}: composition entry for non-composable pair ({g},{f})")
+                raise StructuralError(
+                    f"{C.name}: composition entry for non-composable pair ({g},{f})")
             if mh.dom != mf.dom or mh.cod != mg.cod:
                 raise StructuralError(f"{C.name}: composite {h} of ({g},{f}) has wrong endpoints")
         for a, i in C.identity.items():

@@ -376,6 +376,17 @@ def product_set_functor(X: SetFunctor, Y: SetFunctor, name: str | None = None) -
     return SetFunctor(name or f"({X.name}x{Y.name})", C, on_obj, on_mor)
 
 
+def _named_functor(name: str, C: FinCat, members, name_of, act):
+    """The Set functor on C whose value at the k-th of C.objects is the list
+    members[k], each member x named name_of(x), and m |-> (x |-> name_of(act(m, x)));
+    returned with the decode table q |-> {name: member}."""
+    decode = {q: {name_of(x): x for x in xs} for q, xs in zip(C.objects, members)}
+    on_obj = {q: FinSetObj(tuple(decode[q])) for q in C.objects}
+    on_mor = {m.name: FinSetMap(on_obj[m.dom], on_obj[m.cod], {
+        eid: name_of(act(m.name, x)) for eid, x in decode[m.dom].items()}) for m in C.morphisms}
+    return SetFunctor(name, C, on_obj, on_mor), decode
+
+
 def set_families(C: FinCat, X_shape, Y_shape, what: str) -> Iterator[tuple]:
     """Every natural family X => Y of Set functors on C given by their _shape:
     per object in sorted order, the positions in Y's value of the images of
@@ -719,54 +730,37 @@ def set_nat_element_id(t: SetNatTrans) -> str:
 class PresheafExponential:
     functor: SetFunctor
     index: dict[tuple[str, str], SetNatTrans]   # (object, element id) -> transformation
+    of: tuple[SetFunctor, SetFunctor]   # the (F, G) of G^F
 
 
 def presheaf_exponential(F: SetFunctor, G: SetFunctor) -> PresheafExponential:
-    """The exponential presheaf with value at c the set of maps y_c x F => G."""
+    """The exponential presheaf G^F with value Nat(y_c x F, G) at c; f: d -> c acts
+    by precomposition with y_f x F : y_d x F => y_c x F, (p, u) |-> (f.p, u)."""
     opC = F.dom
     if G.dom != opC:
         raise StructuralError("presheaves on different categories")
     F._tables, G._tables  # each input's one structural check, before any work
     C = opposite(opC)
-    on_obj = {}
-    on_mor = {}
-    index: dict[tuple[str, str], SetNatTrans] = {}
-    per_obj: dict[str, list[SetNatTrans]] = {}
-    base: dict[str, SetFunctor] = {}   # c -> y_c x F
-    for c in C.objects:
-        base[c] = product_set_functor(hom_functor(C, c, "contravariant"), F)
-        taus = enumerate_set_naturals(base[c], G)
-        per_obj[c] = taus
-        ids = []
-        for t in taus:
-            eid = set_nat_element_id(t)
-            ids.append(eid)
-            index[(c, eid)] = t
-        on_obj[c] = FinSetObj(tuple(ids))
-    for m in opC.morphisms:
-        # m: c -> d in op(C), i.e. a morphism f: d -> c in C
-        c, d = m.dom, m.cod
-        f = m.name
-        table = {}
-        for eid, t in zip(on_obj[c].elements, per_obj[c]):
-            comps = {}
-            for a in C.objects:
-                tbl = {}
-                for p in C.hom(a, d):
-                    for u in F.on_obj[a].sorted():
-                        tbl[pair_id(p, u)] = t.components[a](pair_id(C.comp(f, p), u))
-                comps[a] = FinSetMap(base[d].on_obj[a], G.on_obj[a], tbl)
-            moved = SetNatTrans("m", base[d], G, comps)
-            table[eid] = set_nat_element_id(moved)
-        on_mor[f] = FinSetMap(on_obj[c], on_obj[d], table)
-    functor = SetFunctor(f"({G.name}^{F.name})", opC, on_obj, on_mor)
-    return PresheafExponential(functor, index)
+    base = {c: product_set_functor(hom_functor(C, c, "contravariant"), F) for c in C.objects}
+    members = [enumerate_set_naturals(base[c], G) for c in opC.objects]
+    pre = {f.name: SetNatTrans("pre", base[f.dom], base[f.cod], {   # y_f x F, for f: d -> c
+        a: _built_map(base[f.dom].on_obj[a], base[f.cod].on_obj[a], {
+            pair_id(p, u): pair_id(C.comp(f.name, p), u)
+            for p in C.hom(a, f.dom) for u in F.on_obj[a].sorted()}) for a in C.objects})
+        for f in C.morphisms}
+    functor, decode = _named_functor(f"({G.name}^{F.name})", opC, members, set_nat_element_id,
+                                     lambda f, t: vcompose_set(t, pre[f]))
+    return PresheafExponential(
+        functor, {(c, eid): t for c, ts in decode.items() for eid, t in ts.items()}, (F, G))
 
 
 def exponential_adjunction_check(F: SetFunctor, G: SetFunctor,
                                  exp: PresheafExponential,
                                  test_family: Iterable[SetFunctor]) -> Report:
-    """Verify Nat(H, G^F) ~ Nat(H x F, G) by an explicit bijection for each probe H."""
+    """Verify Nat(H, G^F) ~ Nat(H x F, G) by an explicit bijection for each probe H,
+    where exp must be presheaf_exponential(F, G)."""
+    if exp.of != (F, G):
+        raise StructuralError(f"{exp.functor.name} is not the exponential ({G.name}^{F.name})")
     opC = F.dom
     C = opposite(opC)
     checked = 0

@@ -59,6 +59,7 @@ from .finset import (
     SetFunctor,
     SetNatTrans,
     _hom_set_functor,
+    _named_functor,
     all_maps,
     cotensor_in_category,
     hom_functor,
@@ -557,9 +558,11 @@ def _weighted_limit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
     if F.dom != C:
         raise StructuralError("weight and diagram must share their category")
     W._tables, F._tables  # each input's one structural check, before any read
-    B, decode = _map_functor(
-        f"Set(W-,{F.name}-)", op_product(C), f"end of Set(W-,{F.name}-)",
-        lambda o: (W.on_obj[split_pair(o)[0]], F.on_obj[split_pair(o)[1]]),
+    P = op_product(C)
+    B, decode = _named_functor(
+        f"Set(W-,{F.name}-)", P, map_lists(
+            [(W.on_obj[a], F.on_obj[b]) for a, b in map(split_pair, P.objects)],
+            f"end of Set(W-,{F.name}-)"), table_id,
         lambda m, t: W.on_mor[split_pair(m)[0]].then(t).then(F.on_mor[split_pair(m)[1]]))
     res = end_coend_finset(B, C, "end")
     # the end elements are exactly the natural families, found independently
@@ -590,18 +593,6 @@ def _weighted_colimit_finset(W: SetFunctor, F: SetFunctor) -> WeightedResult:
                                  for x in F.on_obj[c].elements})))
 
 
-def _map_functor(name: str, C: FinCat, what: str, ends, act):
-    """q |-> the maps ends(q) = (X, Y), each named by table_id and listed by one
-    map_lists call named `what`, and m |-> (t |-> act(m, t)) on C; returned
-    with the decode table q |-> {id: map}."""
-    decode = {q: {table_id(t): t for t in maps}
-              for q, maps in zip(C.objects, map_lists(list(map(ends, C.objects)), what))}
-    on_obj = {q: FinSetObj(tuple(decode[q])) for q in C.objects}
-    on_mor = {m.name: FinSetMap(on_obj[m.dom], on_obj[m.cod], {
-        eid: table_id(act(m.name, t)) for eid, t in decode[m.dom].items()}) for m in C.morphisms}
-    return SetFunctor(name, C, on_obj, on_mor), decode
-
-
 def _defining_bijection(W: SetFunctor, F: SetFunctor, obj: FinSetObj, side: str,
                         checked: int, transpose) -> Report:
     """The defining bijection of the Set weighted (co)limit obj on probe sets e.
@@ -614,13 +605,15 @@ def _defining_bijection(W: SetFunctor, F: SetFunctor, obj: FinSetObj, side: str,
     law, what = f"weighted-{side}-defining-bijection", f"weighted {side} defining bijection"
     for probe in (SINGLETON, FinSetObj(("p0", "p1"))):
         if side == LIMIT:
-            homF, _ = _map_functor(f"maps({probe.sorted()},F-)", W.dom, what,
-                                   lambda c: (probe, F.on_obj[c]),
-                                   lambda f, t: t.then(F.on_mor[f]))
+            homF, _ = _named_functor(
+                f"maps({probe.sorted()},F-)", W.dom,
+                map_lists([(probe, F.on_obj[c]) for c in W.dom.objects], what), table_id,
+                lambda f, t: t.then(F.on_mor[f]))
         else:
-            homF, _ = _map_functor(f"maps(F-,{probe.sorted()})", W.dom, what,
-                                   lambda c: (F.on_obj[c], probe),
-                                   lambda f, t: F.on_mor[f].then(t))
+            homF, _ = _named_functor(
+                f"maps(F-,{probe.sorted()})", W.dom,
+                map_lists([(F.on_obj[c], probe) for c in W.dom.objects], what), table_id,
+                lambda f, t: F.on_mor[f].then(t))
         tried, bad, _ = nat_bijection(
             W, homF, all_maps(probe, obj) if side == LIMIT else all_maps(obj, probe),
             lambda h, c, w: table_id(transpose(h, c, w)))

@@ -245,7 +245,8 @@ def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
 
 
 def verify_universal(w: UniversalWitness, c: str, G: Functor) -> Report:
-    """Certify the witness ⟨u,η⟩: every comma object ⟨x,a⟩ is G(f)·η for exactly one f: u -> x."""
+    """Certify the witness ⟨u,η⟩: every comma object ⟨x,a⟩ is G(f)·η for exactly
+    one f: u -> x."""
     G = _from_side(G, w.direction)
     C, D = G.cod, G.dom
     u, eta = w.vertex, w.arrow

@@ -329,6 +329,50 @@ def test_presheaf_exponential_builds_each_base_once(monkeypatch):
         assert validate_set_functor(exp.functor).ok
 
 
+def test_exponential_adjunction_check_refuses_a_foreign_exp():
+    # exp must be built from the F and G checked: another exponential is named, not
+    # read (its index has no (id_0, a), or its elements are not G's)
+    two = walking_arrow()
+    F, G = hom_functor(two, "1", "contravariant"), hom_functor(two, "0", "contravariant")
+    for exp in (presheaf_exponential(G, F), presheaf_exponential(F, F)):
+        with pytest.raises(StructuralError) as e:
+            exponential_adjunction_check(F, G, exp, [F])
+        assert str(e.value) == f"{exp.functor.name} is not the exponential (hom(0,-)^hom(1,-))"
+
+
+def test_exponential_adjunction_check_failures_keep_their_payloads(monkeypatch):
+    # each failure of the certificate at the second probe: the count check runs
+    # before that probe's sources are counted, the other two after
+    two = walking_arrow()
+    F, G = hom_functor(two, "1", "contravariant"), hom_functor(two, "0", "contravariant")
+    exp = presheaf_exponential(F, G)
+    real = fincat.finset.nat_bijection
+
+    def failing_second(change):
+        calls = []
+
+        def patched(*args):
+            calls.append(args)
+            tried, bad, n = real(*args)
+            return change(tried, bad, n) if len(calls) == 2 else (tried, bad, n)
+        return patched
+
+    payloads = []
+    for change in (lambda tried, bad, n: (tried, bad, n + 1),
+                   lambda tried, bad, n: (tried, NOT_BIJECTIVE, n),
+                   lambda tried, bad, n: (tried, "s", n)):
+        monkeypatch.setattr(fincat.finset, "nat_bijection", failing_second(change))
+        payloads.append(exponential_adjunction_check(F, G, exp, [G, G]).to_json())
+    law = "exponential-adjunction"
+    assert payloads == [
+        {"ok": False, "checked": 1, "counterexample": {"law": law, "details": {
+            "lhs": "1", "probe": "hom(0,-)", "rhs": "2"}}},
+        {"ok": False, "checked": 2, "counterexample": {"law": law, "details": {
+            "failure": "transpose not bijective", "probe": "hom(0,-)"}}},
+        {"ok": False, "checked": 2, "counterexample": {"law": law, "details": {
+            "failure": "transpose not natural", "probe": "hom(0,-)"}}}]
+
+
 def test_nat_bijection_outcomes():
     # Yoneda on the walking arrow: x in Y(0) |-> (p |-> Y(p)(x)), onto Nat(hom(0,-), Y)
     two = walking_arrow()
