@@ -17,11 +17,15 @@ from collections.abc import Mapping
 import pytest
 
 from fincat.core import (
+    FinCat,
+    Functor,
     Keyed,
+    NatTrans,
     Report,
     StructuralError,
     budget,
     enumerate_functors,
+    op_product,
     opposite,
     product,
 )
@@ -39,20 +43,64 @@ from fincat.finset import (
     tensor_cotensor,
     yoneda_check,
 )
-from fincat.fixtures import chain, discrete, parallel_pair, pick_object, walking_arrow, z2_monoid
-from fincat.kan import density_check, lan_via_coend, nerve_realization_check, weighted_limit
-from fincat.limits import COLIMIT, LIMIT, _certify_finset, interchange_check_finset, limit_finset
+from fincat.fixtures import (
+    chain,
+    discrete,
+    parallel_pair,
+    pick_object,
+    terminal_category,
+    walking_arrow,
+    z2_monoid,
+)
+from fincat.kan import (
+    LEFT,
+    RIGHT,
+    density_check,
+    end_coend,
+    enumerate_wedges,
+    kan_pointwise,
+    lan_via_coend,
+    nerve_realization_check,
+    weighted_limit,
+)
+from fincat.limits import (
+    COLIMIT,
+    LIMIT,
+    _certify_finset,
+    enumerate_cones,
+    interchange_check_finset,
+    limit,
+    limit_finset,
+)
 from fincat.randgen import (
     random_dag_category,
     random_preorder_category,
     random_representable_sum,
     random_set_diagram,
 )
-from fincat.universal import representability
+from fincat.universal import (
+    FROM_OBJECT,
+    TO_OBJECT,
+    comma_from_object,
+    comma_to_object,
+    representability,
+    universal_morphism,
+)
+from helpers import functors_into_breaker, int_view_breakers
 
 
-def _ser(x):
-    """A nested tuple of everything a value holds, in its order."""
+def _ser(x, named=False):
+    """A nested tuple of everything a value holds, in its order.  With
+    `named`, a tabulated category, functor or transformation also gives what
+    its key leaves out: its name, and a category's morphism order or a
+    transformation's component order."""
+    if named and isinstance(x, FinCat):
+        return ("FinCat", x.name, x.key(), tuple(m.name for m in x.morphisms))
+    if named and isinstance(x, Functor):
+        return ("Functor", x.name, _ser(x.dom, named), _ser(x.cod, named), x.key())
+    if named and isinstance(x, NatTrans):
+        return ("NatTrans", x.name, _ser(x.src, named), _ser(x.tgt, named),
+                tuple(x.components.items()))
     if isinstance(x, Report):
         return ("report", json.dumps(x.to_json(), sort_keys=True, ensure_ascii=False))
     if isinstance(x, FinSetObj):
@@ -66,19 +114,19 @@ def _ser(x):
     if isinstance(x, Keyed):
         return (type(x).__name__, x.key())
     if dataclasses.is_dataclass(x):
-        return (type(x).__name__,) + tuple(_ser(getattr(x, f.name))
+        return (type(x).__name__,) + tuple(_ser(getattr(x, f.name), named)
                                            for f in dataclasses.fields(x))
     if isinstance(x, Mapping):
-        return tuple((k, _ser(v)) for k, v in x.items())
+        return tuple((k, _ser(v, named)) for k, v in x.items())
     if isinstance(x, (list, tuple)):
-        return tuple(_ser(v) for v in x)
+        return tuple(_ser(v, named) for v in x)
     return x
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, named=False):
     """fn(*args) serialized, or the message of the StructuralError it raises."""
     try:
-        return _ser(fn(*args))
+        return _ser(fn(*args), named)
     except StructuralError as e:
         return ("StructuralError", str(e))
 
@@ -310,6 +358,80 @@ def family_tensor_cotensor():
                 yield _outcome(tensor_cotensor, X, c, mode, sets)
 
 
+# ---------------------------------------------------------------------------
+# Tabulated targets: names, morphism and component orders are hashed too
+
+_SHAPES = [terminal_category(), walking_arrow(), parallel_pair(), discrete(2), chain(3)]
+
+
+def _tabulated_functors(n, seed0, shapes=_SHAPES, per=3):
+    """Seeded functors from a small shape into a small category, at most
+    `per` of each pair, with the rng that drew them."""
+    for seed in range(n):
+        rng = random.Random(seed0 + seed)
+        J, C = rng.choice(shapes), _category(rng)
+        with budget(5000):
+            Fs = enumerate_functors(J, C)
+        for F in Fs if len(Fs) <= per else rng.sample(Fs, per):
+            yield rng, F
+
+
+def family_limit_tabulated():
+    for _, D in _tabulated_functors(150, 1300):
+        for direction in (LIMIT, COLIMIT):
+            yield _ser(enumerate_cones(D, direction)), _ser(limit(D, direction), True)
+
+
+def family_end_coend_tabulated():
+    for seed in range(60):
+        rng = random.Random(1400 + seed)
+        J, C = rng.choice(_SHAPES[:4]), _category(rng)
+        with budget(5000):
+            Bs = enumerate_functors(op_product(J), C)
+        for B in Bs if len(Bs) <= 2 else rng.sample(Bs, 2):
+            for side in ("end", "coend"):
+                yield _ser(enumerate_wedges(B, J, side)), _ser(end_coend(B, J, side), True)
+
+
+def family_comma_tabulated():
+    for n, (_, G) in enumerate(_tabulated_functors(60, 1500, per=2)):
+        name = "K" if n % 3 == 0 else None
+        for c in G.cod.sorted_objects():
+            yield (_ser(comma_from_object(c, G, name), True),
+                   _ser(comma_to_object(G, c, name), True))
+
+
+def family_universal_morphism_tabulated():
+    for _, G in _tabulated_functors(80, 1600, per=2):
+        for c in G.cod.sorted_objects():
+            for direction in (FROM_OBJECT, TO_OBJECT):
+                yield _ser(universal_morphism(c, G, direction), True)
+
+
+def family_kan_pointwise_tabulated():
+    for rng, K in _tabulated_functors(60, 1700, per=1):
+        E = _category(rng)
+        with budget(5000):
+            Fs = enumerate_functors(K.dom, E)
+        for F in Fs if len(Fs) <= 2 else rng.sample(Fs, 2):
+            for side in (LEFT, RIGHT):
+                yield _ser(kan_pointwise(K, F, side), True)
+
+
+def family_malformed_cones_and_wedges():
+    """Cone and wedge searches into targets whose tables have a structural
+    fault: the StructuralError messages, and the (co)cones found before any."""
+    for label, C in int_view_breakers().items():
+        for J in _SHAPES:
+            for D in functors_into_breaker(J, C)[:8]:
+                for direction in (LIMIT, COLIMIT):
+                    yield label, _outcome(enumerate_cones, D, direction)
+        for J in _SHAPES[:4]:
+            for B in functors_into_breaker(op_product(J), C)[:4]:
+                for side in ("end", "coend"):
+                    yield label, _outcome(enumerate_wedges, B, J, side)
+
+
 def digest(family) -> str:
     h = hashlib.sha256()
     for out in family():
@@ -346,6 +468,18 @@ PINNED = {
         "91f115122c9fb5ce7233061326ed6678e022385d4d44a31b5161f7097cb804e6",
     family_weighted_limit_tabulated:
         "424b304b962854b56fbbbb357f9def7ec9399f4e3c659eaa5063c4ff8cb0a2ea",
+    family_limit_tabulated:
+        "ffcb968ca5b905085645062b04c141569272b2b7c52ec4e88a853c2779ed7f11",
+    family_end_coend_tabulated:
+        "a31ba3d65ed00778e0feff8d9b143bc21281675ec293da0a1ffd4cbe56e9aa5f",
+    family_comma_tabulated:
+        "ab97d1589cd014c5ce59ccf145b8bbab8b721f9a5128d56fec5415a109fd0437",
+    family_universal_morphism_tabulated:
+        "705a85e7421d0e785cb14fb2c56e2cef2af1a885f5d59859085a98379f569b5c",
+    family_kan_pointwise_tabulated:
+        "d1e40aad5711eb91fb507bc0b403624bfc03b3ed59b4e92a8a0fb49551a20064",
+    family_malformed_cones_and_wedges:
+        "66762696e03b843d5f854e6ab80a0d1cf3e856a8e8f991128256916b64a65f89",
 }
 
 
