@@ -7,15 +7,16 @@ other side runs the same code in the opposite target, reading the arrows of
 the other categories involved backwards.  Right Kan extensions share the
 action, counit and universal-property code of left ones, coends are ends in
 the opposite target, and a weighted colimit is the weighted limit of the
-opposite functor, whose cotensors are tensors in the original target.  The
-opposite of finite Set is not finite Set, so the Set backend computes both
-sides directly, on the tuple and quotient kernels of limits.py: Set ends and
+opposite functor, whose cotensors are tensors in the original target.
+Wedges and cones share one search, limits.apex_families.  The opposite of
+finite Set is not finite Set, so the Set backend computes both sides
+directly, on the tuple and quotient kernels of limits.py: Set ends and
 coends are the limit and colimit of the diagonal, and every map between Set
 (co)limits (the Kan action, the coend-formula action and its iso to the
 pointwise extension) comes from one induced-map helper.  The coend formula
 and the weighted colimit share one W x F bifunctor, and the two Set weighted
-(co)limits one defining-bijection check.  Every bijection onto a set of natural
-transformations (weighted (co)limits, density, nerve-realization) is
+(co)limits one defining-bijection check.  Every bijection onto a set of
+natural transformations (weighted (co)limits, density, nerve-realization) is
 certified by one helper, finset.nat_bijection.
 """
 from __future__ import annotations
@@ -204,14 +205,16 @@ def kan_universal_check(L: Functor, eta: NatTrans, K: Functor, F: Functor,
     mediating transformation must exist.  Supplying H_family (any iterable,
     read once) switches to a probe run, flagged as partial in the report.
 
-    It raises on an incomplete table of E, on F, K, L or a supplied H that
-    fails _check_functor and on an F whose source is not K's before it
-    searches, and on an eta_c outside its hom-set after.  Enumerated H send
+    It raises on an unknown side, an incomplete table of E, an F, K, L or
+    supplied H failing _check_functor and an F whose source is not K's before
+    it searches, and on an eta_c outside its hom-set after.  Enumerated H send
     K(c) only where the component hom-set at c is not empty; one search finds
     the comparisons of every H, in id order, and one the mediators of the H
     that have one.  Each mediator's image (its component at K(c) after eta_c,
     for every c) is counted, so a comparison is one lookup of its count.
     """
+    if side not in (LEFT, RIGHT):
+        raise StructuralError(f"unknown side {side!r}")
     C, D, E = K.dom, K.cod, F.cod
     V = E._ints
     num, rows, homs = V.num, V.rows, V.homs
@@ -288,7 +291,9 @@ def ran_factor(kr: KanResult, H: Functor, sigma: NatTrans) -> NatTrans:
 # ---------------------------------------------------------------------------
 # Ends and coends
 
-def _check_bifunctor_shape(D: Union[Functor, SetFunctor], J: FinCat) -> None:
+def _check_bifunctor(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> None:
+    if side not in ("end", "coend"):
+        raise StructuralError(f"unknown side {side!r}")
     # an identity test when D was built on op_product(J)
     if D.dom != op_product(J):
         raise StructuralError("bifunctor must live on op(J) x J")
@@ -311,7 +316,7 @@ class EndResult:
 def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
     """Direct Set computation: ends as matching diagonal tuples, coends as
     union-find quotients of the diagonal disjoint union."""
-    _check_bifunctor_shape(D, J)
+    _check_bifunctor(D, J, side)
     D._tables  # D's one structural check, before any read
     objs = J.sorted_objects()
     diagonal = {j: D.on_obj[pair_id(j, j)] for j in objs}
@@ -325,45 +330,31 @@ def end_coend_finset(D: SetFunctor, J: FinCat, side: str) -> EndResult:
             (h.dom, at(J.id_of(h.dom), h.name), h.cod, at(h.name, J.id_of(h.cod)))
             for h in J.morphisms])
         return EndResult(obj, WedgeData("", legs, "wedge"), ok_report(len(obj)))
-    if side == "coend":
-        # h: i -> j; y in B(j,i) relates B(id_j,h) y at j with B(h,id_i) y at i
-        obj, legs = set_colimit(objs, diagonal, (
-            (h.cod, x, h.dom, at(h.name, J.id_of(h.dom))[y])
-            for h in J.morphisms for y, x in at(J.id_of(h.cod), h.name).items()))
-        return EndResult(obj, WedgeData("", legs, "cowedge"),
-                         ok_report(sum(len(X) for X in diagonal.values())))
-    raise StructuralError(f"unknown side {side!r}")
+    # h: i -> j; y in B(j,i) relates B(id_j,h) y at j with B(h,id_i) y at i
+    obj, legs = set_colimit(objs, diagonal, (
+        (h.cod, x, h.dom, at(h.name, J.id_of(h.dom))[y])
+        for h in J.morphisms for y, x in at(J.id_of(h.cod), h.name).items()))
+    return EndResult(obj, WedgeData("", legs, "cowedge"),
+                     ok_report(sum(len(X) for X in diagonal.values())))
 
 
 def enumerate_wedges(D: Functor, J: FinCat, side: str) -> list[WedgeData]:
-    """All (co)wedges of a bifunctor valued in a finite category, apexes in
-    id order and each apex's families in product order, by one
-    limits.apex_families search: slot k + 1 is the component at J's k-th
-    object, on the schedule J._squares shifted by one, so each arrow is
-    tested once both its ends have a component.
+    """All (co)wedges of a bifunctor valued in a finite category, by one
+    limits.apex_families search: h: i -> j asks D(id_i, h) . w_i =
+    D(h, id_j) . w_j, and a cowedge is a wedge read in the opposite target
+    with J's arrows reversed."""
+    _check_bifunctor(D, J, side)
 
-    A cowedge is a wedge read in the opposite target with J's arrows reversed.
-    """
-    _check_bifunctor_shape(D, J)
-    C = D.cod if side == "end" else opposite(D.cod)
-    objs = J.sorted_objects()
+    def rule(h, x, y):   # h: i -> j, x and y the slots of i and j
+        id_i, id_j = J.id_of(J.dom(h)), J.id_of(J.cod(h))
+        if side == "end":
+            return D.mor_map[pair_id(id_i, h)], x, D.mor_map[pair_id(h, id_j)], y
+        return D.mor_map[pair_id(id_j, h)], y, D.mor_map[pair_id(h, id_i)], x
 
-    def condition(h: str, i: int, j: int):
-        # h: i -> j needs D(id_i, h) . fam_i = D(h, id_j) . fam_j
-        return (D.mor_map[pair_id(J.id_of(objs[i]), h)], i + 1,
-                D.mor_map[pair_id(h, J.id_of(objs[j]))], j + 1)
-
-    due = [[]] + [[condition(h, i, j) if side == "end" else condition(h, j, i)
-                   for h, i, j in squares] for squares in J._squares]
-
-    def wedge(cond, fam) -> bool:
-        u, i, v, j = cond
-        return C.comp(u, fam[i]) == C.comp(v, fam[j])
-
-    found = apex_families(C, [D.obj_map[pair_id(j, j)] for j in objs], due, wedge,
+    found = apex_families(D.cod if side == "end" else opposite(D.cod), J,
+                          [D.obj_map[pair_id(j, j)] for j in J.sorted_objects()], rule,
                           f"{side} wedge search over {D.name}")
-    return [WedgeData(fam[0], dict(zip(objs, fam[1:])), "wedge" if side == "end" else "cowedge")
-            for fam in found]
+    return [WedgeData(apex, w, "wedge" if side == "end" else "cowedge") for apex, w in found]
 
 
 def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[EndResult]:
@@ -372,8 +363,6 @@ def end_coend(D: Union[Functor, SetFunctor], J: FinCat, side: str) -> Optional[E
     Set-valued bifunctors take the direct path; tabulated targets search the
     category of (co)wedges and certify unique factorization exhaustively.
     """
-    if side not in ("end", "coend"):
-        raise StructuralError(f"unknown side {side!r}")
     if isinstance(D, SetFunctor):
         return end_coend_finset(D, J, side)
     wedges = enumerate_wedges(D, J, side)

@@ -1,6 +1,8 @@
 """Cones and (co)limits: universal-property search, direct construction in
 finite Set, limit functors, preservation and interchange checks.
 
+A cone is searched as a wedge whose second action is the identity: one
+(co)wedge search, apex_families, serves the cones here and kan.py's wedges.
 Two independent computation paths exist for Set-valued diagrams (cone search
 over a materialized subcategory vs direct tuple/quotient construction); their
 agreement is this module's own oracle.  The direct path has one kernel per
@@ -98,42 +100,47 @@ class UnionFind:
 
 def _searched_in(C: FinCat, direction: str) -> FinCat:
     """The category in which a search in `direction` runs as a limit search."""
+    if direction not in (LIMIT, COLIMIT):
+        raise StructuralError(f"unknown direction {direction!r}")
     return C if direction == LIMIT else opposite(C)
 
 
-def apex_families(C: FinCat, targets: list[str], due, holds, what: str) -> list[tuple]:
-    """Every (apex, f_0, f_1, ...) with f_k in C(apex, targets[k]) that
-    meets the constraints `due`, by one search (core.search, the apex being
-    slot 0): apexes in id order, an apex with an empty hom-set to some
-    target skipped before any test, and each apex's families in product
-    order.  The search, named `what`, draws on the budget in scope; the
-    families stay tuples, so a search the budget stops has built nothing
-    more."""
+def apex_families(C: FinCat, J: FinCat, targets: list[str], rule,
+                  what: str) -> list[tuple[str, dict[str, str]]]:
+    """Every (apex, w), w_j in C(apex, targets[k]) at J's k-th object j,
+    with u . w_x == v . w_y for the (u, x, v, y) = rule(h, i, j) of each
+    arrow h of J, i and j being the slots of h's domain and codomain and x
+    and y slots too (v is None for an identity, which is not read).  One
+    core.search, named `what` and drawing on the budget in scope, finds
+    them: slot 0 is the apex and slot k + 1 the component at J's k-th
+    object, on the schedule J._squares shifted by one; apexes come in id
+    order, one with an empty hom-set to a target skipped before any test,
+    and each apex's families in product order."""
     homs = C._homs
     apexes = [c for c in C.sorted_objects() if all((c, x) in homs for x in targets)]
     choices = [apexes] + [lambda v, x=x: homs[v[0], x] for x in targets]
-    return list(search(choices, due, holds, what))
+    due = [[]] + [[rule(h, i + 1, j + 1) for h, i, j in squares] for squares in J._squares]
+
+    def holds(cond, w) -> bool:
+        u, x, v, y = cond
+        return C.comp(u, w[x]) == (w[y] if v is None else C.comp(v, w[y]))
+
+    objs = J.sorted_objects()
+    return [(w[0], dict(zip(objs, w[1:]))) for w in search(choices, due, holds, what)]
 
 
 def enumerate_cones(D: Functor, direction: str) -> list[tuple[str, dict[str, str]]]:
-    """All (apex, legs) in the target category, apexes in id order and each
-    apex's leg families in product order, by one apex_families search: slot
-    k + 1 is the leg at J's k-th object, on the schedule J._squares shifted
-    by one, so each arrow is tested once both its ends have a leg."""
+    """All (apex, legs) in the target category, by one apex_families search:
+    a cone is a wedge whose second action is the identity, h: a -> b asking
+    D(h) . leg_a = leg_b, and a cocone is a cone in op(target) over J's
+    arrows reversed."""
     C = _searched_in(D.cod, direction)
-    objs = D.dom.sorted_objects()
-    # a cocone is a cone in C = op(target) over J's arrows reversed
-    due = [[]] + [[(D.mor_map[m], a + 1, b + 1) if direction == LIMIT
-                   else (D.mor_map[m], b + 1, a + 1) for m, a, b in squares]
-                  for squares in D.dom._squares]
 
-    def natural(cond, legs) -> bool:
-        u, a, b = cond
-        return C.comp(u, legs[a]) == legs[b]
+    def rule(h, i, j):   # i and j: the slots of h's ends
+        return (D.mor_map[h], i, None, j) if direction == LIMIT else (D.mor_map[h], j, None, i)
 
-    found = apex_families(C, [D.obj_map[j] for j in objs], due, natural,
-                          f"{direction} cone search over {D.name}")
-    return [(legs[0], dict(zip(objs, legs[1:]))) for legs in found]
+    return apex_families(C, D.dom, [D.obj_map[j] for j in D.dom.sorted_objects()], rule,
+                         f"{direction} cone search over {D.name}")
 
 
 def through(C: FinCat, c: str, apex: str, legs):
@@ -176,8 +183,6 @@ def first_terminal(C: FinCat, cones) -> Optional[tuple[int, Report]]:
 
 def limit(D: Functor, direction: str = LIMIT) -> Optional[LimitResult]:
     """Terminal cone / initial cocone by exhaustive search; absence is valid."""
-    if direction not in (LIMIT, COLIMIT):
-        raise StructuralError(f"unknown direction {direction!r}")
     J, C = D.dom, D.cod
     cones = enumerate_cones(D, direction)   # already in lexicographic apex order
     found = first_terminal(_searched_in(C, direction), cones)
@@ -264,6 +269,8 @@ def induced_set_map(direction: str, src: FinSetObj, src_legs, tgt: FinSetObj, tg
     Returns the map, or None at the first element where it is not well
     defined, and the number of elements checked.
     """
+    if direction not in (LIMIT, COLIMIT):
+        raise StructuralError(f"unknown direction {direction!r}")
     checks = 0
     table: dict[str, str] = {}
     if direction == LIMIT:

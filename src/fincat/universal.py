@@ -1,4 +1,8 @@
-"""Comma categories, initial/terminal search, universal morphisms, representability."""
+"""Comma categories, initial/terminal search, universal morphisms, representability.
+
+One slice builder makes (c↓G) and (G↓c), reading C's arrows backwards for
+the second; a universal arrow from G to c is one from c to G in the opposites.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -86,53 +90,40 @@ def _build_comma(name: str, pairs: list[tuple[str, str]], D: FinCat,
     return cat, forgetful, by_id
 
 
-def comma_from_object(c: str, G: Functor, name: str | None = None) -> CommaData:
-    """The comma category of arrows out of c into the image of G.
+def _slice(c: str, G: Functor, name: str | None, direction: str) -> CommaData:
+    """(c↓G), or for arrows to c (G↓c), which reads C's arrows backwards.
 
-    Objects are pairs of an object x of G's domain and an arrow c -> Gx; a
-    morphism f: (x,a) -> (y,a') is an f with a' = Gf . a.  The canonical
-    family (x,a) |-> a is a cone from c over G composed with the forgetful
-    functor.
+    Objects are pairs of an object x of G's domain and an arrow a: c -> Gx
+    (a: Gx -> c); a morphism f: (x,a) -> (y,b) is an f with b = Gf . a
+    (b . Gf = a).  The canonical family (x,a) |-> a is a cone from c over G
+    composed with the forgetful functor (a cocone from it down to c).
     """
-    C = G.cod
-    D = G.dom
+    C, D, to = G.cod, G.dom, direction == TO_OBJECT
     if c not in C.objects:
         raise StructuralError(f"unknown object {c} in {C.name}")
-    pairs = [(x, a) for x in D.sorted_objects() for a in C.hom(c, G.obj_map[x])]
+    pairs = [(x, a) for x in D.sorted_objects()
+             for a in (C.hom(G.obj_map[x], c) if to else C.hom(c, G.obj_map[x]))]
 
     def mor_ok(f, src, tgt):
         (x, a), (y, b) = src, tgt
-        return C.comp(G.mor_map[f], a) == b
+        return C.comp(b, G.mor_map[f]) == a if to else C.comp(G.mor_map[f], a) == b
 
-    cat, forgetful, by_id = _build_comma(name or f"({c}↓{G.name})", pairs, D, mor_ok)
-    GP = compose_functors(G, forgetful)
-    theta = NatTrans(f"θ({c}↓{G.name})", const_diagram(c, cat, C), GP,
+    label = f"({G.name}↓{c})" if to else f"({c}↓{G.name})"
+    cat, forgetful, by_id = _build_comma(name or label, pairs, D, mor_ok)
+    ends = (compose_functors(G, forgetful), const_diagram(c, cat, C))
+    theta = NatTrans(f"θ{label}", *(ends if to else ends[::-1]),
                      {o: by_id[o][1] for o in cat.objects})
     return CommaData(cat, forgetful, theta, {o: by_id[o] for o in cat.objects})
+
+
+def comma_from_object(c: str, G: Functor, name: str | None = None) -> CommaData:
+    """The comma category (c↓G) of arrows out of c into the image of G."""
+    return _slice(c, G, name, FROM_OBJECT)
 
 
 def comma_to_object(G: Functor, c: str, name: str | None = None) -> CommaData:
-    """The comma category of arrows from the image of G into c.
-
-    Objects are pairs (x, a: Gx -> c); a morphism f: (x,a) -> (y,a') is an f
-    with a' . Gf = a.  The canonical family is a cocone from G composed with
-    the forgetful functor down to c.
-    """
-    C = G.cod
-    D = G.dom
-    if c not in C.objects:
-        raise StructuralError(f"unknown object {c} in {C.name}")
-    pairs = [(x, a) for x in D.sorted_objects() for a in C.hom(G.obj_map[x], c)]
-
-    def mor_ok(f, src, tgt):
-        (x, a), (y, b) = src, tgt
-        return C.comp(b, G.mor_map[f]) == a
-
-    cat, forgetful, by_id = _build_comma(name or f"({G.name}↓{c})", pairs, D, mor_ok)
-    GP = compose_functors(G, forgetful)
-    theta = NatTrans(f"θ({G.name}↓{c})", GP, const_diagram(c, cat, C),
-                     {o: by_id[o][1] for o in cat.objects})
-    return CommaData(cat, forgetful, theta, {o: by_id[o] for o in cat.objects})
+    """The comma category (G↓c) of arrows from the image of G into c."""
+    return _slice(c, G, name, TO_OBJECT)
 
 
 def elements_category(X: SetFunctor, name: str | None = None) -> CommaData:
@@ -219,6 +210,8 @@ class UniversalWitness:
 def _from_side(G: Functor, direction: str) -> Functor:
     """G, or for arrows to an object its opposite: a universal arrow from G
     to c is a universal arrow from c to G read in the opposite categories."""
+    if direction not in (FROM_OBJECT, TO_OBJECT):
+        raise StructuralError(f"unknown direction {direction!r}")
     return G if direction == FROM_OBJECT else opposite_functor(G)
 
 
@@ -231,11 +224,9 @@ def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
     comma_from_object's category, and the first that verify_universal
     certifies is returned with its Report; the comma category is never built.
     """
-    if direction not in (FROM_OBJECT, TO_OBJECT):
-        raise StructuralError(f"unknown direction {direction!r}")
+    Gs = _from_side(G, direction)
     if c not in G.cod.objects:
         raise StructuralError(f"unknown object {c} in {G.cod.name}")
-    Gs = _from_side(G, direction)
     for _, u, eta in sorted((_pair(x, a), x, a) for x in Gs.dom.objects
                             for a in Gs.cod.hom(c, Gs.obj_map[x])):
         rep = verify_universal(UniversalWitness(u, eta, direction, None), c, G)
@@ -247,6 +238,8 @@ def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
 def verify_universal(w: UniversalWitness, c: str, G: Functor) -> Report:
     """Certify the witness ⟨u,η⟩: every comma object ⟨x,a⟩ is G(f)·η for exactly
     one f: u -> x."""
+    if w.vertex not in G.dom.objects:
+        raise StructuralError(f"witness vertex {w.vertex} is not an object of {G.dom.name}")
     G = _from_side(G, w.direction)
     C, D = G.cod, G.dom
     u, eta = w.vertex, w.arrow

@@ -2,8 +2,9 @@
 
 Each family runs public functions over fixtures and seeded randgen inputs and
 hashes everything they return: element ids and their order, map tables in
-their order, transformation keys in returned order, and each Report's JSON
-(`checked` counts and counterexamples included).  A refactor that must not
+their order, transformation keys in returned order, the names and morphism
+and component orders of tabulated categories, functors and transformations,
+and each Report's JSON (`checked` counts and counterexamples included).  A refactor that must not
 change outputs keeps every hash; a change that moves one on purpose re-pins
 only that family.  No hash may depend on set or hash order: the module also
 runs under PYTHONHASHSEED 0 and 1.
@@ -123,10 +124,10 @@ def _ser(x, named=False):
     return x
 
 
-def _outcome(fn, *args, named=False):
+def _outcome(fn, *args):
     """fn(*args) serialized, or the message of the StructuralError it raises."""
     try:
-        return _ser(fn(*args), named)
+        return _ser(fn(*args))
     except StructuralError as e:
         return ("StructuralError", str(e))
 

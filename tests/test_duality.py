@@ -24,6 +24,7 @@ from fincat.core import (
     functor_category,
     identity_functor,
     ok_report,
+    op_product,
     opposite,
     pair_id,
     product,
@@ -31,15 +32,25 @@ from fincat.core import (
     validate_natural,
 )
 from fincat.finset import (
+    SINGLETON,
     FinSetMap,
     FinSetObj,
     SetFunctor,
     SetNatTrans,
+    const_set_functor,
     enumerate_set_naturals,
     validate_set_natural,
 )
-from fincat.fixtures import discrete, parallel_pair, terminal_category, walking_arrow, z2_monoid
+from fincat.fixtures import (
+    discrete,
+    parallel_pair,
+    pick_object,
+    terminal_category,
+    walking_arrow,
+    z2_monoid,
+)
 from fincat.kan import (
+    LEFT,
     RIGHT,
     end_coend,
     enumerate_wedges,
@@ -50,10 +61,13 @@ from fincat.kan import (
 )
 from fincat.limits import (
     COLIMIT,
+    LIMIT,
     certify_terminal,
     enumerate_cones,
+    induced_set_map,
     interchange_check,
     limit,
+    limit_finset,
     limit_functor,
 )
 from fincat.randgen import (
@@ -611,3 +625,53 @@ def test_right_adjoint_matches_mirrored_synthesis():
             assert _nat(adj.unit) == _nat(ref.unit) and _nat(adj.counit) == _nat(ref.counit)
             assert dict(adj.hom_iso) == dict(ref.hom_iso)
     assert found and absent
+
+
+# ---------------------------------------------------------------------------
+# An unknown direction or side is refused, not run as the dual side
+
+def _cones_bogus():
+    return enumerate_cones(identity_functor(walking_arrow()), "bogus")
+
+
+def _wedges_bogus():
+    J = walking_arrow()
+    B = next(iter(enumerate_functors(op_product(J), walking_arrow())))
+    return enumerate_wedges(B, J, "bogus")
+
+
+def _verify_sideways():
+    G = identity_functor(walking_arrow())
+    return verify_universal(UniversalWitness("0", "id_0", "sideways", None), "0", G)
+
+
+def _unique_sideways():
+    G, w = identity_functor(walking_arrow()), UniversalWitness("0", "id_0", "sideways", None)
+    return essentially_unique("0", G, w, w)
+
+
+def _kan_check_bogus():
+    two = walking_arrow()
+    K, F = pick_object(two, "0", "K"), pick_object(two, "1", "F")
+    kr = kan_pointwise(K, F, LEFT)
+    return kan_universal_check(kr.extension, kr.unit_or_counit, K, F, side="bogus")
+
+
+def _induced_bogus():
+    res = limit_finset(const_set_functor(walking_arrow(), SINGLETON), LIMIT)
+    legs = res.cone.legs.components
+    return induced_set_map("bogus", res.object, legs, res.object, legs,
+                           [("0", None, "0"), ("1", None, "1")])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(_cones_bogus, "unknown direction 'bogus'", id="enumerate_cones"),
+    pytest.param(_wedges_bogus, "unknown side 'bogus'", id="enumerate_wedges"),
+    pytest.param(_verify_sideways, "unknown direction 'sideways'", id="verify_universal"),
+    pytest.param(_unique_sideways, "unknown direction 'sideways'", id="essentially_unique"),
+    pytest.param(_kan_check_bogus, "unknown side 'bogus'", id="kan_universal_check"),
+    pytest.param(_induced_bogus, "unknown direction 'bogus'", id="induced_set_map"),
+])
+def test_an_unknown_direction_or_side_is_refused(call, message):
+    with pytest.raises(StructuralError, match=message):
+        call()

@@ -257,3 +257,10 @@ def test_elements_canonical_family_is_natural():
     two = walking_arrow()
     el = elements_category(hom_functor(two, "0", "covariant"))
     assert validate_set_natural(el.canonical).ok
+
+
+@pytest.mark.parametrize("direction", ["from-object", "to-object"])
+def test_verify_universal_names_a_vertex_outside_the_domain(direction):
+    G = identity_functor(walking_arrow())
+    with pytest.raises(StructuralError, match="witness vertex zz is not an object of 2"):
+        verify_universal(UniversalWitness("zz", "id_0", direction, None), "0", G)
