@@ -26,9 +26,12 @@ from fincat.core import (
     StructuralError,
     budget,
     enumerate_functors,
+    functor_category,
+    make_category,
     op_product,
     opposite,
     product,
+    validate_category,
 )
 from fincat.finset import (
     SINGLETON,
@@ -419,6 +422,54 @@ def family_kan_pointwise_tabulated():
                 yield _ser(kan_pointwise(K, F, side), True)
 
 
+def _functor_category_pairs():
+    """(C, D) pairs: fixtures, a left-zero monoid and that monoid with one
+    entry broken (not associative), a monoid whose left unit law fails on its
+    non-identity arrow, and seeded random pairs with at most 12 functors."""
+    fixed = [terminal_category(), walking_arrow(), parallel_pair(), discrete(2)]
+    for C in fixed:
+        for D in fixed + [z2_monoid(), chain(3)]:
+            yield C, D
+    yield discrete(2), chain(4)
+    lz = make_category("M", ["*"], [("a", "*", "*"), ("b", "*", "*")],
+                       {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"})
+    broken = FinCat("M!", lz.objects, lz.morphisms, lz.identity, {**lz.compose, ("a", "b"): "id_*"})
+    u2 = make_category("U2", ["*"], [("e", "*", "*")], {("id_*", "e"): "id_*", ("e", "e"): "e"})
+    for D in (lz, broken, u2):
+        for C in (terminal_category(), walking_arrow(), z2_monoid(), D):
+            yield C, D
+    for seed in range(40):
+        rng = random.Random(1800 + seed)
+        C, D = _category(rng), _category(rng)
+        with budget(5000):
+            if len(enumerate_functors(C, D)) <= 12:
+                yield C, D
+
+
+def family_functor_category():
+    """Names and morphism order, identity and compose items in insertion
+    order, the transformations behind each morphism, validate_category, and
+    the functors from two small shapes into each functor category."""
+    for C, D in _functor_category_pairs():
+        try:
+            fc = functor_category(C, D)
+        except StructuralError as e:
+            yield C.name, D.name, ("StructuralError", str(e))
+            continue
+        X = fc.cat
+        yield (X.name, X.objects, tuple((m.name, m.dom, m.cod) for m in X.morphisms),
+               tuple(X.identity.items()), tuple(X.compose.items()))
+        yield tuple((k, F.name, tuple(F.obj_map.items()), tuple(F.mor_map.items()))
+                    for k, F in fc.functors.items())
+        yield tuple((k, t.name, t.src.name, t.tgt.name, tuple(t.components.items()))
+                    for k, t in fc.nats.items())
+        yield _outcome(validate_category, X)
+        for shape in (walking_arrow(), z2_monoid()):
+            with budget(5000):
+                yield _outcome(lambda: [(F.name, tuple(F.mor_map.items()))
+                                        for F in enumerate_functors(shape, X)])
+
+
 def family_malformed_cones_and_wedges():
     """Cone and wedge searches into targets whose tables have a structural
     fault: the StructuralError messages, and the (co)cones found before any."""
@@ -481,6 +532,8 @@ PINNED = {
         "d1e40aad5711eb91fb507bc0b403624bfc03b3ed59b4e92a8a0fb49551a20064",
     family_malformed_cones_and_wedges:
         "66762696e03b843d5f854e6ab80a0d1cf3e856a8e8f991128256916b64a65f89",
+    family_functor_category:
+        "c279f4107b65adb20559e6ac998e6fd8a2f2f16243c29128bd0c77e8b51494b0",
 }
 
 
