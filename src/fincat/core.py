@@ -311,9 +311,12 @@ class FinCat(Keyed):
         return slot, [(pos[self.mor[f].dom], pos[self.mor[f].cod]) for f in gens], due
 
     @cached
-    def _pair_squares(self) -> list[list[tuple[str, int, int]]]:
-        """_squares for a search whose first two slots pick a pair of functors."""
-        return [[], []] + [[(m, a + 2, b + 2) for m, a, b in sq] for sq in self._squares]
+    def _pair_squares(self) -> tuple[list[list[tuple[str, int, int]]], ...]:
+        """_squares for a search whose first two slots pick a pair of
+        functors, and the same without the square of each identity whose two
+        ends are its object."""
+        due = [[], []] + [[(m, a + 2, b + 2) for m, a, b in sq] for sq in self._squares]
+        return due, [[s for s in sq if s[1] != s[2] or not self.is_identity(s[0])] for sq in due]
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         """Morphism ids from a to b, lexicographically sorted."""
@@ -356,7 +359,7 @@ class FinCat(Keyed):
         op = _built_cat(name, self.objects,
                         tuple(Mor(m.name, m.cod, m.dom) for m in self.morphisms),
                         self.identity,
-                        {(f, g): h for (g, f), h in self.compose.items()})
+                        MappingProxyType({(f, g): h for (g, f), h in self.compose.items()}))
         # a weak way back: a strong one would make every category with an
         # opposite a reference cycle, freed only by the cycle collector
         op.__dict__["_opposite_of"] = weakref.ref(self)  # frozen: bypass __setattr__
@@ -419,14 +422,34 @@ class FinCat(Keyed):
 
 
 def _built_cat(name: str, objects: tuple[str, ...], morphisms: tuple[Mor, ...],
-               identity: Mapping[str, str], compose: dict[tuple[str, str], str]) -> FinCat:
-    """A category from tuples, a read-only identity table and a fresh compose
-    dict, wrapped without the copies of ``__post_init__``; the caller must
-    not keep a reference to the dict."""
+               identity: Mapping[str, str], compose: Mapping[tuple[str, str], str]) -> FinCat:
+    """A category from tuples and read-only identity and compose tables,
+    stored without the copies of ``__post_init__``."""
     C = object.__new__(FinCat)
     C.__dict__.update(name=name, objects=objects, morphisms=morphisms,  # frozen: bypass __setattr__
-                      identity=identity, compose=MappingProxyType(compose))
+                      identity=identity, compose=compose)
     return C
+
+
+class _Table(Mapping):
+    """A read-only table whose entries `build()` formats on the first read of
+    any of them; its length is known before."""
+
+    def __init__(self, size: int, build):
+        self._size, self._build = size, build
+
+    @cached
+    def _entries(self) -> dict:
+        return self._build()
+
+    def __getitem__(self, k):
+        return self._entries[k]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return self._size
 
 
 class IntView:
@@ -438,6 +461,10 @@ class IntView:
     of g after f for every composable pair, in C._into order.  The searches
     trust these rows, so the build is a table's one structural check: it
     raises StructuralError on the first fault, in the order of its passes.
+    A builder that computes the rows as ints sets the view at birth
+    (`_born`), with no check, only where the table it formats would pass the
+    build: functor_category does, when every composite and identity is one
+    of its transformations; otherwise the first read builds the view.
     """
 
     def __init__(self, C: FinCat):
@@ -472,9 +499,8 @@ class IntView:
                 raise StructuralError(f"{C.name}: identity {i} of {a} has wrong endpoints")
         names = self.names = sorted(mor)
         num = self.num = {m: i for i, m in enumerate(names)}
-        into = self.into = {}  # C._into as ints
-        for m in C.morphisms:
-            into.setdefault(m.cod, []).append(num[m.name])
+        self._morphisms, self._identity = C.morphisms, C.identity
+        into = self.into
         rows = self.rows = [{} for _ in names]
         for g in C.morphisms:
             gn = g.name
@@ -485,7 +511,37 @@ class IntView:
                     raise StructuralError(
                         f"{C.name}: incomplete composition table, missing ({gn},{names[fi]})")
                 row[fi] = num[h]
-        self._morphisms = C.morphisms
+
+    @classmethod
+    def _born(cls, C: FinCat, names: list[str], num: dict[str, int],
+              rows: list[dict[int, int]]) -> IntView:
+        """The view of C from rows its builder computed, unchecked."""
+        V = object.__new__(cls)
+        V.names, V.num, V.rows = names, num, rows
+        V._morphisms, V._identity = C.morphisms, C.identity
+        return V
+
+    @cached
+    def into(self) -> dict[str, list[int]]:
+        """C._into as ints."""
+        into: dict[str, list[int]] = {}
+        for m in self._morphisms:
+            into.setdefault(m.cod, []).append(self.num[m.name])
+        return into
+
+    @cached
+    def unit_fault(self) -> Optional[tuple[str, str]]:
+        """The first morphism, in C.morphisms order, whose composite with an
+        identity is not itself, and the side ("right" is tested first); None
+        if the rows satisfy both unit laws."""
+        num, rows, identity = self.num, self.rows, self._identity
+        for m in self._morphisms:
+            k = num[m.name]
+            if rows[k][num[identity[m.dom]]] != k:
+                return m.name, "right"
+            if rows[num[identity[m.cod]]][k] != k:
+                return m.name, "left"
+        return None
 
     @cached
     def homs(self) -> dict[tuple[str, str], tuple[int, ...]]:
@@ -675,19 +731,17 @@ def composable_pairs(C: FinCat) -> Iterator[tuple[Mor, Mor]]:
 def validate_category(C: FinCat) -> Report:
     """Exhaustively check well-formedness, unit laws and associativity.
 
-    Well-formedness is the build of C._ints (cached on C), which raises
-    StructuralError on a malformed table; the unit and associativity passes
-    look composites up in its int rows.  Counterexamples name ids, never ints.
+    Well-formedness is the build of C._ints (cached on C, or set at C's
+    birth), which raises StructuralError on a malformed table; the unit and
+    associativity passes look composites up in its int rows.  Counterexamples
+    name ids, never ints.
     """
     V = C._ints
     names, num, rows = V.names, V.num, V.rows
     checked = len(C.compose)  # one entry per composable pair, by the build of V
-    for m in C.morphisms:
-        k = num[m.name]
-        if rows[k][num[C.identity[m.dom]]] != k:
-            return fail_report(checked, "unit", morphism=m.name, side="right")
-        if rows[num[C.identity[m.cod]]][k] != k:
-            return fail_report(checked, "unit", morphism=m.name, side="left")
+    if V.unit_fault is not None:
+        m, side = V.unit_fault
+        return fail_report(checked, "unit", morphism=m, side=side)
     for h in C.morphisms:
         hrow = rows[num[h.name]]
         for g in V.into.get(h.dom, ()):
@@ -931,8 +985,13 @@ def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
     a candidate component, and the next slots the components, from D's int
     hom tuples.  Each morphism's naturality square is tested once on a path,
     when the later of its two ends gets its component (the schedule
-    C._squares, shifted by two), by two lookups in D's int rows.  The search,
-    named `transformation search [C,D]`, draws on the budget in scope.
+    C._squares, shifted by two), by two lookups in D's int rows.  The square
+    of an identity of C holds, and is skipped, when D's rows satisfy both
+    unit laws and every functor sends each identity of C to the identity of
+    its image, as those of enumerate_functors do; otherwise it is tested,
+    for a supplied functor or a target whose unit laws fail can reject a
+    component there.  The search, named `transformation search [C,D]`,
+    draws on the budget in scope.
     """
     if not (Fs and Gs):
         return []
@@ -968,7 +1027,10 @@ def _nat_families(Fs, Gs) -> list[tuple[int, ...]]:
         Fm, Gm = Fs[v[0]].mor_map, Gs[v[1]].mor_map
         return rows[num[Gm[m]]][v[a]] == rows[v[b]][num[Fm[m]]]
 
-    return list(search(choices, C._pair_squares, natural,
+    unital = V.unit_fault is None and all(
+        X.mor_map.get(C.identity.get(a)) == D.identity[X.obj_map[a]]
+        for X in (*Fs, *Gs) for a in C.objects)
+    return list(search(choices, C._pair_squares[unital], natural,
                        f"transformation search [{C.name},{D.name}]"))
 
 
@@ -1035,44 +1097,81 @@ def functor_category(C: FinCat, D: FinCat) -> FunctorCategory:
 
     Objects are the functors of enumerate_functors, whose names are their
     canonical ids.  Transformations come from one _nat_families search over
-    every pair of functors, and each of them, each identity and each
-    composite is named from the same `a↦m` pieces, formatted once per call,
-    and one prefix per pair of functors, without building a NatTrans for it.
-    A composite's components are looked up in D's int rows in C.objects
-    order, as vcompose takes them.  The fresh tables are wrapped, not copied.
-    The functor pairs and then the composable pairs of transformations are
-    counted against the budget in scope before either is built.
+    every pair of functors, and each is named from the same `a↦m` pieces,
+    formatted once per call, and one prefix per pair of functors, without
+    building a NatTrans for it.  Each identity and each composite (its
+    components looked up in D's int rows) is found as a transformation by
+    its ends and components.  Those ints give the category its IntView at
+    birth, numbered in sorted id order, and its compose table, composable
+    pairs in morphism order, is formatted the first time it is read.  If D
+    breaks a unit or associativity law, a composite or identity may be no
+    transformation; its id is then formatted from its components, and the
+    view is left to its first use, which raises validate_category's error,
+    as it does for a repeated id.  The functor pairs and then the composable
+    pairs of transformations are counted against the budget in scope before
+    either is built.
     """
     fs = enumerate_functors(C, D)
     name = f"[{C.name},{D.name}]"
     charge(len(fs) ** 2, f"functor pair enumeration {name}: {len(fs)} x {len(fs)} functors")
     objs = C.sorted_objects()
     V = D._ints
-    names, rows = V.names, V.rows
-    pieces = [_Pieces(a, names) for a in objs]
-    prefix = [[_nat_prefix(F.name, G.name) for G in fs] for F in fs]
+    rows = V.rows
+    pieces = [_Pieces(a, V.names) for a in objs]
     mors = []
     ends = []  # per transformation: its source and target index and its components
     into: list[list[int]] = [[] for _ in fs]  # per functor: the transformations into it
+    last = None
     for i, j, tail, t in _in_id_order(_nat_families(fs, fs), pieces):
+        if (i, j) != last:
+            last, prefix = (i, j), _nat_prefix(fs[i].name, fs[j].name)
         into[j].append(len(mors))
-        mors.append(Mor(prefix[i][j] + tail, fs[i].name, fs[j].name))
+        mors.append(Mor(prefix + tail, fs[i].name, fs[j].name))
         ends.append((i, j, t[2:]))
-    identity = {F.name: prefix[i][i] + ";".join(
-                    [p[V.num[D.id_of(x)]] for p, x in zip(pieces, F._obj_images)]) + "]"
-                for i, F in enumerate(fs)}
     count = sum(len(into[i]) for i, _, _ in ends)
     charge(count, f"composite enumeration {name}: {count} composable pairs")
-    table = {}
-    for m, (j, k, beta) in zip(mors, ends):
-        after = [rows[b] for b in beta]
-        for n in into[j]:
-            i, _, alpha = ends[n]
-            comps = [p[r[a]] for p, r, a in zip(pieces, after, alpha)]
-            table[(m.name, mors[n].name)] = prefix[i][k] + ";".join(comps) + "]"
+    into_ends = [[ends[n] for n in ns] for ns in into]
+    # each identity, and each composite m.n for n into m's source, as the
+    # index of its transformation in `index`, keyed (source, target,
+    # components); a family that is none is added with the next index, so
+    # all are transformations exactly when `index` has not grown
+    index = {e: n for n, e in enumerate(ends)}
+    units = [index.setdefault((i, i, tuple([V.num[D.identity[x]] for x in F._obj_images])),
+                              len(index)) for i, F in enumerate(fs)]
+    composites = []
+    for j, k, beta in ends:
+        after = [rows[b] for b in beta]  # the components of m.n are after[x][alpha[x]]
+        composites.append([index.setdefault((i, k, tuple(map(dict.__getitem__, after, alpha))),
+                                            len(index)) for i, _, alpha in into_ends[j]])
+
+    ghosts = list(index)[len(mors):]
+
+    def label(c: int) -> str:
+        if c < len(mors):
+            return mors[c].name
+        i, k, family = ghosts[c - len(mors)]
+        return _nat_prefix(fs[i].name, fs[k].name) + ";".join(
+            [p[u] for p, u in zip(pieces, family)]) + "]"
+
+    def table() -> dict[tuple[str, str], str]:
+        return {(m.name, mors[n].name): label(c)
+                for m, (j, _, _), found in zip(mors, ends, composites)
+                for n, c in zip(into[j], found)}
+
     cat = _built_cat(name, tuple(F.name for F in fs), tuple(mors),
-                     MappingProxyType(identity), table)
-    return FunctorCategory(cat, {F.name: F for F in fs}, tuple(ends))
+                     MappingProxyType({F.name: label(u) for F, u in zip(fs, units)}),
+                     _Table(count, table))
+    functors = {F.name: F for F in fs}
+    names = sorted(m.name for m in mors)
+    num = {m: p for p, m in enumerate(names)}
+    if len(index) == len(num) == len(mors) and len(functors) == len(fs):
+        pos = [num[m.name] for m in mors]
+        int_rows: list[dict[int, int]] = [{} for _ in mors]
+        for m, (j, _, _), found in zip(pos, ends, composites):
+            int_rows[m] = {pos[n]: pos[c] for n, c in zip(into[j], found)}
+        # frozen: bypass __setattr__
+        cat.__dict__["_ints"] = IntView._born(cat, names, num, int_rows)
+    return FunctorCategory(cat, functors, tuple(ends))
 
 
 def const_diagram(c: str, J: FinCat, C: FinCat) -> Functor:

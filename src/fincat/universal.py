@@ -215,6 +215,15 @@ def _from_side(G: Functor, direction: str) -> Functor:
     return G if direction == FROM_OBJECT else opposite_functor(G)
 
 
+def _known(c: str, G: Functor, *witnesses: UniversalWitness) -> None:
+    """Refuse an object c outside G's codomain or a witness vertex outside its domain."""
+    if c not in G.cod.objects:
+        raise StructuralError(f"unknown object {c} in {G.cod.name}")
+    for w in witnesses:
+        if w.vertex not in G.dom.objects:
+            raise StructuralError(f"witness vertex {w.vertex} is not an object of {G.dom.name}")
+
+
 def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
                        ) -> Optional[UniversalWitness]:
     """The first universal arrow from c to G (or from G to c), certified.
@@ -225,8 +234,7 @@ def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
     certifies is returned with its Report; the comma category is never built.
     """
     Gs = _from_side(G, direction)
-    if c not in G.cod.objects:
-        raise StructuralError(f"unknown object {c} in {G.cod.name}")
+    _known(c, G)
     for _, u, eta in sorted((_pair(x, a), x, a) for x in Gs.dom.objects
                             for a in Gs.cod.hom(c, Gs.obj_map[x])):
         rep = verify_universal(UniversalWitness(u, eta, direction, None), c, G)
@@ -238,8 +246,7 @@ def universal_morphism(c: str, G: Functor, direction: str = FROM_OBJECT
 def verify_universal(w: UniversalWitness, c: str, G: Functor) -> Report:
     """Certify the witness ⟨u,η⟩: every comma object ⟨x,a⟩ is G(f)·η for exactly
     one f: u -> x."""
-    if w.vertex not in G.dom.objects:
-        raise StructuralError(f"witness vertex {w.vertex} is not an object of {G.dom.name}")
+    _known(c, G, w)
     G = _from_side(G, w.direction)
     C, D = G.cod, G.dom
     u, eta = w.vertex, w.arrow
@@ -262,6 +269,7 @@ def essentially_unique(c: str, G: Functor, w1: UniversalWitness,
     """Two witnesses for the same data are related by a unique isomorphism."""
     if w1.direction != w2.direction:
         raise StructuralError("witness directions differ")
+    _known(c, G, w1, w2)
     G = _from_side(G, w1.direction)
     C, D = G.cod, G.dom
     psi, count = factorizations(D.hom(w1.vertex, w2.vertex),

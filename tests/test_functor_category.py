@@ -13,6 +13,7 @@ import pytest
 from fincat.core import (
     FinCat,
     Functor,
+    IntView,
     Mor,
     NatTrans,
     StructuralError,
@@ -206,17 +207,27 @@ def _left_zero() -> FinCat:
                          {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"})
 
 
+def _not_associative() -> FinCat:
+    """_left_zero with ab = 1: (ab)a = a but a(ba) = ab = 1."""
+    lz = _left_zero()
+    return FinCat("M!", lz.objects, lz.morphisms, lz.identity, {**lz.compose, ("a", "b"): "id_*"})
+
+
 def _edge_cases() -> list[FinCat]:
     """Targets whose names or tables reach the orders and tests the search
     relies on: a composite named after both its factors, arrow ids of which
-    one is a prefix of the other (ids sort with their closing bracket), and
-    an identity whose composite with itself is wrong."""
+    one is a prefix of the other (ids sort with their closing bracket), an
+    identity whose composite with itself is wrong, and a left unit law that
+    fails on a non-identity arrow, where the naturality square of an
+    identity rejects a component."""
     late = make_category("L", ["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2"), ("z", "0", "2")],
                          {("b", "a"): "z"})
     prefix = make_category("P2", ["0", "1"], [("f", "0", "1"), ("f2", "0", "1")], {})
     unit = make_category("U", ["*"], [("e", "*", "*")],
                          {("e", "e"): "e", ("id_*", "id_*"): "e"})
-    return [late, prefix, unit]
+    left = make_category("U2", ["*"], [("e", "*", "*")],
+                         {("id_*", "e"): "id_*", ("e", "e"): "e"})
+    return [late, prefix, unit, left]
 
 
 def _pairs():
@@ -232,8 +243,7 @@ def _pairs():
     lz = _left_zero()
     yield walking_arrow(), lz
     yield chain(3), lz
-    broken = FinCat("M!", lz.objects, lz.morphisms, lz.identity,
-                    {**lz.compose, ("a", "b"): "id_*"})
+    broken = _not_associative()
     yield walking_arrow(), broken
     yield z2_monoid(), broken
     rng = random.Random(4242)
@@ -386,3 +396,60 @@ def test_validate_category_counterexamples_carry_ids():
         got = validate_category(C)
         assert got == ref_validate_category(C) == fail_report(checked, law, **details)
         assert all(type(v) is str for v in got.counterexample.details.values())
+
+
+def test_supplied_functors_that_move_identities_keep_their_identity_squares():
+    """A functor that sends the identity to an idempotent, into a lawful
+    target: the identity's naturality square rejects a component."""
+    M = _left_zero()
+    F = Functor("F", terminal_category(), M, {"*": "*"}, {"id_*": "a"})
+    got = enumerate_nat_trans(F, F)
+    assert [t.components["*"] for t in got] == ["a", "id_*"]
+    assert _nat_rows(got) == _nat_rows(ref_enumerate_nat_trans(F, F))
+
+
+def _count_int_view_builds(monkeypatch) -> list:
+    builds = []
+    build = IntView.__init__
+
+    def counted(self, C):
+        builds.append(C.name)
+        build(self, C)
+
+    monkeypatch.setattr(IntView, "__init__", counted)
+    return builds
+
+
+def test_a_functor_category_into_a_lawful_target_is_born_with_its_int_view(monkeypatch):
+    for C, D in [(discrete(2), chain(4)), (walking_arrow(), z2_monoid()),
+                 (parallel_pair(), chain(3)), (walking_arrow(), _left_zero())]:
+        fc = functor_category(C, D)
+        builds = _count_int_view_builds(monkeypatch)
+        got = validate_category(fc.cat)
+        monkeypatch.undo()
+        assert builds == [] and got.ok, (C.name, D.name)
+        assert got == ref_validate_category(fc.cat)
+
+
+def test_a_functor_category_into_a_broken_target_builds_its_int_view_on_first_use(monkeypatch):
+    """A composite that is no transformation (D not associative) and an
+    identity that is none (a unit law of D fails)."""
+    left = _edge_cases()[3]
+    for C, D, fault in [(walking_arrow(), _not_associative(), "has unresolved ids"),
+                        (left, left, "is not a morphism")]:
+        fc = functor_category(C, D)
+        builds = _count_int_view_builds(monkeypatch)
+        got = _validated(validate_category, fc.cat)
+        monkeypatch.undo()
+        assert builds == [fc.cat.name]
+        assert got == _validated(ref_validate_category, fc.cat)
+        assert got[0] == "StructuralError" and got[1].endswith(fault), got
+
+
+def test_a_functor_category_compose_table_is_formatted_on_first_read():
+    fc = functor_category(discrete(2), chain(4))
+    table = fc.cat.compose
+    assert len(table) == sum(1 for _ in composable_pairs(fc.cat)) == 400
+    assert "_entries" not in vars(table)  # the length needs no entry
+    assert list(table.items()) == list(ref_functor_category(discrete(2), chain(4))[0]
+                                       .compose.items())

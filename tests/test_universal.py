@@ -264,3 +264,23 @@ def test_verify_universal_names_a_vertex_outside_the_domain(direction):
     G = identity_functor(walking_arrow())
     with pytest.raises(StructuralError, match="witness vertex zz is not an object of 2"):
         verify_universal(UniversalWitness("zz", "id_0", direction, None), "0", G)
+
+
+@pytest.mark.parametrize("direction", ["from-object", "to-object"])
+def test_essentially_unique_names_a_vertex_outside_the_domain(direction):
+    G = identity_functor(walking_arrow())
+    good = UniversalWitness("0", "id_0", direction, None)
+    bad = UniversalWitness("zz", "id_0", direction, None)
+    for w1, w2 in ((bad, good), (good, bad)):
+        with pytest.raises(StructuralError, match="witness vertex zz is not an object of 2"):
+            essentially_unique("0", G, w1, w2)
+
+
+@pytest.mark.parametrize("direction", ["from-object", "to-object"])
+def test_verify_universal_names_an_unknown_object(direction):
+    G = identity_functor(walking_arrow())
+    w = UniversalWitness("0", "id_0", direction, None)
+    with pytest.raises(StructuralError, match="unknown object q in 2"):
+        verify_universal(w, "q", G)
+    with pytest.raises(StructuralError, match="unknown object q in 2"):
+        universal_morphism("q", G, direction)

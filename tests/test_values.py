@@ -8,7 +8,7 @@ import pytest
 
 import fincat
 from fincat.core import (
-    FinCat, Functor, Keyed, NatTrans, StructuralError, functor_category, make_category,
+    FinCat, Functor, Keyed, NatTrans, StructuralError, functor_category, make_category, opposite,
 )
 from fincat.finset import (
     FinSetMap, FinSetObj, SetFunctor, SetNatTrans, all_maps, identity_map,
@@ -58,6 +58,11 @@ def test_fincat_tables_are_frozen():
     _check_frozen(_arrow_tables, _arrow,
                   lambda ident, comp: (ident.update({"0": "a"}), comp.clear()),
                   lambda C: C.compose)
+    # an opposite is built without the constructor's copies
+    op = opposite(WALKING_ARROW)
+    for table in (op.identity, op.compose):
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = "x"
 
 
 def test_functor_tables_are_frozen():
